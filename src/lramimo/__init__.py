@@ -59,6 +59,7 @@ from .model import (
     make_ask_constellation,
 )
 from .sim import (
+    RedrawLimitError,
     SimConfig,
     SimPoint,
     SimResult,

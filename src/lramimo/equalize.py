@@ -198,8 +198,18 @@ def lra_le_error_covariance(
     return 0.5 * (cov + cov.T)
 
 
-def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
-    """Precompute every filter needed to run ``spec`` on ``channel``."""
+def build_detector(
+    spec: EqualizerSpec, channel: MimoChannel, reduction: ReducedBasis = None
+) -> Detector:
+    """Precompute every filter needed to run ``spec`` on ``channel``.
+
+    ``reduction`` lets a spec that reduces the original matrix reuse an
+    LLL reduction of ``channel.matrix`` computed earlier; a reduction of
+    any other matrix raises ValueError.  Without it the matrix is reduced
+    here.
+    """
+    if reduction is not None and spec.reduction_target is not ReductionTarget.ORIGINAL:
+        raise ValueError(f"{spec.spec_id} does not reduce the original matrix")
     h = channel.matrix
     zeta = channel.inv_snr
     n_rx, n_tx = h.shape
@@ -224,9 +234,15 @@ def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
     if spec.reduction_target is ReductionTarget.AUGMENTED:
         stacked = np.vstack([h, np.sqrt(zeta) * np.eye(n_tx)])
         rb = lll_reduce(stacked)
-    else:
+    elif reduction is None:
         rb = lll_reduce(h)
+    else:
+        rb = reduction
     zf = matrix_to_float(rb.unimodular)
+    if reduction is not None and not (
+        rb.reduced.shape == h.shape and np.allclose(rb.reduced @ zf, h)
+    ):
+        raise ValueError("reduction does not factor the channel matrix")
     zif = matrix_to_float(rb.unimodular_inv)
     # The alphabet is a half-integer translate of the integers, so the
     # transformed symbols live on Z * (1/2 * ones) plus the integers.

@@ -229,16 +229,16 @@ def schur_gramian_identity(
     n = zf.shape[0]
     if not 0 <= n_known < n:
         raise ValueError(f"n_known {n_known} outside 0..{n - 1}")
-    cov = symbol_var * (zf @ zf.T)
-    a = np.sqrt(inv_snr) * zi
-    if n_known == 0:
-        schur = cov
-    else:
-        c11 = cov[:n_known, :n_known]
-        c12 = cov[:n_known, n_known:]
-        schur = cov[n_known:, n_known:] - c12.T @ np.linalg.solve(c11, c12)
-    lhs = noise_var * np.linalg.inv(schur)
-    a2 = a[:, n_known:]
+    # The conditional covariance symbol_var * Z2 (I - P1) Z2^T, with P1 the
+    # projector onto the rows of Z1 = Z[:n_known], is symbol_var * V^T V for
+    # V = Q_perp^T Z2^T, where Q_perp completes an orthonormal basis of those
+    # rows.  With V = Q R its inverse is R^-1 R^-T / symbol_var, which
+    # avoids inverting the possibly ill-conditioned Z Z^T.
+    q_full = np.linalg.qr(zf[:n_known].T, mode="complete")[0]
+    v = q_full[:, n_known:].T @ zf[n_known:].T
+    r_inv = np.linalg.inv(np.linalg.qr(v, mode="r"))
+    lhs = (noise_var / symbol_var) * (r_inv @ r_inv.T)
+    a2 = np.sqrt(inv_snr) * zi[:, n_known:]
     rhs = a2.T @ a2
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 

@@ -1,11 +1,17 @@
 """Lattice basis reduction with exact integer change-of-basis bookkeeping.
 
-The reduction operates on the columns of a real matrix.  All column
-operations are mirrored on an integer matrix Z (and its inverse) kept in
-arbitrary-precision Python integers, so the factorization H = C Z is exact
-up to the floating-point column arithmetic on C alone.
+The reduction operates on the columns of a real matrix.  ``lll_reduce``
+is the textbook LLL on the triangular factor: one QR up front, size
+reduction on the columns of R, and one Givens rotation of two rows of R
+per column swap, so no loop visit re-orthogonalizes the basis.  All
+column operations are mirrored on the basis C and on an integer matrix Z
+(and its inverse) kept in arbitrary-precision Python integers, so the
+factorization H = C Z is exact up to the floating-point column arithmetic
+on C alone.  ``integer_determinant`` and ``unimodular_inverse`` are exact
+helpers for unimodular matrices that do not come from a reduction.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,10 +67,16 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     if s.size == 0 or s[-1] <= 1e-10 * max(h.shape) * s[0]:
         raise ReductionError("basis is rank deficient")
 
-    c = h.copy()
-    # Rows of z / columns of zinv mirror the column operations on c.
+    # Column operations act on the basis columns, on the columns of the
+    # triangular factor R, on the rows of z and on the columns of zinv
+    # alike; R and zinv are stored column by column as Python lists.  R
+    # comes from a single QR; a swap breaks its triangularity in one entry,
+    # which one Givens rotation of rows k-1 and k restores.  r[i] holds
+    # column i of R, so mu_{i,j} = r[i][j] / r[j][j] and |c*_i| = |r[i][i]|.
+    cols = [h[:, j].copy() for j in range(n)]
+    r = np.linalg.qr(h, mode="r").T.tolist()
     z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    zinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    zinv_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
     sweeps = 0
     limit = _MAX_SWEEPS_PER_DIM * n * n
@@ -73,36 +85,40 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
         sweeps += 1
         if sweeps > limit:
             raise ReductionError(f"reduction did not converge within {limit} sweeps")
-        # Fresh orthogonalization each visit; the triangular factor carries
-        # the Gram-Schmidt data (mu_{i,j} = r[j,i]/r[j,j], |c*_i| = |r[i,i]|).
-        r = np.linalg.qr(c, mode="r")
+        rk = r[k]
         for j in range(k - 1, -1, -1):
-            mu = r[j, k] / r[j, j]
+            rj = r[j]
+            mu = rk[j] / rj[j]
             if abs(mu) > 0.5:
                 q = int(round(mu))
-                c[:, k] -= q * c[:, j]
-                r[:, k] -= q * r[:, j]
-                zk = z[k]
-                zj = z[j]
-                for t in range(n):
-                    zj[t] += q * zk[t]
-                for row in zinv:
-                    row[k] -= q * row[j]
-        mu_adj = r[k - 1, k] / r[k - 1, k - 1]
-        if r[k, k] ** 2 >= (delta - mu_adj**2) * r[k - 1, k - 1] ** 2:
+                rk[: j + 1] = [a - q * b for a, b in zip(rk, rj[: j + 1])]
+                cols[k] -= q * cols[j]
+                z[j] = [a + q * b for a, b in zip(z[j], z[k])]
+                zinv_cols[k] = [a - q * b for a, b in zip(zinv_cols[k], zinv_cols[j])]
+        r_prev = r[k - 1][k - 1]
+        mu_adj = rk[k - 1] / r_prev
+        if rk[k] ** 2 >= (delta - mu_adj**2) * r_prev**2:
             k += 1
         else:
-            c[:, [k - 1, k]] = c[:, [k, k - 1]]
+            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            r[k - 1], r[k] = rk, r[k - 1]
             z[k - 1], z[k] = z[k], z[k - 1]
-            for row in zinv:
-                row[k - 1], row[k] = row[k], row[k - 1]
+            zinv_cols[k - 1], zinv_cols[k] = zinv_cols[k], zinv_cols[k - 1]
+            a, b = rk[k - 1], rk[k]
+            rho = math.hypot(a, b)
+            cs, sn = a / rho, b / rho
+            for col in r[k - 1 :]:
+                x, y = col[k - 1], col[k]
+                col[k - 1] = cs * x + sn * y
+                col[k] = cs * y - sn * x
+            rk[k] = 0.0
             k = max(k - 1, 1)
 
     z_arr = np.array(z, dtype=object)
-    zinv_arr = np.array(zinv, dtype=object)
+    zinv_arr = np.array([list(row) for row in zip(*zinv_cols)], dtype=object)
     if not _is_identity(z_arr @ zinv_arr):
         raise ReductionError("internal bookkeeping error: Z @ Zinv != I")
-    return ReducedBasis(reduced=c, unimodular=z_arr, unimodular_inv=zinv_arr)
+    return ReducedBasis(reduced=np.column_stack(cols), unimodular=z_arr, unimodular_inv=zinv_arr)
 
 
 def integer_determinant(matrix: np.ndarray) -> int:

@@ -113,10 +113,14 @@ class AugmentedChannel:
         return self.matrix.shape[0] - self.matrix.shape[1]
 
 
+class RankDeficientError(ValueError):
+    """Raised when a matrix that must have full column rank does not."""
+
+
 def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.size == 0 or s[-1] <= _RANK_TOL_FACTOR * max(matrix.shape) * s[0]:
-        raise ValueError(f"{what} is rank deficient")
+        raise RankDeficientError(f"{what} is rank deficient")
 
 
 def complex_to_real_model(matrix: np.ndarray, vector: np.ndarray):

@@ -15,10 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equalize import EqualizerSpec, build_detector, detect_block
+from .blast import FactorizationError
+from .equalize import Criterion, EqualizerSpec, ReductionTarget, build_detector, detect_block
+from .lattice import ReductionError
 from .model import (
     Constellation,
     MimoChannel,
+    RankDeficientError,
     complex_matrix_to_real,
     make_ask_constellation,
 )
@@ -26,6 +29,12 @@ from .model import (
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
 _ML_CHUNK = 1 << 17
+
+# A trial redraws its channel when detector construction fails for one of
+# these reasons; anything else is a bug and propagates.  The cap turns a
+# failure that recurs on every draw into an error instead of a hang.
+_REDRAW_CAUSES = (ReductionError, FactorizationError, np.linalg.LinAlgError)
+_MAX_REDRAWS = 100
 
 # SNR convention: snr_db = 10 log10(symbol_var * n_tx / noise_var) with
 # n_tx counting complex transmit antennas and the variances per real
@@ -131,6 +140,10 @@ class SimResult:
         return np.array([p.snr_db for p in pts]), np.array([p.ser for p in pts])
 
 
+class RedrawLimitError(RuntimeError):
+    """Raised when a trial fails on every one of its channel draws."""
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial; independent of worker layout."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
@@ -147,9 +160,9 @@ def draw_channel(
 
     Entries have unit complex variance (1/2 per real part); the returned
     real model has dimensions (2 n_rx, 2 n_tx).  Rank-deficient draws
-    (probability zero) are redrawn.
+    (probability zero) are redrawn, at most 100 times.
     """
-    while True:
+    for _ in range(_MAX_REDRAWS):
         hc = (rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))) / np.sqrt(2.0)
         try:
             return MimoChannel(
@@ -157,8 +170,11 @@ def draw_channel(
                 noise_var=noise_var,
                 symbol_var=symbol_var,
             )
-        except ValueError:
-            continue
+        except RankDeficientError as exc:
+            cause = exc
+    raise RedrawLimitError(
+        f"no valid channel in {_MAX_REDRAWS} draws; last cause: {cause}"
+    ) from cause
 
 
 def ml_bruteforce_detect(
@@ -282,14 +298,15 @@ def _run_trial(config: SimConfig, trial: int):
     while True:
         channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
         try:
-            detectors = []
-            for j, snr in enumerate(config.snr_db):
-                noise_var = sv * config.n_tx / (10.0 ** (snr / 10.0))
-                ch = replace(channel, noise_var=noise_var)
-                detectors.append([build_detector(spec, ch) for spec in config.specs])
-        except (ValueError, ArithmeticError):
+            detectors = _build_detectors(config, channel)
+        except _REDRAW_CAUSES as exc:
             # Reduction or factorization failed for this draw; count and redraw.
             redraws += 1
+            if redraws >= _MAX_REDRAWS:
+                raise RedrawLimitError(
+                    f"trial {trial}: detector construction failed on {redraws} "
+                    f"channel draws; last cause: {exc!r}"
+                ) from exc
             continue
         break
 
@@ -297,7 +314,7 @@ def _run_trial(config: SimConfig, trial: int):
     frames = config.frames_per_channel
     h = channel.matrix
     for j, snr in enumerate(config.snr_db):
-        noise_var = sv * config.n_tx / (10.0 ** (snr / 10.0))
+        noise_var = _noise_var(config, sv, snr)
         idx = rng.integers(0, config.order, size=(n_real_tx, frames))
         sent = constellation.points[idx]
         noise = rng.normal(0.0, np.sqrt(noise_var), size=(2 * config.n_rx, frames))
@@ -314,6 +331,42 @@ def _run_trial(config: SimConfig, trial: int):
             errors[n_specs, j] += int(wrong.sum())
             vec_errors[n_specs, j] += int(wrong.any(axis=0).sum())
     return errors, vec_errors, clipped, redraws
+
+
+def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:
+    return symbol_var * config.n_tx / (10.0 ** (snr_db / 10.0))
+
+
+def _build_detectors(config: SimConfig, channel: MimoChannel):
+    """Detectors for every SNR (outer list) and spec (inner list).
+
+    Only the augmented matrix [H; sqrt(zeta) I] depends on the SNR.  ZF
+    detectors are therefore built once and reused at every SNR, and the
+    reduction of the original H, computed by the first detector that
+    needs it, is shared by every spec that reduces H.
+    """
+    h_reduction = None
+
+    def build(spec, ch):
+        nonlocal h_reduction
+        if spec.reduction_target is not ReductionTarget.ORIGINAL:
+            return build_detector(spec, ch)
+        det = build_detector(spec, ch, reduction=h_reduction)
+        h_reduction = det.reduction
+        return det
+
+    fixed = {
+        i: build(spec, channel)
+        for i, spec in enumerate(config.specs)
+        if spec.criterion is Criterion.ZF
+    }
+    detectors = []
+    for snr in config.snr_db:
+        ch = replace(channel, noise_var=_noise_var(config, channel.symbol_var, snr))
+        detectors.append(
+            [fixed[i] if i in fixed else build(spec, ch) for i, spec in enumerate(config.specs)]
+        )
+    return detectors
 
 
 def emit_results(result: SimResult, path: str) -> None:

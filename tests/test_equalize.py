@@ -263,3 +263,26 @@ class TestDetectionBookkeeping:
             det = build_detector(spec, channel)
             assert det.feedforward.shape == (4, 4)
             assert det.feedback.shape == (4, 4)
+
+    def test_given_reduction_is_used_only_for_original_target(self):
+        channel = self._channel(n=4, seed=11)
+        rb = lll_reduce(channel.matrix)
+        for spec in ALL_SPECS:
+            if spec.reduction_target is ReductionTarget.ORIGINAL:
+                det = build_detector(spec, channel, reduction=rb)
+                assert det.reduction is rb
+                fresh = build_detector(spec, channel)
+                assert fresh.reduction.unimodular.tolist() == rb.unimodular.tolist()
+                for name in ("receive", "feedforward", "feedback"):
+                    if getattr(det, name) is not None:
+                        np.testing.assert_array_equal(getattr(det, name), getattr(fresh, name))
+            else:
+                with pytest.raises(ValueError):
+                    build_detector(spec, channel, reduction=rb)
+
+    def test_given_reduction_of_another_matrix_is_rejected(self):
+        channel = self._channel(n=4, seed=11)
+        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True)
+        for other in (self._channel(n=4, seed=12).matrix, self._channel(n=2, seed=12).matrix):
+            with pytest.raises(ValueError, match="does not factor"):
+                build_detector(spec, channel, reduction=lll_reduce(other))

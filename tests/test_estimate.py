@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lramimo.blast import vblast_sorted_factorization
-from lramimo.checks import random_unimodular
+from lramimo.checks import SCHUR_TOL, equivalence_suite, random_unimodular
 from lramimo.equalize import le_mmse_matrix
 from lramimo.estimate import (
     GaussianPrior,
@@ -239,6 +239,14 @@ class TestSchurGramianIdentity:
             l = int(rng.integers(0, n))
             worst = max(worst, schur_gramian_identity(z, zeta, sv, zeta * sv, l))
         assert worst < 1e-9
+
+    def test_equivalence_suite_reproducer_within_tolerance(self):
+        # `equiv-suite --instances 40 --seed 2117771765` draws an
+        # ill-conditioned Z Z^T; inverting it directly left a Schur
+        # residual of 1.4e-10, over SCHUR_TOL.
+        report = equivalence_suite(40, seed=2117771765)
+        assert report.schur <= SCHUR_TOL
+        assert report.within()
 
 
 class TestSortingMetric:

@@ -76,30 +76,31 @@ class TestTrivialBases:
         lll_reduce(np.eye(2), delta=1.0)  # boundary allowed
 
 
-class TestPostconditions:
-    @staticmethod
-    def _assert_reduced(h, rb, delta=0.75):
-        zf = matrix_to_float(rb.unimodular)
-        resid = np.linalg.norm(rb.reduced @ zf - h) / np.linalg.norm(h)
-        assert resid <= 1e-12, f"reconstruction residual {resid}"
-        assert integer_determinant(rb.unimodular) in (1, -1)
-        prod = rb.unimodular @ rb.unimodular_inv
-        assert all(
-            prod[i, j] == (1 if i == j else 0)
-            for i in range(prod.shape[0])
-            for j in range(prod.shape[1])
-        )
-        r = np.linalg.qr(rb.reduced, mode="r")
-        n = r.shape[1]
-        for i in range(n):
-            for j in range(i):
-                mu = r[j, i] / r[j, j]
-                assert abs(mu) <= 0.5 + 1e-9, f"size reduction violated: mu={mu}"
-        for k in range(1, n):
-            mu = r[k - 1, k] / r[k - 1, k - 1]
-            lhs = r[k, k] ** 2 + 1e-9 * r[k - 1, k - 1] ** 2
-            assert lhs >= (delta - mu**2) * r[k - 1, k - 1] ** 2, f"Lovasz violated at {k}"
+def assert_reduced(h, rb, delta=0.75):
+    """Postconditions of ``rb`` as an LLL reduction of ``h`` with ``delta``."""
+    zf = matrix_to_float(rb.unimodular)
+    resid = np.linalg.norm(rb.reduced @ zf - h) / np.linalg.norm(h)
+    assert resid <= 1e-12, f"reconstruction residual {resid}"
+    assert integer_determinant(rb.unimodular) in (1, -1)
+    prod = rb.unimodular @ rb.unimodular_inv
+    assert all(
+        prod[i, j] == (1 if i == j else 0)
+        for i in range(prod.shape[0])
+        for j in range(prod.shape[1])
+    )
+    r = np.linalg.qr(rb.reduced, mode="r")
+    n = r.shape[1]
+    for i in range(n):
+        for j in range(i):
+            mu = r[j, i] / r[j, j]
+            assert abs(mu) <= 0.5 + 1e-9, f"size reduction violated: mu={mu}"
+    for k in range(1, n):
+        mu = r[k - 1, k] / r[k - 1, k - 1]
+        lhs = r[k, k] ** 2 + 1e-9 * r[k - 1, k - 1] ** 2
+        assert lhs >= (delta - mu**2) * r[k - 1, k - 1] ** 2, f"Lovasz violated at {k}"
 
+
+class TestPostconditions:
     def test_random_sweep(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):
@@ -107,7 +108,7 @@ class TestPostconditions:
             m = n + int(rng.integers(0, 3))
             h = rng.normal(size=(m, n))
             rb = lll_reduce(h)
-            self._assert_reduced(h, rb)
+            assert_reduced(h, rb)
             assert orthogonality_defect(rb.reduced) <= orthogonality_defect(h) * (1 + 1e-12)
 
     def test_deterministic(self):
@@ -121,7 +122,7 @@ class TestPostconditions:
         # Column operations with multipliers ~1e3 must stay exact in Z.
         h = np.array([[1.0, 1000.001], [0.0, 0.001]])
         rb = lll_reduce(h)
-        self._assert_reduced(h, rb)
+        assert_reduced(h, rb)
 
 
 class TestIntegerDeterminant:

@@ -1,12 +1,16 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lramimo.equalize import ALL_SPECS, EqualizerSpec
-from lramimo.model import make_ask_constellation
+from lramimo import sim
+from lramimo.equalize import ALL_SPECS, Criterion, EqualizerSpec, build_detector, detect_block
+from lramimo.lattice import ReductionError
+from lramimo.model import RankDeficientError, make_ask_constellation
 from lramimo.sim import (
     ML_ORACLE_ID,
+    RedrawLimitError,
     SimConfig,
     SimPoint,
     compare_reduction_targets,
@@ -241,3 +245,140 @@ class TestCompareReductionTargets:
             assert np.isfinite(d1.ci95)
         seen = {p.spec_id for p in c1.result.points}
         assert seen == {"dfe-mmse-lra-orig", "dfe-mmse-lra-aug"}
+
+
+def _reference_counts(config):
+    """Counts of ``config`` with every (spec, SNR) detector built from scratch.
+
+    Replays each trial's random stream exactly as ``run_monte_carlo`` does,
+    but reduces and factorizes anew for every detector at every SNR, so no
+    construction is shared between specs or SNRs.  Assumes no trial redraws
+    its channel.
+    """
+    constellation = make_ask_constellation(config.order)
+    sv = constellation.variance
+    n_ids = len(config.specs) + (1 if config.oracle else 0)
+    errors = np.zeros((n_ids, len(config.snr_db)), dtype=np.int64)
+    vec_errors = np.zeros_like(errors)
+    clipped = np.zeros(n_ids, dtype=np.int64)
+    frames = config.frames_per_channel
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial)
+        channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
+        noise_vars = [sv * config.n_tx / 10.0 ** (snr / 10.0) for snr in config.snr_db]
+        detectors = [
+            [build_detector(spec, replace(channel, noise_var=nv)) for spec in config.specs]
+            for nv in noise_vars
+        ]
+        for j, noise_var in enumerate(noise_vars):
+            idx = rng.integers(0, config.order, size=(2 * config.n_tx, frames))
+            sent = constellation.points[idx]
+            noise = rng.normal(0.0, np.sqrt(noise_var), size=(2 * config.n_rx, frames))
+            received = channel.matrix @ sent + noise
+            decisions = [detect_block(det, received, constellation) for det in detectors[j]]
+            if config.oracle:
+                a_ml = sim._ml_detect_block(channel.matrix, received, constellation)
+                decisions.append((a_ml, None, 0))
+            for i, (a_hat, _, nclip) in enumerate(decisions):
+                wrong = a_hat != sent
+                errors[i, j] += int(wrong.sum())
+                vec_errors[i, j] += int(wrong.any(axis=0).sum())
+                clipped[i] += nclip
+    return errors, vec_errors, clipped
+
+
+class TestSharedConstruction:
+    @pytest.mark.parametrize("seed", [3, 41, 977])
+    def test_counts_equal_per_snr_construction(self, seed):
+        cfg = _config(
+            specs=ALL_SPECS,
+            snr_db=(0.0, 8.0, 16.0, 24.0),
+            trials=5,
+            frames_per_channel=40,
+            oracle=True,
+            seed=seed,
+        )
+        result = run_monte_carlo(cfg)
+        errors, vec_errors, clipped = _reference_counts(cfg)
+        ids = [s.spec_id for s in ALL_SPECS] + [ML_ORACLE_ID]
+        for i, spec_id in enumerate(ids):
+            for j, snr in enumerate(cfg.snr_db):
+                p = result.point(spec_id, snr)
+                want = (errors[i, j], vec_errors[i, j])
+                assert (p.errors, p.vector_errors) == want, (spec_id, snr)
+            assert result.clipped[spec_id] == clipped[i], spec_id
+        assert result.meta["channel_redraws"] == 0
+
+    def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
+        calls = []
+        real = sim.build_detector
+
+        def counting(spec, channel, **kwargs):
+            det = real(spec, channel, **kwargs)
+            calls.append((spec.spec_id, kwargs.get("reduction") is not None, det))
+            return det
+
+        monkeypatch.setattr(sim, "build_detector", counting)
+        cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=1)
+        run_monte_carlo(cfg)
+        per_spec = {}
+        for spec_id, _, _ in calls:
+            per_spec[spec_id] = per_spec.get(spec_id, 0) + 1
+        for spec in ALL_SPECS:
+            expected = 1 if spec.criterion is Criterion.ZF else len(cfg.snr_db)
+            assert per_spec[spec.spec_id] == expected, spec.spec_id
+        orig = [(given, det) for spec_id, given, det in calls if spec_id.endswith("-orig")]
+        assert not orig[0][0]  # the first detector that needs it reduces H itself
+        assert all(given and det.reduction is orig[0][1].reduction for given, det in orig[1:])
+
+
+class TestRedrawLimit:
+    def test_construction_failing_on_every_draw_raises(self, monkeypatch):
+        calls = []
+
+        def always_fails(spec, channel, **kwargs):
+            calls.append(spec.spec_id)
+            raise ReductionError("basis is rank deficient")
+
+        monkeypatch.setattr(sim, "build_detector", always_fails)
+        with pytest.raises(RedrawLimitError, match="rank deficient"):
+            run_monte_carlo(_config(trials=1))
+        assert len(calls) == 100
+
+    def test_unclassified_error_is_not_a_redraw(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("not a channel failure")
+
+        monkeypatch.setattr(sim, "build_detector", broken)
+        with pytest.raises(ValueError, match="not a channel failure"):
+            run_monte_carlo(_config(trials=1))
+        assert len(calls) == 1
+
+    def test_draw_channel_rejects_bad_arguments_at_once(self, monkeypatch):
+        calls = []
+        real_channel = sim.MimoChannel
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return real_channel(**kwargs)
+
+        monkeypatch.setattr(sim, "MimoChannel", counted)
+        with pytest.raises(ValueError, match="noise_var") as info:
+            draw_channel(trial_rng(1, 0), 2, 2, noise_var=-1.0)
+        assert not isinstance(info.value, RedrawLimitError)
+        assert len(calls) == 1
+
+    def test_draw_channel_gives_up_on_rank_deficient_draws(self, monkeypatch):
+        calls = []
+
+        def always_singular(**kwargs):
+            calls.append(kwargs)
+            raise RankDeficientError("channel matrix is rank deficient")
+
+        monkeypatch.setattr(sim, "MimoChannel", always_singular)
+        with pytest.raises(RedrawLimitError, match="rank deficient"):
+            draw_channel(trial_rng(1, 0), 2, 2)
+        assert len(calls) == 100
