@@ -22,7 +22,6 @@ from .equalize import (
     le_zf_matrix,
     lra_le_error_covariance,
     lra_le_mmse_matrix,
-    lra_le_zf_matrix,
 )
 from .estimate import (
     GaussianPrior,
@@ -48,7 +47,6 @@ from .lattice import (
     z_covariance,
 )
 from .model import (
-    AugmentedChannel,
     Constellation,
     MimoChannel,
     apply_channel,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import matrix_to_float, unimodular_inverse
+from .model import augment
 
 
 class FactorizationError(ValueError):
@@ -105,12 +106,8 @@ def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0
         return vblast_sorted_factorization(m)
     if crit != "mmse":
         raise ValueError(f"criterion must be 'zf' or 'mmse', got {criterion!r}")
-    if inv_snr < 0:
-        raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    n_rx, n_tx = m.shape
-    stacked = np.vstack([m, np.sqrt(inv_snr) * np.eye(n_tx)])
-    full = vblast_sorted_factorization(stacked)
-    return replace(full, feedforward=full.feedforward[:, :n_rx])
+    full = vblast_sorted_factorization(augment(m, inv_snr))
+    return replace(full, feedforward=full.feedforward[:, : m.shape[0]])
 
 
 def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: float) -> DfeFilterSet:
@@ -136,9 +133,7 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     n = h.shape[1]
     zf = matrix_to_float(unimodular)
     zi = matrix_to_float(unimodular_inverse(unimodular))
-    reduced = h @ zi
-    lower = np.sqrt(alpha) * zi
-    stacked_cols = np.vstack([reduced, lower])
+    stacked_cols = augment(h @ zi, alpha, zi)
 
     gram0 = h.T @ h + alpha * np.eye(n)
     q = zf @ np.linalg.solve(gram0, zf.T)

@@ -14,6 +14,7 @@ import numpy as np
 from . import blast, estimate
 from .equalize import le_zf_matrix, lra_le_mmse_matrix
 from .lattice import lll_reduce, matrix_to_float
+from .model import augment
 
 FF_TOL = 1e-9
 FB_TOL = 1e-9
@@ -67,13 +68,10 @@ def _draw_instance(rng, dims=(2, 3, 4), extra_rx=(0, 1, 2), snr_db_range=(0.0, 3
 
 
 def _augmented_reduction(h: np.ndarray, zeta: float):
-    n_tx = h.shape[1]
-    stacked = np.vstack([h, np.sqrt(zeta) * np.eye(n_tx)])
-    rb = lll_reduce(stacked)
+    """LLL reduction of [H; sqrt(zeta) I] and the stacked pair [H Z^-1; sqrt(zeta) Z^-1]."""
+    rb = lll_reduce(augment(h, zeta))
     zi = matrix_to_float(rb.unimodular_inv)
-    reduced_obs = h @ zi
-    reg = np.sqrt(zeta) * zi
-    return rb, reduced_obs, reg
+    return rb, augment(h @ zi, zeta, zi)
 
 
 def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
@@ -94,8 +92,8 @@ def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
     for _ in range(n_instances):
         h, zeta = _draw_instance(rng)
         n_rx, n_tx = h.shape
-        rb, reduced_obs, reg = _augmented_reduction(h, zeta)
-        stacked = np.vstack([reduced_obs, reg])
+        rb, stacked = _augmented_reduction(h, zeta)
+        reduced_obs, reg = stacked[:n_rx], stacked[n_rx:]
         fs = blast.vblast_sorted_factorization(stacked)
         perm = fs.perm
         obs_sorted = reduced_obs[:, perm]
@@ -178,8 +176,7 @@ def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
     mismatches = 0
     for _ in range(n_instances):
         h, zeta = _draw_instance(rng)
-        rb, reduced_obs, reg = _augmented_reduction(h, zeta)
-        stacked = np.vstack([reduced_obs, reg])
+        rb, stacked = _augmented_reduction(h, zeta)
         ref = blast.vblast_sorted_factorization(stacked)
         fast = blast.fast_vblast_correlated(h, rb.unimodular, zeta)
         if not np.array_equal(ref.perm, fast.perm):
@@ -204,10 +201,10 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
         h, zeta = _draw_instance(rng, max_cond=30.0)
         if zeta < 1e-3:
             zeta = 1e-3
-        rb, reduced_obs, reg = _augmented_reduction(h, zeta)
+        rb, stacked = _augmented_reduction(h, zeta)
+        reduced_obs = stacked[: h.shape[0]]
         zf = matrix_to_float(rb.unimodular)
         zi = matrix_to_float(rb.unimodular_inv)
-        n_tx = h.shape[1]
 
         gram_direct = reduced_obs.T @ reduced_obs + zeta * (zi.T @ zi)
         form_direct = np.linalg.solve(gram_direct, reduced_obs.T)

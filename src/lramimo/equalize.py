@@ -15,7 +15,7 @@ import numpy as np
 
 from . import blast
 from .lattice import ReducedBasis, lll_reduce, matrix_to_float, unimodular_inverse
-from .model import Constellation, MimoChannel
+from .model import ALPHABET_OFFSET, Constellation, MimoChannel, augment
 
 
 class Structure(enum.Enum):
@@ -129,18 +129,24 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class Detector:
-    """Frozen filters for one (spec, channel) pair; treat fields read-only."""
+    """Frozen filters for one (spec, channel) pair; treat fields read-only.
+
+    Every spec compiles to the same normal form: ``feedforward`` (the
+    observation columns of the zero-forcing filters of the basis matrix),
+    ``feedback`` and ``perm`` (None for linear detectors), and, for
+    reduction-aided specs, the ``reduction`` with Z^-1 in floating point.
+    ``z_offset`` is the translate onto which the estimates are sliced:
+    ALPHABET_OFFSET * 1 without reduction, Z (ALPHABET_OFFSET * 1) with it.
+    """
 
     spec: EqualizerSpec
     channel: MimoChannel
-    receive: np.ndarray = None
-    feedforward: np.ndarray = None
+    feedforward: np.ndarray
+    z_offset: np.ndarray
     feedback: np.ndarray = None
     perm: np.ndarray = None
     reduction: ReducedBasis = None
-    unimodular_f: np.ndarray = None
     unimodular_inv_f: np.ndarray = None
-    z_offset: np.ndarray = None
 
 
 def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -157,16 +163,7 @@ def le_mmse_matrix(matrix: np.ndarray, inv_snr: float) -> np.ndarray:
     the physical observation, which equals (H^T H + inv_snr I)^-1 H^T.
     """
     m = np.asarray(matrix, dtype=float)
-    if inv_snr < 0:
-        raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    n_rx, n_tx = m.shape
-    stacked = np.vstack([m, np.sqrt(inv_snr) * np.eye(n_tx)])
-    return le_zf_matrix(stacked)[:, :n_rx]
-
-
-def lra_le_zf_matrix(reduced: np.ndarray) -> np.ndarray:
-    """Zero-forcing receive matrix of the reduced basis."""
-    return le_zf_matrix(reduced)
+    return le_zf_matrix(augment(m, inv_snr))[:, : m.shape[0]]
 
 
 def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: float) -> np.ndarray:
@@ -174,6 +171,8 @@ def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: floa
 
     Estimates the transformed symbols from the physical observation; valid
     for any unimodular basis change, whichever matrix it was derived from.
+    Detectors use the equal pseudo-inverse of the reduced augmented basis;
+    this closed form is the oracle the equivalence checks compare against.
     """
     m = np.asarray(matrix, dtype=float)
     if not (inv_snr >= 0):
@@ -203,6 +202,13 @@ def build_detector(
 ) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
+    Every spec is zero-forcing processing of one basis matrix: H for ZF,
+    [H; sqrt(zeta) I] for MMSE, and under reduction the reduced basis of
+    whichever of the two was reduced, which for MMSE is [H; sqrt(zeta) I]
+    Z^-1 in both targets.  Linear filters are its pseudo-inverse, DFE
+    filters its sorted successive factorization; either way only the
+    columns acting on the observation are kept.
+
     ``reduction`` lets a spec that reduces the original matrix reuse an
     LLL reduction of ``channel.matrix`` computed earlier; a reduction of
     any other matrix raises ValueError.  Without it the matrix is reduced
@@ -213,71 +219,45 @@ def build_detector(
     h = channel.matrix
     zeta = channel.inv_snr
     n_rx, n_tx = h.shape
+    mmse = spec.criterion is Criterion.MMSE
 
-    if not spec.lra:
-        if spec.structure is Structure.LINEAR:
-            if spec.criterion is Criterion.ZF:
-                receive = le_zf_matrix(h)
-            else:
-                receive = le_mmse_matrix(h, zeta)
-            return Detector(spec=spec, channel=channel, receive=receive)
-        crit = "zf" if spec.criterion is Criterion.ZF else "mmse"
-        fs = blast.classic_dfe_filters(h, crit, zeta)
-        return Detector(
-            spec=spec,
-            channel=channel,
-            feedforward=fs.feedforward,
-            feedback=fs.feedback,
-            perm=fs.perm,
-        )
-
-    if spec.reduction_target is ReductionTarget.AUGMENTED:
-        stacked = np.vstack([h, np.sqrt(zeta) * np.eye(n_tx)])
-        rb = lll_reduce(stacked)
-    elif reduction is None:
-        rb = lll_reduce(h)
-    else:
-        rb = reduction
-    zf = matrix_to_float(rb.unimodular)
-    if reduction is not None and not (
-        rb.reduced.shape == h.shape and np.allclose(rb.reduced @ zf, h)
-    ):
-        raise ValueError("reduction does not factor the channel matrix")
-    zif = matrix_to_float(rb.unimodular_inv)
-    # The alphabet is a half-integer translate of the integers, so the
-    # transformed symbols live on Z * (1/2 * ones) plus the integers.
-    z_offset = zf @ np.full(n_tx, 0.5)
-    common = dict(
-        spec=spec,
-        channel=channel,
-        reduction=rb,
-        unimodular_f=zf,
-        unimodular_inv_f=zif,
-        z_offset=z_offset,
-    )
+    basis = augment(h, zeta) if mmse else h
+    rb = zif = None
+    z_offset = np.full(n_tx, ALPHABET_OFFSET)
+    if spec.lra:
+        if spec.reduction_target is ReductionTarget.AUGMENTED:
+            rb = lll_reduce(basis)
+        elif reduction is None:
+            rb = lll_reduce(h)
+        else:
+            rb = reduction
+        zf = matrix_to_float(rb.unimodular)
+        if reduction is not None and not (
+            rb.reduced.shape == h.shape and np.allclose(rb.reduced @ zf, h)
+        ):
+            raise ValueError("reduction does not factor the channel matrix")
+        zif = matrix_to_float(rb.unimodular_inv)
+        # The transformed symbols live on Z * (ALPHABET_OFFSET * ones) plus
+        # the integers.
+        z_offset = zf @ z_offset
+        basis = rb.reduced
+        if mmse and spec.reduction_target is ReductionTarget.ORIGINAL:
+            basis = augment(basis, zeta, zif)
 
     if spec.structure is Structure.LINEAR:
-        if spec.criterion is Criterion.ZF:
-            receive = lra_le_zf_matrix(rb.reduced)
-        else:
-            receive = lra_le_mmse_matrix(h, rb.unimodular, zeta)
-        return Detector(receive=receive, **common)
-
-    if spec.criterion is Criterion.ZF:
-        fs = blast.vblast_sorted_factorization(rb.reduced)
-        feedforward = fs.feedforward
+        feedforward, feedback, perm = le_zf_matrix(basis), None, None
     else:
-        if spec.reduction_target is ReductionTarget.AUGMENTED:
-            stacked_reduced = rb.reduced
-        else:
-            stacked_reduced = np.vstack([rb.reduced, np.sqrt(zeta) * zif])
-        fs = blast.vblast_sorted_factorization(stacked_reduced)
-        feedforward = fs.feedforward[:, :n_rx]
+        fs = blast.vblast_sorted_factorization(basis)
+        feedforward, feedback, perm = fs.feedforward, fs.feedback, fs.perm
     return Detector(
-        feedforward=feedforward,
-        feedback=fs.feedback,
-        perm=fs.perm,
-        **common,
+        spec=spec,
+        channel=channel,
+        feedforward=feedforward[:, :n_rx],
+        z_offset=z_offset,
+        feedback=feedback,
+        perm=perm,
+        reduction=rb,
+        unimodular_inv_f=zif,
     )
 
 
@@ -290,7 +270,7 @@ def detect(detector: Detector, observation: np.ndarray, constellation: Constella
     return DetectionResult(
         a_hat=a_hat[:, 0],
         z_hat=None if z_hat is None else z_hat[:, 0],
-        order=None if detector.perm is None else detector.perm,
+        order=detector.perm,
         clipped=clipped,
     )
 
@@ -299,56 +279,45 @@ def detect_block(detector: Detector, observations: np.ndarray, constellation: Co
     """Detect a block of received vectors, one per column.
 
     Returns (decisions, transformed decisions or None, clip count).  The
-    constellation's variance should match the symbol variance the detector
-    was built with, otherwise the MMSE filters are mismatched.
+    estimates are rounded onto the detector's translate lattice, one
+    stream at a time with feedback cancellation for DFE detectors.
+    Without reduction that lattice is the alphabet's and decisions are
+    clipped to it as they are made; with reduction the transformed
+    decisions are mapped back through Z^-1, and those outside the alphabet
+    are clipped and counted.  The constellation's variance should match
+    the symbol variance the detector was built with, otherwise the MMSE
+    filters are mismatched.
     """
     ys = np.asarray(observations, dtype=float)
     if ys.ndim != 2 or ys.shape[0] != detector.channel.n_rx:
         raise ValueError(
             f"observations must be ({detector.channel.n_rx}, frames), got {ys.shape}"
         )
-    spec = detector.spec
-    n_tx = detector.channel.n_tx
+    reduced = detector.reduction is not None
     limit = constellation.amplitude_limit
-
-    if spec.structure is Structure.LINEAR:
-        soft = detector.receive @ ys
-        if not spec.lra:
-            a_hat, _ = _slice_alphabet(soft, limit)
-            return a_hat, None, 0
-        z_hat = _slice_translate(soft, detector.z_offset[:, None])
-        return _back_transform(detector, z_hat, limit)
-
+    loop_limit = None if reduced else limit
     soft = detector.feedforward @ ys
-    decided = np.empty_like(soft)
-    if spec.lra:
+    if detector.feedback is None:
+        # Without reduction every offset is ALPHABET_OFFSET; numpy applies
+        # a scalar several times faster than a broadcast column.
+        offset = detector.z_offset[:, None] if reduced else ALPHABET_OFFSET
+        decided = _slice(soft, offset, loop_limit)
+    else:
         offsets = detector.z_offset[detector.perm]
-        for l in range(n_tx):
-            resid = soft[l] - detector.feedback[l, :l] @ decided[:l]
-            decided[l] = np.round(resid - offsets[l]) + offsets[l]
-        z_hat = np.empty_like(decided)
-        z_hat[detector.perm] = decided
-        return _back_transform(detector, z_hat, limit)
-    for l in range(n_tx):
-        resid = soft[l] - detector.feedback[l, :l] @ decided[:l]
-        decided[l], _ = _slice_alphabet(resid, limit)
-    a_hat = np.empty_like(decided)
-    a_hat[detector.perm] = decided
-    return a_hat, None, 0
+        in_order = np.empty_like(soft)
+        for l in range(soft.shape[0]):
+            resid = soft[l] - detector.feedback[l, :l] @ in_order[:l]
+            in_order[l] = _slice(resid, offsets[l], loop_limit)
+        decided = np.empty_like(in_order)
+        decided[detector.perm] = in_order
+    if not reduced:
+        return decided, None, 0
+    a_hat = _slice(detector.unimodular_inv_f @ decided, ALPHABET_OFFSET, None)
+    clipped = int(np.count_nonzero(np.abs(a_hat) > limit))
+    return np.clip(a_hat, -limit, limit), decided, clipped
 
 
-def _slice_translate(soft: np.ndarray, offset) -> np.ndarray:
-    """Round onto the unbounded half-integer translate lattice."""
-    return np.round(soft - offset) + offset
-
-
-def _slice_alphabet(soft: np.ndarray, limit: float):
-    snapped = np.round(soft - 0.5) + 0.5
-    clipped_mask = np.abs(snapped) > limit
-    return np.clip(snapped, -limit, limit), clipped_mask
-
-
-def _back_transform(detector: Detector, z_hat: np.ndarray, limit: float):
-    raw = detector.unimodular_inv_f @ z_hat
-    a_hat, clipped_mask = _slice_alphabet(raw, limit)
-    return a_hat, z_hat, int(np.count_nonzero(clipped_mask))
+def _slice(soft: np.ndarray, offset, limit):
+    """Round onto offset + integers, then clip to +-limit unless it is None."""
+    snapped = np.round(soft - offset) + offset
+    return snapped if limit is None else np.clip(snapped, -limit, limit)

@@ -11,6 +11,10 @@ import numpy as np
 
 _RANK_TOL_FACTOR = 1e-10
 
+# The ASK alphabet is the integers shifted by this offset; the detectors
+# slice onto that translate.
+ALPHABET_OFFSET = 0.5
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -25,8 +29,6 @@ class Constellation:
     order: int
     points: np.ndarray
     variance: float
-    spacing: float = 1.0
-    offset: float = 0.5
 
     @property
     def amplitude_limit(self) -> float:
@@ -96,23 +98,6 @@ class MimoChannel:
         return self.noise_var / self.symbol_var
 
 
-@dataclass(frozen=True)
-class AugmentedChannel:
-    """Channel matrix stacked on top of a scaled identity regularizer."""
-
-    matrix: np.ndarray
-    inv_snr: float
-
-    @property
-    def n_tx(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def n_rx(self) -> int:
-        """Row count of the un-augmented observation part."""
-        return self.matrix.shape[0] - self.matrix.shape[1]
-
-
 class RankDeficientError(ValueError):
     """Raised when a matrix that must have full column rank does not."""
 
@@ -155,19 +140,19 @@ def complex_matrix_to_real(matrix: np.ndarray) -> np.ndarray:
     return np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
 
 
-def augment(channel: MimoChannel) -> AugmentedChannel:
-    """Stack the channel on sqrt(noise-to-signal ratio) times the identity.
+def augment(matrix: np.ndarray, inv_snr: float, regularizer: np.ndarray = None) -> np.ndarray:
+    """Stack ``matrix`` on sqrt(inv_snr) times ``regularizer`` (default I).
 
-    The left pseudo-inverse of the augmented matrix, restricted to the
-    observation rows, is the MMSE receive filter of the original channel;
-    a zero ratio reproduces plain zero forcing.
+    With the identity, the left pseudo-inverse of [H; sqrt(inv_snr) I],
+    restricted to the observation rows, is the MMSE receive filter of H; a
+    zero ratio reproduces plain zero forcing.  A reduced basis H Z^-1 is
+    augmented with ``regularizer`` Z^-1, giving [H; sqrt(inv_snr) I] Z^-1.
     """
-    zeta = channel.inv_snr
-    lower = np.sqrt(zeta) * np.eye(channel.n_tx)
-    return AugmentedChannel(
-        matrix=np.vstack([channel.matrix, lower]),
-        inv_snr=zeta,
-    )
+    m = np.asarray(matrix, dtype=float)
+    if not (inv_snr >= 0):
+        raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
+    lower = np.eye(m.shape[1]) if regularizer is None else regularizer
+    return np.vstack([m, np.sqrt(inv_snr) * lower])
 
 
 def apply_channel(

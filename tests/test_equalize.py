@@ -14,7 +14,6 @@ from lramimo.equalize import (
     le_zf_matrix,
     lra_le_error_covariance,
     lra_le_mmse_matrix,
-    lra_le_zf_matrix,
 )
 from lramimo.estimate import error_covariance
 from lramimo.lattice import lll_reduce, matrix_to_float
@@ -72,7 +71,7 @@ class TestReceiveMatrices:
         rng = np.random.default_rng(10)
         h = rng.normal(size=(4, 3))
         rb = lll_reduce(h)
-        got = lra_le_zf_matrix(rb.reduced)
+        got = le_zf_matrix(rb.reduced)
         np.testing.assert_allclose(got @ rb.reduced, np.eye(3), atol=1e-10)
 
     def test_lra_error_covariance_matches_estimator_theory(self):
@@ -273,7 +272,7 @@ class TestDetectionBookkeeping:
                 assert det.reduction is rb
                 fresh = build_detector(spec, channel)
                 assert fresh.reduction.unimodular.tolist() == rb.unimodular.tolist()
-                for name in ("receive", "feedforward", "feedback"):
+                for name in ("feedforward", "feedback"):
                     if getattr(det, name) is not None:
                         np.testing.assert_array_equal(getattr(det, name), getattr(fresh, name))
             else:
