@@ -188,11 +188,13 @@ def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
 
 
 def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
-    """Max pairwise residual among the three receive-matrix forms.
+    """Max pairwise residual among the four receive-matrix forms.
 
     Compares (C^T C + zeta Z^-T Z^-1)^-1 C^T, Z (H^T H + zeta I)^-1 H^T,
-    and the optimum-estimator instantiation with white noise and data
-    covariance symbol_var * Z Z^T.  Instances are kept numerically tame
+    the optimum-estimator instantiation with white noise and data
+    covariance symbol_var * Z Z^T, and the observation columns of the
+    pseudo-inverse of [C; sqrt(zeta) Z^-1], which is how the detectors
+    build it.  Instances are kept numerically tame
     (condition cap) because the stated agreement is at working precision.
     """
     rng = np.random.default_rng(seed)
@@ -209,6 +211,7 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
         gram_direct = reduced_obs.T @ reduced_obs + zeta * (zi.T @ zi)
         form_direct = np.linalg.solve(gram_direct, reduced_obs.T)
         form_closed = lra_le_mmse_matrix(h, rb.unimodular, zeta)
+        form_pinv = le_zf_matrix(stacked)[:, : h.shape[0]]
 
         symbol_var = 1.0
         noise_var = zeta * symbol_var
@@ -219,6 +222,9 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
         worst = max(worst, _rel(form_direct, form_closed))
         worst = max(worst, _rel(form_estimator, form_closed))
         worst = max(worst, _rel(form_estimator, form_direct))
+        worst = max(worst, _rel(form_pinv, form_closed))
+        worst = max(worst, _rel(form_pinv, form_direct))
+        worst = max(worst, _rel(form_pinv, form_estimator))
     return worst
 
 

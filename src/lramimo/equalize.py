@@ -298,10 +298,7 @@ def detect_block(detector: Detector, observations: np.ndarray, constellation: Co
     loop_limit = None if reduced else limit
     soft = detector.feedforward @ ys
     if detector.feedback is None:
-        # Without reduction every offset is ALPHABET_OFFSET; numpy applies
-        # a scalar several times faster than a broadcast column.
-        offset = detector.z_offset[:, None] if reduced else ALPHABET_OFFSET
-        decided = _slice(soft, offset, loop_limit)
+        decided = _slice(soft, detector.z_offset[:, None], loop_limit)
     else:
         offsets = detector.z_offset[detector.perm]
         in_order = np.empty_like(soft)

@@ -263,6 +263,18 @@ class TestDetectionBookkeeping:
             assert det.feedforward.shape == (4, 4)
             assert det.feedback.shape == (4, 4)
 
+    def test_lra_mmse_le_feedforward_matches_closed_form(self):
+        # The built filter, Z (H^T H + zeta I)^-1 H^T, whichever matrix was reduced.
+        h = np.random.default_rng(13).normal(size=(6, 4))
+        for zeta in (1e-3, 1.0, 1e3):
+            channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
+            for target in ReductionTarget:
+                spec = EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=True, reduction_target=target)
+                det = build_detector(spec, channel)
+                want = lra_le_mmse_matrix(h, det.reduction.unimodular, zeta)
+                err = np.linalg.norm(det.feedforward - want) / np.linalg.norm(want)
+                assert err < 1e-12, (spec.spec_id, zeta, err)
+
     def test_given_reduction_is_used_only_for_original_target(self):
         channel = self._channel(n=4, seed=11)
         rb = lll_reduce(channel.matrix)
