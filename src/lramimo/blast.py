@@ -14,8 +14,20 @@ from .lattice import matrix_to_float, unimodular_inverse
 from .model import augment
 
 
+# Streams whose sorting metric lies within this relative margin of the
+# minimum count as tied, and ties go to the lowest column index.  The real
+# form of a complex channel has twin columns whose metrics are equal in
+# exact arithmetic; without the margin, rounding noise would pick the twin.
+TIE_RTOL = 1e-10
+
+
 class FactorizationError(ValueError):
     """Raised when the successive factorization breaks down numerically."""
+
+
+def pick_stream(metric: np.ndarray) -> int:
+    """Lowest index whose metric is at most min(metric) * (1 + TIE_RTOL)."""
+    return int(np.argmax(metric <= metric.min() * (1.0 + TIE_RTOL)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
         rinv = np.linalg.inv(r)
         # diag of (sub^T sub)^-1 = squared row norms of R^-1
         metric = np.sum(rinv**2, axis=1)
-        k = int(np.argmin(metric))
+        k = pick_stream(metric)
         pinv = rinv @ q.T
         rows.append(pinv[k])
         order.append(remaining.pop(k))
@@ -144,9 +156,9 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     order = []
     for _ in range(n):
         d = np.diag(q)
-        k = int(np.argmin(d))
-        if not (d[k] > 0.0):
+        if not (d.min() > 0.0):
             raise FactorizationError("inverse Gram lost positive definiteness")
+        k = pick_stream(d)
         rows.append(q[k] @ stacked_cols[:, remaining].T)
         order.append(remaining.pop(k))
         keep = np.arange(q.shape[0]) != k

@@ -120,7 +120,7 @@ def _greedy_order(reduced_obs: np.ndarray, reg: np.ndarray) -> np.ndarray:
     order = []
     while remaining:
         metric = estimate.sorting_metric(reduced_obs[:, remaining], reg[:, remaining], 0)
-        k = int(np.argmin(metric))  # remaining ascending: ties pick lowest index
+        k = blast.pick_stream(metric)  # remaining ascending: ties pick lowest index
         order.append(remaining.pop(k))
     return np.array(order)
 

@@ -15,11 +15,11 @@ DATA = Path(__file__).parent / "data"
 
 GOLDEN_CLIPPED = {
     "le-zf-lra-orig": 2860,
-    "dfe-zf-lra-orig": 2861,
+    "dfe-zf-lra-orig": 2858,
     "le-mmse-lra-orig": 319,
     "le-mmse-lra-aug": 255,
     "dfe-mmse-lra-orig": 236,
-    "dfe-mmse-lra-aug": 233,
+    "dfe-mmse-lra-aug": 232,
 }
 CLIP_PREFIX = "clipped decisions: "
 
