@@ -1,9 +1,13 @@
 """Sorted successive-cancellation (V-BLAST) matrix factorizations.
 
-The reference routine recomputes a pseudo-inverse per detection step and
-is the ground truth for the filter set.  The fast variant reproduces the
-same filters for correlated data through rank-one downdates of a single
-Gram inverse, without ever forming the row-augmented matrix.
+One kernel serves every caller.  The detection order is picked greedily
+from the diagonal of an inverse Gram matrix, removing each detected
+stream by a rank-one downdate; the filters of all steps then come from
+one QL factorization of the matrix with its columns in detection order.
+``vblast_sorted_factorization`` takes the inverse Gram matrix from one QR
+of the matrix, ``fast_vblast_correlated`` from the channel and the basis
+change of a correlated problem.  The per-step pseudo-inverse route is
+kept in ``checks`` as the oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -69,39 +73,22 @@ class DfeFilterSet:
 def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
     """Sorted successive factorization of a tall full-rank matrix.
 
-    Per step the remaining columns are pseudo-inverted and the stream with
-    the smallest diagonal of the inverse Gram matrix (best post-equalization
-    error) is detected next; ties go to the lowest original column index.
+    At each step the stream with the smallest diagonal entry of the
+    inverse Gram matrix of the remaining columns (best post-equalization
+    error) is detected next; ties go to the lowest original column index
+    (see ``pick_stream``).  The order comes from one QR and rank-one
+    downdates of P = R^-1 R^-T, the filters from one QL factorization of
+    the sorted matrix.
 
     The returned set satisfies feedforward @ matrix[:, perm] == feedback,
     a unit lower triangular matrix, and the feedforward rows are mutually
     orthogonal.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
-        raise FactorizationError(f"matrix must be m x n with m >= n, got shape {m.shape}")
-    n = m.shape[1]
-    remaining = list(range(n))
-    rows = []
-    order = []
-    for _ in range(n):
-        sub = m[:, remaining]
-        q, r = np.linalg.qr(sub, mode="reduced")
-        diag = np.abs(np.diag(r))
-        if diag.min() <= 1e-12 * max(m.shape) * diag.max():
-            raise FactorizationError("matrix lost full column rank during factorization")
-        rinv = np.linalg.inv(r)
-        # diag of (sub^T sub)^-1 = squared row norms of R^-1
-        metric = np.sum(rinv**2, axis=1)
-        k = pick_stream(metric)
-        pinv = rinv @ q.T
-        rows.append(pinv[k])
-        order.append(remaining.pop(k))
-    feedforward = np.vstack(rows)
-    perm = np.array(order)
-    feedback = _clean_feedback(feedforward @ m[:, perm])
-    gains = np.linalg.norm(feedforward, axis=1)
-    return DfeFilterSet(feedforward=feedforward, feedback=feedback, perm=perm, gains=gains)
+    m = _tall(matrix)
+    r = np.linalg.qr(m, mode="r")
+    _require_full_rank(np.diag(r), m.shape)
+    rinv = np.linalg.inv(r)
+    return _sorted_ql_filters(m, _greedy_order(rinv @ rinv.T))
 
 
 def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0) -> DfeFilterSet:
@@ -126,10 +113,9 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     """Sorted factorization for data correlated through an integer basis change.
 
     Equivalent to ``vblast_sorted_factorization`` applied to the
-    row-augmented matrix [H Z^-1; sqrt(alpha) Z^-1], but the successive
-    inverse Gram matrices are obtained by rank-one downdates of
-    Z (H^T H + alpha I)^-1 Z^T, so no pseudo-inverse of the doubled-row
-    matrix is ever formed.
+    row-augmented matrix [H Z^-1; sqrt(alpha) Z^-1].  The detection order
+    comes from rank-one downdates of Z (H^T H + alpha I)^-1 Z^T, so only
+    the filters need a factorization of the doubled-row matrix.
 
     Parameters
     ----------
@@ -137,44 +123,69 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     unimodular : integer basis change Z (determinant +-1).
     alpha : noise-to-signal variance ratio, > 0.
     """
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] < h.shape[1]:
-        raise FactorizationError(f"matrix must be m x n with m >= n, got shape {h.shape}")
+    h = _tall(matrix)
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    n = h.shape[1]
     zf = matrix_to_float(unimodular)
     zi = matrix_to_float(unimodular_inverse(unimodular))
-    stacked_cols = augment(h @ zi, alpha, zi)
+    gram = h.T @ h + alpha * np.eye(h.shape[1])
+    perm = _greedy_order(zf @ np.linalg.solve(gram, zf.T))
+    return _sorted_ql_filters(augment(h @ zi, alpha, zi), perm)
 
-    gram0 = h.T @ h + alpha * np.eye(n)
-    q = zf @ np.linalg.solve(gram0, zf.T)
-    q = 0.5 * (q + q.T)
 
-    remaining = list(range(n))
-    rows = []
-    order = []
-    for _ in range(n):
-        d = np.diag(q)
-        if not (d.min() > 0.0):
+def _tall(matrix: np.ndarray) -> np.ndarray:
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+        raise FactorizationError(f"matrix must be m x n with m >= n, got shape {m.shape}")
+    return m
+
+
+def _require_full_rank(diag: np.ndarray, shape) -> None:
+    diag = np.abs(diag)
+    if not (diag.min() > 1e-12 * max(shape) * diag.max()):
+        raise FactorizationError("matrix lost full column rank during factorization")
+
+
+def _greedy_order(gram_inv: np.ndarray) -> np.ndarray:
+    """Detection order from the inverse Gram matrix of all streams.
+
+    Picks the stream with the smallest diagonal entry, then removes it by
+    the rank-one downdate P - p_k p_k^T / P_kk, which leaves the inverse
+    Gram matrix of the remaining streams in the other rows and columns.
+    """
+    p = 0.5 * (gram_inv + gram_inv.T)
+    n = p.shape[0]
+    metric = np.diag(p).copy()
+    order = np.empty(n, dtype=np.intp)
+    for step in range(n):
+        if not (metric.min() > 0.0):
             raise FactorizationError("inverse Gram lost positive definiteness")
-        k = pick_stream(d)
-        rows.append(q[k] @ stacked_cols[:, remaining].T)
-        order.append(remaining.pop(k))
-        keep = np.arange(q.shape[0]) != k
-        q = q[np.ix_(keep, keep)] - np.outer(q[keep, k], q[k, keep]) / q[k, k]
-        q = 0.5 * (q + q.T)
-    feedforward = np.vstack(rows)
-    perm = np.array(order)
-    feedback = _clean_feedback(feedforward @ stacked_cols[:, perm])
-    gains = np.linalg.norm(feedforward, axis=1)
-    return DfeFilterSet(feedforward=feedforward, feedback=feedback, perm=perm, gains=gains)
+        k = pick_stream(metric)
+        order[step] = k
+        col = p[:, k].copy()
+        p -= np.outer(col, col) / col[k]
+        metric -= col * col / col[k]
+        metric[k] = np.inf
+    return order
 
 
-def _clean_feedback(raw: np.ndarray) -> np.ndarray:
-    # The exact product is unit lower triangular; drop rounding noise above
-    # the diagonal and pin the diagonal so feedback loops subtract nothing
-    # from the current stream.
-    b = np.tril(raw)
-    np.fill_diagonal(b, 1.0)
-    return b
+def _sorted_ql_filters(matrix: np.ndarray, perm: np.ndarray) -> DfeFilterSet:
+    """Filters of every detection step from one QL factorization.
+
+    With matrix[:, perm] = Q L, the remaining columns at step l are
+    Q[:, l:] L[l:, l:], so the step's pseudo-inverse row for the detected
+    stream is q_l / L_ll.  The QL factors come from the QR of the
+    column-reversed matrix.
+    """
+    q, r = np.linalg.qr(matrix[:, perm[::-1]], mode="reduced")
+    low = r[::-1, ::-1]
+    diag = np.diag(low)
+    _require_full_rank(diag, matrix.shape)
+    feedforward = np.ascontiguousarray(q[:, ::-1].T)
+    feedforward /= diag[:, None]
+    return DfeFilterSet(
+        feedforward=feedforward,
+        feedback=low / diag[:, None],
+        perm=perm,
+        gains=1.0 / np.abs(diag),
+    )

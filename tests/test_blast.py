@@ -7,7 +7,7 @@ from lramimo.blast import (
     fast_vblast_correlated,
     vblast_sorted_factorization,
 )
-from lramimo.checks import random_unimodular
+from lramimo.checks import random_unimodular, sorted_factorization_oracle
 from lramimo.lattice import lll_reduce, matrix_to_float, unimodular_inverse
 
 
@@ -169,7 +169,7 @@ class TestFastCorrelated:
             rb = lll_reduce(np.vstack([h, np.sqrt(zeta) * np.eye(n)]))
             zi = matrix_to_float(rb.unimodular_inv)
             stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
-            ref = vblast_sorted_factorization(stacked)
+            ref = sorted_factorization_oracle(stacked)
             fast = fast_vblast_correlated(h, rb.unimodular, zeta)
             np.testing.assert_array_equal(fast.perm, ref.perm)
             np.testing.assert_allclose(fast.feedforward, ref.feedforward, rtol=0, atol=1e-9)
@@ -182,7 +182,7 @@ class TestFastCorrelated:
         zeta = 0.05
         zi = matrix_to_float(unimodular_inverse(z))
         stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
-        ref = vblast_sorted_factorization(stacked)
+        ref = sorted_factorization_oracle(stacked)
         fast = fast_vblast_correlated(h, z, zeta)
         np.testing.assert_array_equal(fast.perm, ref.perm)
         np.testing.assert_allclose(fast.feedforward, ref.feedforward, atol=1e-9)
