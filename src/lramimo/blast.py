@@ -10,6 +10,7 @@ change of a correlated problem.  The per-step pseudo-inverse route is
 kept in ``checks`` as the oracle.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +31,15 @@ class FactorizationError(ValueError):
 
 
 def pick_stream(metric: np.ndarray) -> int:
-    """Lowest index whose metric is at most min(metric) * (1 + TIE_RTOL)."""
-    return int(np.argmax(metric <= metric.min() * (1.0 + TIE_RTOL)))
+    """Lowest index whose metric is at most min(metric) * (1 + TIE_RTOL).
+
+    The metric is a diagonal of an inverse Gram matrix, so a minimum that
+    is not positive (or is NaN) means the factorization broke down.
+    """
+    lo = metric.min()
+    if not (lo > 0.0):
+        raise FactorizationError("sorting metric is not positive; the inverse Gram lost definiteness")
+    return int((metric <= lo * (1.0 + TIE_RTOL)).argmax())
 
 
 @dataclass(frozen=True)
@@ -152,19 +160,18 @@ def _greedy_order(gram_inv: np.ndarray) -> np.ndarray:
     Picks the stream with the smallest diagonal entry, then removes it by
     the rank-one downdate P - p_k p_k^T / P_kk, which leaves the inverse
     Gram matrix of the remaining streams in the other rows and columns.
+    The picked streams' diagonal entries are masked with +inf.
     """
     p = 0.5 * (gram_inv + gram_inv.T)
     n = p.shape[0]
-    metric = np.diag(p).copy()
+    metric = p.diagonal().copy()
     order = np.empty(n, dtype=np.intp)
     for step in range(n):
-        if not (metric.min() > 0.0):
-            raise FactorizationError("inverse Gram lost positive definiteness")
         k = pick_stream(metric)
         order[step] = k
-        col = p[:, k].copy()
-        p -= np.outer(col, col) / col[k]
-        metric -= col * col / col[k]
+        v = p[k] / math.sqrt(metric[k])
+        p -= v[:, None] * v
+        metric -= v * v
         metric[k] = np.inf
     return order
 
