@@ -316,5 +316,7 @@ def detect_block(detector: Detector, observations: np.ndarray, constellation: Co
 
 def _slice(soft: np.ndarray, offset, limit):
     """Round onto offset + integers, then clip to +-limit unless it is None."""
-    snapped = np.round(soft - offset) + offset
-    return snapped if limit is None else np.clip(snapped, -limit, limit)
+    snapped = soft - offset
+    np.rint(snapped, out=snapped)
+    snapped += offset
+    return snapped if limit is None else np.clip(snapped, -limit, limit, out=snapped)
