@@ -5,6 +5,7 @@ complex flat-fading channel, and the noise-regularized (augmented) channel
 matrix on which zero-forcing processing coincides with MMSE processing.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,23 @@ class MimoChannel:
             raise ValueError(
                 f"channel needs at least as many receive as transmit dimensions, got {h.shape}"
             )
-        if not (self.noise_var >= 0.0):
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        _require_noise_var(self.noise_var)
         if not (self.symbol_var > 0.0):
             raise ValueError(f"symbol_var must be > 0, got {self.symbol_var}")
         _require_full_column_rank(h, "channel matrix")
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
+
+    def with_noise_var(self, noise_var: float) -> "MimoChannel":
+        """The same channel at another noise variance.
+
+        Only ``noise_var`` is validated; the matrix, already checked, is
+        shared rather than put through the rank check again.
+        """
+        _require_noise_var(noise_var)
+        other = copy.copy(self)
+        object.__setattr__(other, "noise_var", noise_var)
+        return other
 
     @property
     def n_rx(self) -> int:
@@ -100,6 +111,11 @@ class MimoChannel:
 
 class RankDeficientError(ValueError):
     """Raised when a matrix that must have full column rank does not."""
+
+
+def _require_noise_var(noise_var: float) -> None:
+    if not (noise_var >= 0.0):
+        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
 
 
 def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:

@@ -343,7 +343,8 @@ def _build_detectors(config: SimConfig, channel: MimoChannel):
     Only the augmented matrix [H; sqrt(zeta) I] depends on the SNR.  ZF
     detectors are therefore built once and reused at every SNR, and the
     reduction of the original H, computed by the first detector that
-    needs it, is shared by every spec that reduces H.
+    needs it, is shared by every spec that reduces H.  The per-SNR
+    channels share the drawn matrix without checking its rank again.
     """
     h_reduction = None
 
@@ -362,7 +363,7 @@ def _build_detectors(config: SimConfig, channel: MimoChannel):
     }
     detectors = []
     for snr in config.snr_db:
-        ch = replace(channel, noise_var=_noise_var(config, channel.symbol_var, snr))
+        ch = channel.with_noise_var(_noise_var(config, channel.symbol_var, snr))
         detectors.append(
             [fixed[i] if i in fixed else build(spec, ch) for i, spec in enumerate(config.specs)]
         )

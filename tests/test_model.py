@@ -101,6 +101,18 @@ class TestChannelAndAugmentation:
         with pytest.raises(ValueError):
             MimoChannel(np.eye(2), noise_var=0.1, symbol_var=0.0)
 
+    def test_with_noise_var_changes_only_the_noise(self):
+        ch = MimoChannel(np.array([[1.0, 0.5], [0.0, 2.0]]), noise_var=0.1, symbol_var=1.25)
+        other = ch.with_noise_var(0.4)
+        assert other.noise_var == 0.4 and ch.noise_var == 0.1
+        assert other.matrix is ch.matrix and not other.matrix.flags.writeable
+        assert other.symbol_var == 1.25 and other.inv_snr == 0.4 / 1.25
+
+    @pytest.mark.parametrize("noise_var", [-0.1, float("nan")])
+    def test_with_noise_var_rejects_negative_and_nan(self, noise_var):
+        with pytest.raises(ValueError, match="noise_var"):
+            MimoChannel(np.eye(2), noise_var=0.1, symbol_var=1.0).with_noise_var(noise_var)
+
     def test_augment_identity_unit_ratio(self):
         ch = MimoChannel(np.eye(2), noise_var=1.0, symbol_var=1.0)
         bar = augment(ch.matrix, ch.inv_snr)

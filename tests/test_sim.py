@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lramimo import sim
+from lramimo import model, sim
 from lramimo.equalize import ALL_SPECS, Criterion, EqualizerSpec, build_detector, detect_block
 from lramimo.lattice import ReductionError
 from lramimo.model import RankDeficientError, make_ask_constellation
@@ -330,6 +330,21 @@ class TestSharedConstruction:
         orig = [(given, det) for spec_id, given, det in calls if spec_id.endswith("-orig")]
         assert not orig[0][0]  # the first detector that needs it reduces H itself
         assert all(given and det.reduction is orig[0][1].reduction for given, det in orig[1:])
+
+
+    def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
+        calls = []
+        real = model._require_full_column_rank
+
+        def counting(matrix, what):
+            calls.append(what)
+            real(matrix, what)
+
+        monkeypatch.setattr(model, "_require_full_column_rank", counting)
+        cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=3)
+        result = run_monte_carlo(cfg)
+        assert result.meta["channel_redraws"] == 0
+        assert calls == ["channel matrix"] * cfg.trials
 
 
 class TestRedrawLimit:
