@@ -4,8 +4,8 @@ Each check draws random channel instances and compares two independently
 computed routes to the same mathematical object: the successive
 pseudo-inverse filters of the augmented reduced matrix on one side and
 the closed-form correlated-estimation matrices on the other.  The
-per-step pseudo-inverse sorted factorization, which production replaced
-with a single-QR kernel, lives here as that kernel's oracle.  The sweep
+per-step pseudo-inverse sorted factorization lives here as the oracle of
+the single-QR kernel in ``blast``.  The sweep
 maxima are the certification artifact; thresholds live with the callers.
 """
 
