@@ -36,22 +36,36 @@ def _cmd_simulate(args) -> int:
 def _cmd_equiv_suite(args) -> int:
     report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
     rows = [
-        ("step feedforward residual", report.feedforward, checks.FF_TOL),
-        ("step feedback residual", report.feedback, checks.FB_TOL),
-        ("order mismatches", report.order_mismatches, 0),
-        ("conditional-precision residual", report.schur, checks.SCHUR_TOL),
-        ("fast factorization residual", report.fast_filters, checks.FAST_TOL),
-        ("fast order mismatches", report.fast_order_mismatches, 0),
-        ("MMSE receive-form residual", report.mmse_le_forms, checks.MMSE_FORMS_TOL),
+        ("feedforward", "step feedforward residual", checks.FF_TOL),
+        ("feedback", "step feedback residual", checks.FB_TOL),
+        ("order_mismatches", "order mismatches", 0),
+        ("schur", "conditional-precision residual", checks.SCHUR_TOL),
+        ("fast_filters", "fast factorization residual", checks.FAST_TOL),
+        ("fast_order_mismatches", "fast order mismatches", 0),
+        ("mmse_le_forms", "MMSE receive-form residual", checks.MMSE_FORMS_TOL),
     ]
     ok = report.within()
-    for name, value, tol in rows:
+    for key, name, tol in rows:
+        value = getattr(report, key)
         if isinstance(value, int):
             line = f"{name:32s} {value:12d}  (allowed {tol})"
         else:
             line = f"{name:32s} {value:12.3e}  (allowed {tol:.0e})"
         print(line)
     print("equivalence suite:", "PASS" if ok else "FAIL")
+    if args.json:
+        summary = {
+            "seed": args.seed,
+            "instances": args.instances,
+            "verdict": "PASS" if ok else "FAIL",
+            "residuals": {
+                key: {"max": getattr(report, key), "tolerance": tol} for key, _, tol in rows
+            },
+        }
+        with open(args.json, "w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.json}")
     return 0 if ok else 1
 
 
@@ -91,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eq.add_argument("--instances", type=int, default=1000)
     p_eq.add_argument("--seed", type=int, default=20260823)
+    p_eq.add_argument("--json", default=None, help="also write the residual maxima to this JSON file")
     p_eq.set_defaults(func=_cmd_equiv_suite)
 
     p_cmp = sub.add_parser(

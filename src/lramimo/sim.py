@@ -11,6 +11,7 @@ import concurrent.futures
 import csv
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from .model import (
 
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
-_ML_CHUNK = 1 << 17
+# The oracle processes frames in blocks of about this many distances.
+_ML_BLOCK_ENTRIES = 1 << 16
 
 # A trial redraws its channel when detector construction fails for one of
 # these reasons; anything else is a bug and propagates.  The cap turns a
@@ -192,30 +194,49 @@ def ml_bruteforce_detect(
 
 
 def _ml_detect_block(matrix, observations, constellation) -> np.ndarray:
+    """Exhaustive ML search over every frame (column) of ``observations``.
+
+    Splits each candidate s into its leading n // 2 components s_hi and the
+    rest s_lo, so that H s = A_i + B_j with A = grid(n // 2) H_hi^T and
+    B = grid(n - n // 2) H_lo^T.  Up to the frame-constant ||y||^2 the
+    distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 is formed once
+    per call, u = -2 A y and v = -2 B y per frame.  Row-major (i, j) is the
+    lexicographic candidate index, so argmin's first occurrence keeps the
+    tie rule.  Memory is about M^n floats, independent of the frame count.
+    """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
+    order = constellation.order
     n = h.shape[1]
-    total = constellation.order**n
+    total = order**n
     if total > _ML_SEARCH_LIMIT:
         raise ValueError(
-            f"ML search space {constellation.order}^{n} = {total} exceeds {_ML_SEARCH_LIMIT}"
+            f"ML search space {order}^{n} = {total} exceeds {_ML_SEARCH_LIMIT}"
         )
-    grids = np.meshgrid(*([constellation.points] * n), indexing="ij")
-    cands = np.stack(grids, axis=-1).reshape(-1, n)
+    n_hi = n // 2
+    a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
+    b = _grid(constellation.points, n - n_hi) @ h[:, n_hi:].T
+    table = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] + 2.0 * (a @ b.T)
     n_frames = ys.shape[1]
-    best_val = np.full(n_frames, np.inf)
-    best_idx = np.zeros(n_frames, dtype=np.int64)
-    for start in range(0, total, _ML_CHUNK):
-        chunk = cands[start : start + _ML_CHUNK]
-        images = chunk @ h.T
-        # ||y - s||^2 up to the frame-constant ||y||^2
-        d = (images**2).sum(axis=1)[:, None] - 2.0 * (images @ ys)
-        k = np.argmin(d, axis=0)
-        val = d[k, np.arange(n_frames)]
-        better = val < best_val  # strict: earlier (lexicographic) candidate wins ties
-        best_val[better] = val[better]
-        best_idx[better] = k[better] + start
-    return cands[best_idx].T.copy()
+    block = max(1, _ML_BLOCK_ENTRIES // total)
+    dist = np.empty((min(block, n_frames),) + table.shape)
+    best = np.empty(n_frames, dtype=np.intp)
+    for start in range(0, n_frames, block):
+        y = ys[:, start : start + block]
+        d = dist[: y.shape[1]]
+        np.add(table, (-2.0 * (y.T @ a.T))[:, :, None], out=d)
+        d += (-2.0 * (y.T @ b.T))[:, None, :]
+        best[start : start + block] = d.reshape(len(d), -1).argmin(axis=1)
+    return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
+
+
+def _grid(points, k) -> np.ndarray:
+    """Every k-vector over ``points`` in lexicographic order, one per row.
+
+    k = 0 gives a single zero-width row.
+    """
+    m = len(points)
+    return points[np.arange(m**k)[:, None] // m ** np.arange(k - 1, -1, -1) % m]
 
 
 def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
@@ -224,6 +245,9 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     ``workers`` > 1 distributes trials over processes; because every trial
     owns a (seed, trial)-keyed stream and integer counters merge
     commutatively, the result is bit-identical for any worker count.
+    ``meta["redraw_causes"]`` counts the channel draws on which detector
+    construction failed, by exception class name; ``meta["channel_redraws"]``
+    is their total.
     """
     start = time.perf_counter()
     if workers < 1:
@@ -239,12 +263,12 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     errors = np.zeros((len(ids), len(config.snr_db)), dtype=np.int64)
     vec_errors = np.zeros_like(errors)
     clipped = np.zeros(len(ids), dtype=np.int64)
-    redraws = 0
-    for trial_err, trial_vec, trial_clip, trial_redraws in outcomes:
+    causes = Counter()
+    for trial_err, trial_vec, trial_clip, trial_causes in outcomes:
         errors += trial_err
         vec_errors += trial_vec
         clipped += trial_clip
-        redraws += trial_redraws
+        causes.update(trial_causes)
     n_real = 2 * config.n_tx
     frames_total = config.trials * config.frames_per_channel
     points = [
@@ -262,7 +286,8 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     meta = {
         "seed": config.seed,
         "snr_definition": SNR_DEFINITION,
-        "channel_redraws": redraws,
+        "channel_redraws": causes.total(),
+        "redraw_causes": dict(sorted(causes.items())),
         "wall_clock_s": time.perf_counter() - start,
         "workers": workers,
     }
@@ -294,14 +319,15 @@ def _run_trial(config: SimConfig, trial: int):
     vec_errors = np.zeros_like(errors)
     clipped = np.zeros(n_ids, dtype=np.int64)
 
-    redraws = 0
+    causes = Counter()
     while True:
         channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
         try:
             detectors = _build_detectors(config, channel)
         except _REDRAW_CAUSES as exc:
             # Reduction or factorization failed for this draw; count and redraw.
-            redraws += 1
+            causes[type(exc).__name__] += 1
+            redraws = causes.total()
             if redraws >= _MAX_REDRAWS:
                 raise RedrawLimitError(
                     f"trial {trial}: detector construction failed on {redraws} "
@@ -330,7 +356,7 @@ def _run_trial(config: SimConfig, trial: int):
             wrong = a_ml != sent
             errors[n_specs, j] += int(wrong.sum())
             vec_errors[n_specs, j] += int(wrong.any(axis=0).sum())
-    return errors, vec_errors, clipped, redraws
+    return errors, vec_errors, clipped, causes
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

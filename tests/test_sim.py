@@ -1,10 +1,14 @@
+import concurrent.futures
 import csv
+import functools
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lramimo import model, sim
+from lramimo.blast import FactorizationError
 from lramimo.equalize import ALL_SPECS, Criterion, EqualizerSpec, build_detector, detect_block
 from lramimo.lattice import ReductionError
 from lramimo.model import RankDeficientError, make_ask_constellation
@@ -195,7 +199,8 @@ class TestRunMonteCarlo:
         cfg = _config(oracle=True)
         result = run_monte_carlo(cfg)
         assert set(result.clipped) == {"le-zf", "le-mmse", ML_ORACLE_ID}
-        assert result.meta["channel_redraws"] >= 0
+        assert result.meta["redraw_causes"] == {}
+        assert result.meta["channel_redraws"] == 0
         assert "snr_definition" in result.meta
         expected_symbols = cfg.trials * cfg.frames_per_channel * 2 * cfg.n_tx
         assert all(p.symbols == expected_symbols for p in result.points)
@@ -397,3 +402,53 @@ class TestRedrawLimit:
         with pytest.raises(RedrawLimitError, match="rank deficient"):
             draw_channel(trial_rng(1, 0), 2, 2)
         assert len(calls) == 100
+
+
+class TestRedrawCauses:
+    def test_causes_are_counted_by_class(self, monkeypatch):
+        real = sim.build_detector
+        forced = [FactorizationError("forced"), FactorizationError("forced"),
+                  np.linalg.LinAlgError("forced")]
+
+        def flaky(spec, channel, **kwargs):
+            if forced:
+                raise forced.pop(0)
+            return real(spec, channel, **kwargs)
+
+        monkeypatch.setattr(sim, "build_detector", flaky)
+        result = run_monte_carlo(_config(trials=3))
+        assert result.meta["redraw_causes"] == {"FactorizationError": 2, "LinAlgError": 1}
+        assert result.meta["channel_redraws"] == 3
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forked workers are needed to carry the patched builder",
+    )
+    def test_causes_identical_across_worker_counts(self, monkeypatch):
+        real = sim.build_detector
+
+        def flaky(spec, channel, **kwargs):
+            # The corner entry comes from the trial's own stream, so the same
+            # draws fail whichever worker runs the trial.
+            corner = channel.matrix[0, 0]
+            if corner > 0.5:
+                raise FactorizationError("forced")
+            if corner < -0.5:
+                raise ReductionError("forced")
+            return real(spec, channel, **kwargs)
+
+        monkeypatch.setattr(sim, "build_detector", flaky)
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+            ),
+        )
+        cfg = _config(trials=6)
+        serial = run_monte_carlo(cfg, workers=1)
+        parallel = run_monte_carlo(cfg, workers=2)
+        causes = serial.meta["redraw_causes"]
+        assert set(causes) == {"FactorizationError", "ReductionError"}
+        assert parallel.meta["redraw_causes"] == causes
+        assert serial.meta["channel_redraws"] == parallel.meta["channel_redraws"] == sum(causes.values())
