@@ -10,50 +10,33 @@ from .blast import (
 from .equalize import (
     ALL_SPECS,
     Criterion,
-    DetectionResult,
     Detector,
     EqualizerSpec,
     ReductionTarget,
     Structure,
     build_detector,
-    detect,
     detect_block,
-    le_mmse_matrix,
     le_zf_matrix,
     lra_le_error_covariance,
     lra_le_mmse_matrix,
 )
 from .estimate import (
-    GaussianPrior,
-    PartitionedGramian,
-    PartitionedStats,
-    conditional_stats,
     correlated_fb_matrix,
     correlated_ff_matrix,
-    error_covariance,
-    linear_mmse_estimate,
-    partition_stats,
-    partitioned_gramian,
     schur_gramian_identity,
     sorting_metric,
 )
 from .lattice import (
     ReducedBasis,
     ReductionError,
-    integer_determinant,
     lll_reduce,
-    orthogonality_defect,
     unimodular_inverse,
-    z_covariance,
 )
 from .model import (
     Constellation,
     MimoChannel,
-    apply_channel,
     augment,
-    augment_observation,
     complex_matrix_to_real,
-    complex_to_real_model,
     make_ask_constellation,
 )
 from .sim import (

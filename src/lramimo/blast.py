@@ -48,34 +48,12 @@ class DfeFilterSet:
 
     ``feedforward`` rows are arranged in detection order; ``feedback`` is
     unit lower triangular; ``perm[l]`` is the original column index of the
-    symbol detected at step l; ``gains`` are the feedforward row norms
-    (the diagonal scaling of the underlying sorted QL factorization).
+    symbol detected at step l.
     """
 
     feedforward: np.ndarray
     feedback: np.ndarray
     perm: np.ndarray
-    gains: np.ndarray
-
-    @property
-    def order(self) -> np.ndarray:
-        """Detection order; alias for ``perm``."""
-        return self.perm
-
-    @property
-    def n_streams(self) -> int:
-        return self.perm.shape[0]
-
-    def permutation_matrix(self) -> np.ndarray:
-        """Matrix P with (M @ P) equal to M with columns in detection order."""
-        n = self.n_streams
-        p = np.zeros((n, n))
-        p[self.perm, np.arange(n)] = 1.0
-        return p
-
-    def lower_triangular(self) -> np.ndarray:
-        """Triangular factor L of the sorted QL factorization M P = Q L."""
-        return self.feedback / self.gains[:, None]
 
 
 def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
@@ -190,9 +168,4 @@ def _sorted_ql_filters(matrix: np.ndarray, perm: np.ndarray) -> DfeFilterSet:
     _require_full_rank(diag, matrix.shape)
     feedforward = np.ascontiguousarray(q[:, ::-1].T)
     feedforward /= diag[:, None]
-    return DfeFilterSet(
-        feedforward=feedforward,
-        feedback=low / diag[:, None],
-        perm=perm,
-        gains=1.0 / np.abs(diag),
-    )
+    return DfeFilterSet(feedforward=feedforward, feedback=low / diag[:, None], perm=perm)

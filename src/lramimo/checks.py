@@ -5,8 +5,9 @@ computed routes to the same mathematical object: the successive
 pseudo-inverse filters of the augmented reduced matrix on one side and
 the closed-form correlated-estimation matrices on the other.  The
 per-step pseudo-inverse sorted factorization lives here as the oracle of
-the single-QR kernel in ``blast``.  The sweep
-maxima are the certification artifact; thresholds live with the callers.
+the single-QR kernel in ``blast``, and ``integer_determinant`` the exact
+determinant oracle of reductions.  The sweep maxima are the
+certification artifact; thresholds live with the callers.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import blast, estimate
 from .equalize import le_zf_matrix, lra_le_mmse_matrix
-from .lattice import lll_reduce, matrix_to_float
+from .lattice import _as_int_rows, lll_reduce, matrix_to_float
 from .model import augment
 
 FF_TOL = 1e-9
@@ -23,6 +24,11 @@ FB_TOL = 1e-9
 SCHUR_TOL = 1e-10
 FAST_TOL = 1e-9
 MMSE_FORMS_TOL = 1e-12
+
+# Instance draws: real streams, extra receive dimensions, SNR window in dB.
+_DIMS = (2, 3, 4)
+_EXTRA_RX = (0, 1, 2)
+_SNR_DB_RANGE = (0.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,18 @@ def sorted_factorization_oracle(matrix: np.ndarray) -> blast.DfeFilterSet:
     # The exact product is unit lower triangular; drop the rounding noise.
     feedback = np.tril(feedforward @ m[:, perm])
     np.fill_diagonal(feedback, 1.0)
-    gains = np.linalg.norm(feedforward, axis=1)
-    return blast.DfeFilterSet(feedforward=feedforward, feedback=feedback, perm=perm, gains=gains)
+    return blast.DfeFilterSet(feedforward=feedforward, feedback=feedback, perm=perm)
 
 
-def _draw_instance(rng, dims=(2, 3, 4), extra_rx=(0, 1, 2), snr_db_range=(0.0, 30.0), max_cond=None):
-    """Random real channel, inverse-SNR weight, and its augmented reduction."""
-    n_tx = int(rng.choice(dims))
-    n_rx = n_tx + int(rng.choice(extra_rx))
+def _draw_instance(rng, max_cond=None):
+    """Random real channel and inverse-SNR weight; ``max_cond`` caps cond(H)."""
+    n_tx = int(rng.choice(_DIMS))
+    n_rx = n_tx + int(rng.choice(_EXTRA_RX))
     while True:
         h = rng.normal(size=(n_rx, n_tx))
         if max_cond is None or np.linalg.cond(h) <= max_cond:
             break
-    snr_db = rng.uniform(*snr_db_range)
+    snr_db = rng.uniform(*_SNR_DB_RANGE)
     zeta = 10.0 ** (-snr_db / 10.0)
     return h, zeta
 
@@ -185,6 +190,31 @@ def random_unimodular(rng, n: int, n_ops: int = None, max_shear: int = 2) -> np.
         else:
             z[i, :] = -z[i, :]
     return z
+
+
+def integer_determinant(matrix: np.ndarray) -> int:
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    a = _as_int_rows(matrix)
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for piv in range(n - 1):
+        if a[piv][piv] == 0:
+            for i in range(piv + 1, n):
+                if a[i][piv] != 0:
+                    a[piv], a[i] = a[i], a[piv]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(piv + 1, n):
+            for j in range(piv + 1, n):
+                a[i][j] = (a[i][j] * a[piv][piv] - a[i][piv] * a[piv][j]) // prev
+            a[i][piv] = 0
+        prev = a[piv][piv]
+    return sign * a[n - 1][n - 1]
 
 
 def check_schur_identity(n_instances: int = 1000, seed: int = 20260823, max_dim: int = 8) -> float:

@@ -4,8 +4,8 @@ An :class:`EqualizerSpec` names one point in the design space
 (linear or decision-feedback) x (ZF or MMSE) x (lattice-reduction-aided
 or not); for reduction-aided MMSE the reduction may target the plain or
 the noise-regularized channel matrix.  :func:`build_detector` freezes all
-filters for a given channel, and :func:`detect` applies them to
-observations.
+filters for a given channel, and :func:`detect_block` applies them to
+blocks of observations.
 """
 
 import enum
@@ -71,17 +71,31 @@ class EqualizerSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EqualizerSpec":
-        known = {"structure", "criterion", "lra", "reduction_target"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown equalizer spec keys: {sorted(extra)}")
+        _check_keys(data, {"structure", "criterion"}, {"lra", "reduction_target"}, "equalizer spec")
         target = data.get("reduction_target")
         return cls(
             structure=_parse_enum(Structure, data["structure"]),
             criterion=_parse_enum(Criterion, data["criterion"]),
-            lra=bool(data.get("lra", False)),
+            lra=_parse_bool(data.get("lra", False), "lra"),
             reduction_target=_parse_enum(ReductionTarget, target) if target is not None else None,
         )
+
+
+def _check_keys(data: dict, required: set, optional: set, what: str) -> None:
+    """Raise ValueError naming the unknown and the missing keys of ``data``."""
+    extra = set(data) - required - optional
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    missing = required - set(data)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+
+
+def _parse_bool(value, key: str) -> bool:
+    """``value`` itself if it is a bool; anything else, "false" included, is an error."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_enum(kind, value):
@@ -112,22 +126,6 @@ ALL_SPECS = tuple(
 
 
 @dataclass(frozen=True)
-class DetectionResult:
-    """Hard decisions plus bookkeeping from one detection.
-
-    ``z_hat`` (transformed-domain decisions) and ``order`` are present only
-    for reduction-aided and decision-feedback detectors respectively;
-    ``clipped`` counts decisions that fell outside the alphabet after the
-    back transformation and were remapped.
-    """
-
-    a_hat: np.ndarray
-    z_hat: np.ndarray = None
-    order: np.ndarray = None
-    clipped: int = 0
-
-
-@dataclass(frozen=True)
 class Detector:
     """Frozen filters for one (spec, channel) pair; treat fields read-only.
 
@@ -154,16 +152,6 @@ def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     q, r = np.linalg.qr(m, mode="reduced")
     return np.linalg.solve(r, q.T)
-
-
-def le_mmse_matrix(matrix: np.ndarray, inv_snr: float) -> np.ndarray:
-    """MMSE receive matrix via the augmented matrix.
-
-    Pseudo-inverts [H; sqrt(inv_snr) I] and keeps the columns acting on
-    the physical observation, which equals (H^T H + inv_snr I)^-1 H^T.
-    """
-    m = np.asarray(matrix, dtype=float)
-    return le_zf_matrix(augment(m, inv_snr))[:, : m.shape[0]]
 
 
 def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: float) -> np.ndarray:
@@ -260,20 +248,6 @@ def build_detector(
         perm=perm,
         reduction=rb,
         unimodular_inv_f=zif,
-    )
-
-
-def detect(detector: Detector, observation: np.ndarray, constellation: Constellation) -> DetectionResult:
-    """Detect one received vector; see :func:`detect_block` for batches."""
-    y = np.asarray(observation, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"observation must be 1-D, got shape {y.shape}")
-    a_hat, z_hat, clipped = detect_block(detector, y[:, None], constellation)
-    return DetectionResult(
-        a_hat=a_hat[:, 0],
-        z_hat=None if z_hat is None else z_hat[:, 0],
-        order=detector.perm,
-        clipped=clipped,
     )
 
 

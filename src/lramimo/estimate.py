@@ -1,156 +1,19 @@
-"""Linear MMSE estimation of correlated Gaussian data.
+"""Successive linear MMSE estimation of correlated data.
 
-Covers the textbook optimum linear estimator, conditional Gaussian
-statistics, and the per-step feedforward/feedback matrices of successive
-estimation when the data correlation is induced by an integer basis
-change.  The per-step operations evaluate both the covariance
-(Schur-complement) form and the Gramian form of each matrix and insist
-they agree, which is the numerical content of the equivalence between
-augmented-matrix processing and optimum successive estimation.
+Covers the per-step feedforward/feedback matrices and the sorting metric
+of successive estimation when the data correlation is induced by an
+integer basis change, and the conditional-precision (Schur-complement)
+identity behind them.  The per-step operations evaluate both the
+covariance (Schur-complement) form and the Gramian form of each matrix
+and insist they agree, which is the numerical content of the equivalence
+between augmented-matrix processing and optimum successive estimation.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import matrix_to_float, unimodular_inverse
 
 DUAL_FORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Mean and covariance of a Gaussian data vector."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"incompatible shapes: mean {mean.shape}, covariance {cov.shape}"
-            )
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
-            raise ValueError("covariance must be symmetric")
-        if cov.size and np.linalg.eigvalsh(cov).min() <= 0.0:
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-@dataclass(frozen=True)
-class PartitionedStats:
-    """Mean and covariance of a jointly Gaussian vector split in two blocks."""
-
-    mean1: np.ndarray
-    mean2: np.ndarray
-    cov11: np.ndarray
-    cov12: np.ndarray
-    cov21: np.ndarray
-    cov22: np.ndarray
-
-    def __post_init__(self):
-        if not np.allclose(self.cov21, self.cov12.T, rtol=0.0, atol=1e-12):
-            raise ValueError("cov21 must equal cov12 transposed")
-
-
-@dataclass(frozen=True)
-class PartitionedGramian:
-    """Blocks of the inverse data covariance split at a detection step.
-
-    ``known_block`` (l x l), ``cross_block`` (l x (n-l)) and
-    ``residual_block`` ((n-l) x (n-l)) assemble to the full matrix
-    A^T A / noise_var, which equals the inverse covariance of the
-    transformed data.
-    """
-
-    known_block: np.ndarray
-    cross_block: np.ndarray
-    residual_block: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        return np.block(
-            [
-                [self.known_block, self.cross_block],
-                [self.cross_block.T, self.residual_block],
-            ]
-        )
-
-
-def partition_stats(mean: np.ndarray, cov: np.ndarray, split: int) -> PartitionedStats:
-    """Split a Gaussian description into leading/trailing blocks at ``split``."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if not 0 <= split <= mean.size:
-        raise ValueError(f"split {split} outside 0..{mean.size}")
-    return PartitionedStats(
-        mean1=mean[:split],
-        mean2=mean[split:],
-        cov11=cov[:split, :split],
-        cov12=cov[:split, split:],
-        cov21=cov[split:, :split],
-        cov22=cov[split:, split:],
-    )
-
-
-def partitioned_gramian(regularizer: np.ndarray, split: int, noise_var: float = 1.0) -> PartitionedGramian:
-    """Blocks of regularizer^T regularizer / noise_var split at ``split``."""
-    a = np.asarray(regularizer, dtype=float)
-    gram = (a.T @ a) / noise_var
-    return PartitionedGramian(
-        known_block=gram[:split, :split],
-        cross_block=gram[:split, split:],
-        residual_block=gram[split:, split:],
-    )
-
-
-def linear_mmse_estimate(
-    observation: np.ndarray,
-    obs_matrix: np.ndarray,
-    noise_cov: np.ndarray,
-    prior: GaussianPrior,
-) -> np.ndarray:
-    """Optimum linear (conditional-mean) estimate of Gaussian data.
-
-    Computes (H^T Pn^-1 H + Px^-1)^-1 H^T Pn^-1 (y - H mu) + mu for
-    observation matrix H, noise covariance Pn and prior (mu, Px).
-    """
-    y = np.asarray(observation, dtype=float)
-    h = np.asarray(obs_matrix, dtype=float)
-    pn = np.asarray(noise_cov, dtype=float)
-    whitened = np.linalg.solve(pn, h)
-    info = h.T @ whitened + np.linalg.inv(prior.cov)
-    rhs = whitened.T @ (y - h @ prior.mean)
-    return np.linalg.solve(info, rhs) + prior.mean
-
-
-def error_covariance(
-    obs_matrix: np.ndarray, noise_cov: np.ndarray, prior_cov: np.ndarray
-) -> np.ndarray:
-    """Error covariance (Px^-1 + H^T Pn^-1 H)^-1 of the optimum estimator."""
-    h = np.asarray(obs_matrix, dtype=float)
-    pn = np.asarray(noise_cov, dtype=float)
-    px = np.asarray(prior_cov, dtype=float)
-    info = np.linalg.inv(px) + h.T @ np.linalg.solve(pn, h)
-    cov = np.linalg.inv(info)
-    return 0.5 * (cov + cov.T)
-
-
-def conditional_stats(stats: PartitionedStats, known: np.ndarray):
-    """Gaussian conditional mean and covariance of block 2 given block 1.
-
-    The covariance is the Schur complement of the block-1 covariance and
-    does not depend on the observed value.
-    """
-    known = np.asarray(known, dtype=float)
-    if stats.cov11.shape[0] == 0:
-        return stats.mean2.copy(), 0.5 * (stats.cov22 + stats.cov22.T)
-    gain = np.linalg.solve(stats.cov11, stats.cov12).T
-    mean = stats.mean2 + gain @ (known - stats.mean1)
-    cov = stats.cov22 - gain @ stats.cov12
-    return mean, 0.5 * (cov + cov.T)
 
 
 def correlated_ff_matrix(channel: np.ndarray, regularizer: np.ndarray, n_known: int) -> np.ndarray:

@@ -7,13 +7,12 @@ per column swap, so no loop visit re-orthogonalizes the basis.  All
 column operations are mirrored on the basis C and on an integer matrix Z
 (and its inverse) kept in arbitrary-precision Python integers, so the
 factorization H = C Z is exact up to the floating-point column arithmetic
-on C alone.  ``integer_determinant`` and ``unimodular_inverse`` are exact
-helpers for unimodular matrices that do not come from a reduction.
+on C alone.  ``unimodular_inverse`` inverts, exactly and without
+fractions, a unimodular matrix that does not come from a reduction.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -121,85 +120,54 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     return ReducedBasis(reduced=np.column_stack(cols), unimodular=z_arr, unimodular_inv=zinv_arr)
 
 
-def integer_determinant(matrix: np.ndarray) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = _as_int_rows(matrix)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for piv in range(n - 1):
-        if a[piv][piv] == 0:
-            for i in range(piv + 1, n):
-                if a[i][piv] != 0:
-                    a[piv], a[i] = a[i], a[piv]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(piv + 1, n):
-            for j in range(piv + 1, n):
-                a[i][j] = (a[i][j] * a[piv][piv] - a[i][piv] * a[piv][j]) // prev
-            a[i][piv] = 0
-        prev = a[piv][piv]
-    return sign * a[n - 1][n - 1]
-
-
 def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:
     """Exact integer inverse of a unimodular matrix.
 
-    Raises ValueError when the determinant is not +-1.
+    Integer row reduction on Python ints, with every row operation applied
+    to the identity as well: Euclid's algorithm leaves one nonzero entry in
+    each column on and below the diagonal, and back substitution clears
+    the entries above the unit pivots.  Raises ValueError when a column
+    has no pivot or a pivot is not +-1, that is, when the determinant is
+    not +-1.
     """
     a = _as_int_rows(matrix)
     n = len(a)
-    det = integer_determinant(matrix)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular: determinant is {det}, expected +-1")
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    inv = [[v.numerator for v in row[n:]] for row in aug]
-    for row in aug:
-        for v in row[n:]:
-            if v.denominator != 1:
-                raise ValueError("inverse is not integral; matrix is not unimodular")
+        while True:
+            rows = [i for i in range(col, n) if a[i][col]]
+            if not rows:
+                raise ValueError(f"matrix is singular: column {col} has no pivot")
+            p = min(rows, key=lambda i: abs(a[i][col]))
+            if len(rows) == 1:
+                break
+            for i in rows:
+                if i != p:
+                    q = a[i][col] // a[p][col]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[p])]
+                    inv[i] = [x - q * y for x, y in zip(inv[i], inv[p])]
+        a[col], a[p] = a[p], a[col]
+        inv[col], inv[p] = inv[p], inv[col]
+        pivot = a[col][col]
+        if pivot not in (1, -1):
+            raise ValueError(f"matrix is not unimodular: pivot {pivot} in column {col}, expected +-1")
+        if pivot == -1:
+            a[col] = [-x for x in a[col]]
+            inv[col] = [-x for x in inv[col]]
+    # a is now unit upper triangular.  Clearing its columns from the last
+    # one down, row col of a is e_col by the time it is used, so only the
+    # rows of the inverse change.
+    for col in range(n - 1, 0, -1):
+        for i in range(col):
+            f = a[i][col]
+            if f:
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
     return np.array(inv, dtype=object)
-
-
-def z_covariance(unimodular: np.ndarray, symbol_var: float) -> np.ndarray:
-    """Covariance of the basis-transformed symbol vector.
-
-    For white symbols of per-component variance ``symbol_var``, the
-    transformed vector Z a has covariance symbol_var * Z Z^T.
-    """
-    if not (symbol_var > 0.0):
-        raise ValueError(f"symbol_var must be > 0, got {symbol_var}")
-    zf = np.asarray(matrix_to_float(unimodular))
-    return symbol_var * (zf @ zf.T)
 
 
 def matrix_to_float(matrix: np.ndarray) -> np.ndarray:
     """View an exact integer (object) matrix as float64."""
     return np.asarray(matrix, dtype=object).astype(float)
-
-
-def orthogonality_defect(basis: np.ndarray) -> float:
-    """Product of column norms over the lattice volume; 1 iff orthogonal."""
-    b = np.asarray(basis, dtype=float)
-    norms = np.linalg.norm(b, axis=0)
-    gram = b.T @ b
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise ValueError("basis is rank deficient")
-    return float(np.exp(np.sum(np.log(norms)) - 0.5 * logdet))
 
 
 def _as_int_rows(matrix: np.ndarray):

@@ -124,30 +124,6 @@ def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
         raise RankDeficientError(f"{what} is rank deficient")
 
 
-def complex_to_real_model(matrix: np.ndarray, vector: np.ndarray):
-    """Map a complex channel matrix and vector to the real-valued model.
-
-    The matrix becomes [[Re, -Im], [Im, Re]] and the vector stacks real
-    parts over imaginary parts, so complex multiplication is reproduced
-    exactly by the real representation.
-
-    Returns the pair (real matrix, real vector).
-    """
-    hc = np.asarray(matrix, dtype=complex)
-    vc = np.asarray(vector, dtype=complex)
-    if hc.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {hc.shape}")
-    if vc.ndim != 1:
-        raise ValueError(f"vector must be 1-D, got shape {vc.shape}")
-    if vc.shape[0] != hc.shape[1]:
-        raise ValueError(
-            f"vector length {vc.shape[0]} does not match matrix columns {hc.shape[1]}"
-        )
-    hr = np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
-    vr = np.concatenate([vc.real, vc.imag])
-    return hr, vr
-
-
 def complex_matrix_to_real(matrix: np.ndarray) -> np.ndarray:
     """Real block representation [[Re, -Im], [Im, Re]] of a complex matrix."""
     hc = np.asarray(matrix, dtype=complex)
@@ -169,37 +145,3 @@ def augment(matrix: np.ndarray, inv_snr: float, regularizer: np.ndarray = None) 
         raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
     lower = np.eye(m.shape[1]) if regularizer is None else regularizer
     return np.vstack([m, np.sqrt(inv_snr) * lower])
-
-
-def apply_channel(
-    channel: MimoChannel,
-    symbols: np.ndarray,
-    noise: np.ndarray = None,
-    rng: np.random.Generator = None,
-) -> np.ndarray:
-    """Propagate a symbol vector, adding explicit or freshly drawn noise.
-
-    With ``noise`` given the result is deterministic; otherwise ``rng``
-    draws white Gaussian noise with the channel's per-component variance.
-    With neither, the noiseless product is returned.
-    """
-    a = np.asarray(symbols, dtype=float)
-    if a.shape != (channel.n_tx,):
-        raise ValueError(f"symbols must have shape ({channel.n_tx},), got {a.shape}")
-    y = channel.matrix @ a
-    if noise is not None:
-        n = np.asarray(noise, dtype=float)
-        if n.shape != y.shape:
-            raise ValueError(f"noise must have shape {y.shape}, got {n.shape}")
-        return y + n
-    if rng is not None:
-        return y + rng.normal(0.0, np.sqrt(channel.noise_var), size=y.shape)
-    return y
-
-
-def augment_observation(observation: np.ndarray, n_tx: int) -> np.ndarray:
-    """Append the zero vector that pairs with the augmented channel rows."""
-    y = np.asarray(observation, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"observation must be 1-D, got shape {y.shape}")
-    return np.concatenate([y, np.zeros(n_tx)])

@@ -10,6 +10,7 @@ performance oracle.
 import concurrent.futures
 import csv
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blast import FactorizationError
-from .equalize import Criterion, EqualizerSpec, ReductionTarget, build_detector, detect_block
+from .equalize import (
+    Criterion,
+    EqualizerSpec,
+    ReductionTarget,
+    _check_keys,
+    _parse_bool,
+    build_detector,
+    detect_block,
+)
 from .lattice import ReductionError
 from .model import (
     Constellation,
@@ -43,6 +52,9 @@ _MAX_REDRAWS = 100
 # component.  Total transmit energy over one complex symbol vector is
 # then snr * noise_var referred to one complex noise component.
 SNR_DEFINITION = "snr_db = 10*log10(symbol_var * n_tx / noise_var)"
+
+# SimConfig fields that a config file must give as integral numbers.
+_INT_KEYS = ("n_tx", "n_rx", "order", "trials", "frames_per_channel", "seed")
 
 
 @dataclass(frozen=True)
@@ -81,25 +93,31 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        known = {
-            "n_tx", "n_rx", "order", "snr_db", "trials",
-            "frames_per_channel", "seed", "specs", "oracle",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        specs = tuple(EqualizerSpec.from_dict(d) for d in data["specs"])
+        _check_keys(data, {*_INT_KEYS, "snr_db", "specs"}, {"oracle"}, "config")
         return cls(
-            n_tx=int(data["n_tx"]),
-            n_rx=int(data["n_rx"]),
-            order=int(data["order"]),
-            snr_db=tuple(data["snr_db"]),
-            trials=int(data["trials"]),
-            frames_per_channel=int(data["frames_per_channel"]),
-            seed=int(data["seed"]),
-            specs=specs,
-            oracle=bool(data.get("oracle", False)),
+            **{key: _parse_int(data[key], key) for key in _INT_KEYS},
+            snr_db=_parse_snrs(data["snr_db"]),
+            specs=tuple(EqualizerSpec.from_dict(d) for d in data["specs"]),
+            oracle=_parse_bool(data.get("oracle", False), "oracle"),
         )
+
+
+def _parse_int(value, key: str) -> int:
+    """``value`` as an int if it is an integral number; 1.9, "2" and true are errors."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_snrs(value) -> tuple:
+    """``value`` as a tuple if it is a list of numbers; a string such as "15" is an error."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(s, numbers.Real) and not isinstance(s, bool) for s in value
+    ):
+        raise ValueError(f"snr_db must be a list of numbers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -136,10 +154,6 @@ class SimResult:
             if p.spec_id == spec_id and p.snr_db == snr_db:
                 return p
         raise KeyError(f"no cell for ({spec_id!r}, {snr_db})")
-
-    def ser_curve(self, spec_id: str):
-        pts = [p for p in self.points if p.spec_id == spec_id]
-        return np.array([p.snr_db for p in pts]), np.array([p.ser for p in pts])
 
 
 class RedrawLimitError(RuntimeError):

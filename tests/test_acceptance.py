@@ -20,9 +20,10 @@ from lramimo.checks import (
     check_fast_vblast,
     check_mmse_le_forms,
     check_schur_identity,
+    integer_determinant,
 )
 from lramimo.equalize import ALL_SPECS, EqualizerSpec, build_detector, detect_block
-from lramimo.lattice import integer_determinant, lll_reduce, matrix_to_float
+from lramimo.lattice import lll_reduce, matrix_to_float
 from lramimo.model import MimoChannel, make_ask_constellation
 from lramimo.sim import (
     SimConfig,

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lramimo.equalize import ALL_SPECS, Structure, build_detector, detect, detect_block
+from lramimo.equalize import ALL_SPECS, Structure, build_detector, detect_block
 from lramimo.model import MimoChannel, make_ask_constellation
 
 
@@ -43,7 +43,6 @@ def test_normal_form_and_noiseless_recovery(drawn):
             np.testing.assert_array_equal(b, np.tril(b), err_msg=spec.spec_id)
             np.testing.assert_array_equal(np.diag(b), np.ones(n), err_msg=spec.spec_id)
             np.testing.assert_array_equal(np.sort(det.perm), np.arange(n), err_msg=spec.spec_id)
-            assert detect(det, received[:, 0], constellation).order is det.perm
         else:
             assert det.feedback is None and det.perm is None, spec.spec_id
         if channel.noise_var == 0.0:

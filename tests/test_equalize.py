@@ -8,16 +8,26 @@ from lramimo.equalize import (
     ReductionTarget,
     Structure,
     build_detector,
-    detect,
     detect_block,
-    le_mmse_matrix,
     le_zf_matrix,
     lra_le_error_covariance,
     lra_le_mmse_matrix,
 )
-from lramimo.estimate import error_covariance
 from lramimo.lattice import lll_reduce, matrix_to_float
-from lramimo.model import MimoChannel, apply_channel, make_ask_constellation
+from lramimo.model import MimoChannel, augment, make_ask_constellation
+
+LE_MMSE = EqualizerSpec(Structure.LINEAR, Criterion.MMSE)
+
+
+def le_mmse_filter(h, zeta):
+    """Feedforward filter of the built plain MMSE linear detector."""
+    return build_detector(LE_MMSE, MimoChannel(h, noise_var=zeta, symbol_var=1.0)).feedforward
+
+
+def detect_one(detector, observation, constellation):
+    """Decisions, transformed decisions and clip count for one observation."""
+    a_hat, z_hat, clipped = detect_block(detector, np.asarray(observation)[:, None], constellation)
+    return a_hat[:, 0], None if z_hat is None else z_hat[:, 0], clipped
 
 
 class TestReceiveMatrices:
@@ -34,12 +44,12 @@ class TestReceiveMatrices:
 
     def test_mmse_single_column_frozen(self):
         # Two unit taps, inv_snr 1/2: weights 1 / (2 + 0.5) each.
-        got = le_mmse_matrix(np.array([[1.0], [1.0]]), 0.5)
+        got = le_mmse_filter(np.array([[1.0], [1.0]]), 0.5)
         np.testing.assert_allclose(got, [[0.4, 0.4]], atol=1e-14)
 
     def test_mmse_zero_ratio_equals_zf(self):
         h = np.random.default_rng(4).normal(size=(4, 3))
-        np.testing.assert_allclose(le_mmse_matrix(h, 0.0), le_zf_matrix(h), atol=1e-10)
+        np.testing.assert_allclose(le_mmse_filter(h, 0.0), le_zf_matrix(h), atol=1e-10)
 
     def test_mmse_augmented_route_equals_regularized_solve(self):
         rng = np.random.default_rng(6)
@@ -48,11 +58,13 @@ class TestReceiveMatrices:
             h = rng.normal(size=(n + int(rng.integers(0, 3)), n))
             zeta = 10.0 ** (-rng.uniform(0, 30) / 10.0)
             direct = np.linalg.solve(h.T @ h + zeta * np.eye(n), h.T)
-            np.testing.assert_allclose(le_mmse_matrix(h, zeta), direct, atol=1e-12)
+            np.testing.assert_allclose(le_mmse_filter(h, zeta), direct, atol=1e-12)
 
     def test_mmse_rejects_negative_ratio(self):
         with pytest.raises(ValueError):
-            le_mmse_matrix(np.eye(2), -0.1)
+            augment(np.eye(2), -0.1)
+        with pytest.raises(ValueError):
+            lra_le_mmse_matrix(np.eye(2), np.eye(2, dtype=int), -0.1)
 
     def test_lra_mmse_shear_frozen(self):
         # Unit channel, shear basis change, inv_snr 1: Z (2I)^-1 = Z/2.
@@ -65,7 +77,7 @@ class TestReceiveMatrices:
         h = rng.normal(size=(4, 3))
         zeta = 0.2
         got = lra_le_mmse_matrix(h, np.eye(3, dtype=int), zeta)
-        np.testing.assert_allclose(got, le_mmse_matrix(h, zeta), atol=1e-12)
+        np.testing.assert_allclose(got, np.linalg.solve(h.T @ h + zeta * np.eye(3), h.T), atol=1e-12)
 
     def test_lra_zf_is_reduced_basis_pinv(self):
         rng = np.random.default_rng(10)
@@ -75,7 +87,9 @@ class TestReceiveMatrices:
         np.testing.assert_allclose(got @ rb.reduced, np.eye(3), atol=1e-10)
 
     def test_lra_error_covariance_matches_estimator_theory(self):
-        # Same object through the generic Gaussian estimator covariance.
+        # Same object through the Gaussian estimator error covariance
+        # (Px^-1 + C^T Pn^-1 C)^-1 with prior Px = symbol_var Z Z^T and
+        # white noise Pn = noise_var I.
         rng = np.random.default_rng(12)
         for _ in range(15):
             n = int(rng.integers(2, 5))
@@ -85,11 +99,8 @@ class TestReceiveMatrices:
             rb = lll_reduce(h)
             zf = matrix_to_float(rb.unimodular)
             got = lra_le_error_covariance(rb.reduced, rb.unimodular, zeta, noise_var)
-            want = error_covariance(
-                rb.reduced,
-                noise_var * np.eye(n + 1),
-                symbol_var * (zf @ zf.T),
-            )
+            c = rb.reduced
+            want = np.linalg.inv(np.linalg.inv(symbol_var * (zf @ zf.T)) + c.T @ c / noise_var)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -140,6 +151,17 @@ class TestEqualizerSpec:
         with pytest.raises(ValueError):
             EqualizerSpec.from_dict({"structure": "le", "criterion": "map"})
 
+    def test_from_dict_rejects_non_bool_lra(self):
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError, match="lra"):
+                EqualizerSpec.from_dict({"structure": "le", "criterion": "zf", "lra": value})
+
+    def test_from_dict_names_missing_keys(self):
+        with pytest.raises(ValueError, match=r"missing equalizer spec keys: \['criterion'\]"):
+            EqualizerSpec.from_dict({"structure": "dfe", "lra": True})
+        with pytest.raises(ValueError, match=r"\['criterion', 'structure'\]"):
+            EqualizerSpec.from_dict({})
+
     def test_from_dict_round_trip(self):
         for spec in ALL_SPECS:
             again = EqualizerSpec.from_dict(
@@ -167,11 +189,11 @@ class TestWorkedTranslateExample:
         np.testing.assert_allclose(det.z_offset, [1.0, 0.5], atol=1e-12)
 
         a = np.array([0.5, -0.5])
-        res = detect(det, apply_channel(channel, a), constellation)
-        np.testing.assert_allclose(res.z_hat, [0.0, -0.5], atol=1e-12)
-        np.testing.assert_allclose(res.a_hat, a, atol=1e-12)
-        assert res.clipped == 0
-        assert res.order is None
+        a_hat, z_hat, clipped = detect_one(det, channel.matrix @ a, constellation)
+        np.testing.assert_allclose(z_hat, [0.0, -0.5], atol=1e-12)
+        np.testing.assert_allclose(a_hat, a, atol=1e-12)
+        assert clipped == 0
+        assert det.perm is None
 
 
 class TestNoiselessRecovery:
@@ -184,13 +206,11 @@ class TestNoiselessRecovery:
             h = rng.normal(size=(n + int(rng.integers(0, 2)), n))
             channel = MimoChannel(h, noise_var=0.0, symbol_var=constellation.variance)
             a = rng.choice(constellation.points, size=n)
-            y = apply_channel(channel, a)
+            y = channel.matrix @ a
             for spec in ALL_SPECS:
-                res = detect(build_detector(spec, channel), y, constellation)
-                np.testing.assert_array_equal(
-                    res.a_hat, a, err_msg=f"{spec.spec_id} failed on {h!r}"
-                )
-                assert res.clipped == 0
+                a_hat, _, clipped = detect_one(build_detector(spec, channel), y, constellation)
+                np.testing.assert_array_equal(a_hat, a, err_msg=f"{spec.spec_id} failed on {h!r}")
+                assert clipped == 0
 
 
 class TestDetectionBookkeeping:
@@ -204,19 +224,17 @@ class TestDetectionBookkeeping:
         constellation = make_ask_constellation(2)
         y = np.zeros(3)
         for spec in ALL_SPECS:
-            res = detect(build_detector(spec, channel), y, constellation)
-            assert (res.z_hat is not None) == spec.lra, spec.spec_id
+            _, z_hat, _ = detect_one(build_detector(spec, channel), y, constellation)
+            assert (z_hat is not None) == spec.lra, spec.spec_id
 
     def test_order_only_for_dfe(self):
         channel = self._channel()
-        constellation = make_ask_constellation(2)
-        y = np.zeros(3)
         for spec in ALL_SPECS:
-            res = detect(build_detector(spec, channel), y, constellation)
+            det = build_detector(spec, channel)
             if spec.structure is Structure.DFE:
-                assert sorted(res.order) == [0, 1, 2]
+                assert sorted(det.perm) == [0, 1, 2]
             else:
-                assert res.order is None
+                assert det.perm is None
 
     def test_detect_matches_detect_block(self):
         channel = self._channel(seed=5)
@@ -227,31 +245,31 @@ class TestDetectionBookkeeping:
             det = build_detector(spec, channel)
             block, _, _ = detect_block(det, ys, constellation)
             for j in range(ys.shape[1]):
-                single = detect(det, ys[:, j], constellation)
-                np.testing.assert_array_equal(single.a_hat, block[:, j])
+                single, _, _ = detect_one(det, ys[:, j], constellation)
+                np.testing.assert_array_equal(single, block[:, j])
 
     def test_clip_count_on_wild_observation(self):
         channel = MimoChannel(np.eye(2), noise_var=0.0, symbol_var=0.25)
         constellation = make_ask_constellation(2)
         spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True)
-        res = detect(build_detector(spec, channel), np.array([10.0, 0.0]), constellation)
-        assert res.clipped == 1
-        np.testing.assert_allclose(res.a_hat, [0.5, 0.5])
+        a_hat, _, clipped = detect_one(build_detector(spec, channel), np.array([10.0, 0.0]), constellation)
+        assert clipped == 1
+        np.testing.assert_allclose(a_hat, [0.5, 0.5])
         # plain slicing clips silently to the alphabet edge
-        plain = detect(
+        plain, _, plain_clipped = detect_one(
             build_detector(EqualizerSpec(Structure.LINEAR, Criterion.ZF), channel),
             np.array([10.0, 0.0]),
             constellation,
         )
-        assert plain.clipped == 0
-        np.testing.assert_allclose(plain.a_hat, [0.5, 0.5])
+        assert plain_clipped == 0
+        np.testing.assert_allclose(plain, [0.5, 0.5])
 
     def test_shape_validation(self):
         channel = self._channel()
         constellation = make_ask_constellation(2)
         det = build_detector(ALL_SPECS[0], channel)
         with pytest.raises(ValueError):
-            detect(det, np.zeros((3, 2)), constellation)
+            detect_block(det, np.zeros(3), constellation)
         with pytest.raises(ValueError):
             detect_block(det, np.zeros((4, 2)), constellation)
 
@@ -264,14 +282,18 @@ class TestDetectionBookkeeping:
             assert det.feedback.shape == (4, 4)
 
     def test_lra_mmse_le_feedforward_matches_closed_form(self):
-        # The built filter, Z (H^T H + zeta I)^-1 H^T, whichever matrix was reduced.
+        # The built filter, Z (H^T H + zeta I)^-1 H^T, whichever matrix was
+        # reduced; Z = I for plain le-mmse.
         h = np.random.default_rng(13).normal(size=(6, 4))
         for zeta in (1e-3, 1.0, 1e3):
             channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
-            for target in ReductionTarget:
-                spec = EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=True, reduction_target=target)
+            for spec in [LE_MMSE] + [
+                EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=True, reduction_target=target)
+                for target in ReductionTarget
+            ]:
                 det = build_detector(spec, channel)
-                want = lra_le_mmse_matrix(h, det.reduction.unimodular, zeta)
+                z = np.eye(4, dtype=int) if det.reduction is None else det.reduction.unimodular
+                want = lra_le_mmse_matrix(h, z, zeta)
                 err = np.linalg.norm(det.feedforward - want) / np.linalg.norm(want)
                 assert err < 1e-12, (spec.spec_id, zeta, err)
 

@@ -1,141 +1,84 @@
 import numpy as np
-import pytest
 
 from lramimo.blast import vblast_sorted_factorization
 from lramimo.checks import SCHUR_TOL, equivalence_suite, random_unimodular
-from lramimo.equalize import le_mmse_matrix
+from lramimo.equalize import lra_le_error_covariance, lra_le_mmse_matrix
 from lramimo.estimate import (
-    GaussianPrior,
-    PartitionedGramian,
-    PartitionedStats,
-    conditional_stats,
     correlated_fb_matrix,
     correlated_ff_matrix,
-    error_covariance,
-    linear_mmse_estimate,
-    partition_stats,
-    partitioned_gramian,
     schur_gramian_identity,
     sorting_metric,
 )
-from lramimo.lattice import matrix_to_float, unimodular_inverse, z_covariance
+from lramimo.lattice import matrix_to_float, unimodular_inverse
 
 
-def _white_prior(n, var=1.0):
-    return GaussianPrior(np.zeros(n), var * np.eye(n))
+# The linear MMSE estimator of z = Z a from y = H a + n, with zero-mean
+# white data of variance symbol_var and white noise of variance noise_var,
+# is Z (H^T H + zeta I)^-1 H^T with zeta = noise_var / symbol_var; its
+# error covariance is noise_var (C^T C + zeta Z^-T Z^-1)^-1 for C = H Z^-1.
+# These are ``lra_le_mmse_matrix`` and ``lra_le_error_covariance``.
 
 
 class TestLinearMmseEstimate:
     def test_scalar_frozen(self):
-        # x ~ N(1, 1), y = 2x + n with unit noise, y = 5:
-        # gain = 2/5, xhat = 1 + 0.4*(5 - 2) = 2.2.
-        prior = GaussianPrior(np.array([1.0]), np.array([[1.0]]))
-        xhat = linear_mmse_estimate(np.array([5.0]), np.array([[2.0]]), np.eye(1), prior)
-        np.testing.assert_allclose(xhat, [2.2], atol=1e-14)
+        # x ~ N(0, 1), y = 2x + n with unit noise, y = 5:
+        # gain 2/5, xhat = 2.0; with Z = -1 the estimate of -x is -2.0.
+        for z, want in (([[1]], 2.0), ([[-1]], -2.0)):
+            xhat = lra_le_mmse_matrix(np.array([[2.0]]), np.array(z, dtype=object), 1.0) @ [5.0]
+            np.testing.assert_allclose(xhat, [want], atol=1e-14)
 
     def test_zero_observation_matrix_returns_prior_mean(self):
-        prior = GaussianPrior(np.array([3.0, -1.0]), np.diag([2.0, 5.0]))
-        xhat = linear_mmse_estimate(np.zeros(2), np.zeros((2, 2)), np.eye(2), prior)
-        np.testing.assert_allclose(xhat, prior.mean, atol=1e-12)
+        z = np.array([[1, 1], [0, 1]], dtype=object)
+        xhat = lra_le_mmse_matrix(np.zeros((2, 2)), z, 0.5) @ np.array([3.0, -1.0])
+        np.testing.assert_allclose(xhat, np.zeros(2), atol=1e-12)
 
     def test_matches_joint_covariance_route(self):
-        # Estimate via cross/observation covariances built from the model.
+        # Estimate via cross/observation covariances built from the model:
+        # prior Px = symbol_var Z Z^T of z, observation y = (H Z^-1) z + n.
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(1, 4))
             m_rows = n + int(rng.integers(0, 2))
             h = rng.normal(size=(m_rows, n))
-            a = rng.normal(size=(n, n))
-            prior = GaussianPrior(rng.normal(size=n), a @ a.T + 0.5 * np.eye(n))
-            noise = np.diag(rng.uniform(0.2, 2.0, size=m_rows))
+            z = random_unimodular(rng, n)
+            zf = matrix_to_float(z)
+            symbol_var = rng.uniform(0.25, 2.0)
+            noise_var = rng.uniform(0.2, 2.0)
             y = rng.normal(size=m_rows)
-            got = linear_mmse_estimate(y, h, noise, prior)
-            cov_xy = prior.cov @ h.T
-            cov_yy = h @ prior.cov @ h.T + noise
-            want = prior.mean + cov_xy @ np.linalg.solve(cov_yy, y - h @ prior.mean)
+            got = lra_le_mmse_matrix(h, z, noise_var / symbol_var) @ y
+            c = h @ np.linalg.inv(zf)
+            prior = symbol_var * (zf @ zf.T)
+            cov_zy = prior @ c.T
+            cov_yy = c @ prior @ c.T + noise_var * np.eye(m_rows)
+            want = cov_zy @ np.linalg.solve(cov_yy, y)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 class TestErrorCovariance:
     def test_identity_channel_halves(self):
-        got = error_covariance(np.eye(2), np.eye(2), np.eye(2))
+        got = lra_le_error_covariance(np.eye(2), np.eye(2, dtype=int), 1.0, 1.0)
         np.testing.assert_allclose(got, 0.5 * np.eye(2), atol=1e-14)
 
     def test_zero_channel_returns_prior_cov(self):
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        got = error_covariance(np.zeros((2, 2)), np.eye(2), cov)
-        np.testing.assert_allclose(got, cov, atol=1e-12)
+        # Without observation the error covariance is the prior of z = Z a.
+        z = np.array([[1, 1], [0, 1]], dtype=object)
+        symbol_var, noise_var = 1.25, 0.5
+        got = lra_le_error_covariance(np.zeros((2, 2)), z, noise_var / symbol_var, noise_var)
+        np.testing.assert_allclose(got, symbol_var * np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-12)
 
     def test_empirical_error_covariance(self):
         rng = np.random.default_rng(11)
         h = np.array([[1.0, 0.5], [0.0, 1.0], [0.3, -0.2]])
-        prior = _white_prior(2, 1.0)
         noise_var = 0.5
-        pred = error_covariance(h, noise_var * np.eye(3), prior.cov)
+        pred = lra_le_error_covariance(h, np.eye(2, dtype=int), noise_var, noise_var)
         n_draws = 200_000
         x = rng.normal(size=(n_draws, 2))
         y = x @ h.T + rng.normal(scale=np.sqrt(noise_var), size=(n_draws, 3))
-        gain = prior.cov @ h.T @ np.linalg.inv(h @ prior.cov @ h.T + noise_var * np.eye(3))
+        gain = h.T @ np.linalg.inv(h @ h.T + noise_var * np.eye(3))
         err = x - y @ gain.T
         emp = err.T @ err / n_draws
         se = 3.0 / np.sqrt(n_draws)
         assert np.abs(emp - pred).max() < 3 * se
-
-
-class TestConditionalStats:
-    def test_frozen_bivariate(self):
-        # means (0, 1), cov [[2,1],[1,2]], observe block 1 at -1:
-        # gain 1/2, conditional mean 1 + 0.5*(-1) = 0.5, variance 2 - 0.5.
-        stats = PartitionedStats(
-            mean1=np.array([0.0]),
-            mean2=np.array([1.0]),
-            cov11=np.array([[2.0]]),
-            cov12=np.array([[1.0]]),
-            cov21=np.array([[1.0]]),
-            cov22=np.array([[2.0]]),
-        )
-        mean, cov = conditional_stats(stats, np.array([-1.0]))
-        np.testing.assert_allclose(mean, [0.5], atol=1e-14)
-        np.testing.assert_allclose(cov, [[1.5]], atol=1e-14)
-
-    def test_empty_known_block_passthrough(self):
-        full = np.array([[2.0, 0.5], [0.5, 1.0]])
-        stats = partition_stats(np.array([1.0, -2.0]), full, 0)
-        mean, cov = conditional_stats(stats, np.zeros(0))
-        np.testing.assert_allclose(mean, [1.0, -2.0])
-        np.testing.assert_allclose(cov, full)
-
-    def test_sequential_equals_joint(self):
-        # Conditioning on two variables one at a time matches doing it jointly.
-        rng = np.random.default_rng(23)
-        a = rng.normal(size=(3, 3))
-        cov = a @ a.T + np.eye(3)
-        mean = rng.normal(size=3)
-        known = rng.normal(size=2)
-
-        joint_mean, joint_cov = conditional_stats(partition_stats(mean, cov, 2), known)
-
-        m1, c1 = conditional_stats(partition_stats(mean, cov, 1), known[:1])
-        step = PartitionedStats(
-            mean1=m1[:1], mean2=m1[1:],
-            cov11=c1[:1, :1], cov12=c1[:1, 1:],
-            cov21=c1[1:, :1], cov22=c1[1:, 1:],
-        )
-        m2, c2 = conditional_stats(step, known[1:])
-        np.testing.assert_allclose(m2, joint_mean, atol=1e-12)
-        np.testing.assert_allclose(c2, joint_cov, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PartitionedStats(
-                mean1=np.zeros(1), mean2=np.zeros(1),
-                cov11=np.eye(1), cov12=np.array([[1.0]]),
-                cov21=np.array([[2.0]]), cov22=np.eye(1),
-            )
-        with pytest.raises(ValueError):
-            GaussianPrior(np.zeros(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            GaussianPrior(np.zeros(2), np.diag([1.0, -0.5]))
 
 
 class TestCorrelatedFeedforward:
@@ -152,7 +95,7 @@ class TestCorrelatedFeedforward:
             h = rng.normal(size=(n + 1, n))
             zeta = 10.0 ** (-rng.uniform(0, 20) / 10.0)
             ff = correlated_ff_matrix(h, np.sqrt(zeta) * np.eye(n), 0)
-            np.testing.assert_allclose(ff, le_mmse_matrix(h, zeta), atol=1e-10)
+            np.testing.assert_allclose(ff, np.linalg.solve(h.T @ h + zeta * np.eye(n), h.T), atol=1e-10)
 
     def test_agrees_on_reduced_bases(self):
         # Both internal routes must agree; exercised over LLL-style inputs.
@@ -272,26 +215,13 @@ class TestSortingMetric:
 
 class TestPartitionedGramian:
     def test_assemble_matches_scaled_gram(self):
+        # With no stream decided, the Gramian of the regularizer over the
+        # noise variance is the inverse of the transformed prior
+        # symbol_var Z Z^T: the conditional-precision identity at n_known 0.
         rng = np.random.default_rng(91)
         for _ in range(20):
             n = int(rng.integers(2, 6))
             z = random_unimodular(rng, n)
             zeta = 10.0 ** (-rng.uniform(0, 20) / 10.0)
             sv = rng.uniform(0.5, 2.0)
-            nv = zeta * sv
-            zi = matrix_to_float(unimodular_inverse(z))
-            reg = np.sqrt(zeta) * zi
-            l = int(rng.integers(0, n + 1))
-            pg = partitioned_gramian(reg, l, noise_var=nv)
-            assert isinstance(pg, PartitionedGramian)
-            np.testing.assert_allclose(pg.assemble(), reg.T @ reg / nv, atol=1e-12)
-            # equals the inverse of the lattice-transformed prior covariance
-            prior = z_covariance(z, sv)
-            tol = 1e-12 * max(1.0, np.abs(prior).max()) ** 2
-            np.testing.assert_allclose(pg.assemble() @ prior, np.eye(n), atol=tol)
-
-    def test_block_shapes(self):
-        pg = partitioned_gramian(0.5 * np.eye(4), 1, noise_var=1.0)
-        assert pg.known_block.shape == (1, 1)
-        assert pg.cross_block.shape == (1, 3)
-        assert pg.residual_block.shape == (3, 3)
+            assert schur_gramian_identity(z, zeta, sv, zeta * sv, 0) < 1e-10

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
+from lramimo.checks import integer_determinant, random_unimodular
 from lramimo.lattice import (
     ReductionError,
-    integer_determinant,
     lll_reduce,
     matrix_to_float,
-    orthogonality_defect,
     unimodular_inverse,
-    z_covariance,
 )
+from lramimo.model import augment
+
+
+def orthogonality_defect(basis):
+    """Product of column norms over the lattice volume; 1 iff orthogonal."""
+    b = np.asarray(basis, dtype=float)
+    sign, logdet = np.linalg.slogdet(b.T @ b)
+    assert sign > 0, "basis is rank deficient"
+    return float(np.exp(np.sum(np.log(np.linalg.norm(b, axis=0))) - 0.5 * logdet))
 
 
 def gauss_reduce_2d(basis):
@@ -162,46 +169,39 @@ class TestUnimodularInverse:
         assert unimodular_inverse(z).tolist() == [[0, 1], [1, 0]]
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse(np.diag([1, 2]))
-        with pytest.raises(ValueError):
-            unimodular_inverse(np.array([[1.5, 0.0], [0.0, 1.0]]))
+        for matrix in (
+            np.diag([1, 2]),
+            np.diag([-2, 1]),
+            np.array([[4, 2], [1, 1]]),  # det 2
+            np.array([[1, 0], [0, -3]]),  # det -3
+            np.array([[2, 1], [1, -1]]),  # det -3
+            np.array([[1, 0, 0], [0, 0, 3], [0, -1, 0]]),  # det 3
+            np.array([[1, 2], [2, 4]]),  # singular
+            np.array([[1, 0, 0], [0, 0, 0], [1, 0, 1]]),  # zero column
+            np.array([[1.5, 0.0], [0.0, 1.0]]),  # non-integer entry
+        ):
+            with pytest.raises(ValueError):
+                unimodular_inverse(matrix)
 
     def test_random_products_invert_exactly(self):
-        from lramimo.checks import random_unimodular
-
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            n = int(rng.integers(1, 7))
-            z = random_unimodular(rng, n)
+        bases = [
+            random_unimodular(
+                rng, int(rng.integers(1, 17)), int(rng.integers(0, 61)), int(rng.integers(1, 4))
+            )
+            for _ in range(200)
+        ]
+        for _ in range(20):
+            h = rng.normal(size=(16, 16))
+            bases.append(lll_reduce(augment(h, 10.0 ** -rng.uniform(0, 3))).unimodular)
+        # Entries near 10^12: the products in Z Zinv reach 10^24.
+        bases.append(np.array([[10**12, 10**12 - 1], [10**12 + 1, 10**12]], dtype=object))
+        for z in bases:
             zi = unimodular_inverse(z)
-            prod = z @ zi
-            assert all(
-                prod[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-            ), f"Z Zinv != I for\n{z}"
-
-
-class TestZCovariance:
-    def test_identity(self):
-        np.testing.assert_array_equal(z_covariance(np.eye(2, dtype=int), 0.25), 0.25 * np.eye(2))
-
-    def test_shear(self):
-        cov = z_covariance(np.array([[1, 1], [0, 1]]), 1.0)
-        np.testing.assert_array_equal(cov, [[2.0, 1.0], [1.0, 1.0]])
-
-    def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            z_covariance(np.eye(2, dtype=int), 0.0)
-
-    def test_sample_covariance(self):
-        z = np.array([[1, 1], [0, 1]])
-        cov = z_covariance(z, 0.25)
-        rng = np.random.default_rng(31)
-        n = 100_000
-        symbols = rng.choice([-0.5, 0.5], size=(2, n))
-        transformed = matrix_to_float(z) @ symbols
-        sample = (transformed @ transformed.T) / n
-        for i in range(2):
-            for j in range(2):
-                se = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
-                assert abs(sample[i, j] - cov[i, j]) <= 3 * se
+            n = z.shape[0]
+            rows = z.tolist()
+            cols = list(zip(*zi.tolist()))
+            assert all(type(v) is int for v in zi.flat)
+            assert [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in rows] == [
+                [int(i == j) for j in range(n)] for i in range(n)
+            ], f"Z Zinv != I for\n{z}"

@@ -3,13 +3,17 @@ import pytest
 
 from lramimo.model import (
     MimoChannel,
-    apply_channel,
     augment,
-    augment_observation,
     complex_matrix_to_real,
-    complex_to_real_model,
     make_ask_constellation,
 )
+
+
+def complex_to_real_vector(vector):
+    """Real parts stacked over imaginary parts, the vector form paired with
+    ``complex_matrix_to_real``."""
+    v = np.asarray(vector, dtype=complex)
+    return np.concatenate([v.real, v.imag])
 
 
 class TestConstellation:
@@ -54,17 +58,14 @@ class TestConstellation:
 
 class TestComplexToReal:
     def test_real_scalar(self):
-        h, v = complex_to_real_model(np.array([[1.0]]), np.array([1.0]))
-        np.testing.assert_array_equal(h, np.eye(2))
-        np.testing.assert_array_equal(v, [1.0, 0.0])
+        np.testing.assert_array_equal(complex_matrix_to_real(np.array([[1.0]])), np.eye(2))
 
     def test_imaginary_unit(self):
-        h, _ = complex_to_real_model(np.array([[1j]]), np.array([0j]))
+        h = complex_matrix_to_real(np.array([[1j]]))
         np.testing.assert_array_equal(h, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_identity(self):
-        h, _ = complex_to_real_model(np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
-        np.testing.assert_array_equal(h, np.eye(4))
+        np.testing.assert_array_equal(complex_matrix_to_real(np.eye(2, dtype=complex)), np.eye(4))
 
     def test_product_equivalence(self):
         rng = np.random.default_rng(7)
@@ -72,14 +73,16 @@ class TestComplexToReal:
             m, n = rng.integers(1, 5, size=2)
             hc = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
             xc = rng.normal(size=n) + 1j * rng.normal(size=n)
-            hr, xr = complex_to_real_model(hc, xc)
-            yc = hc @ xc
-            yr = np.concatenate([yc.real, yc.imag])
-            np.testing.assert_allclose(hr @ xr, yr, atol=1e-13)
+            hr = complex_matrix_to_real(hc)
+            assert hr.shape == (2 * m, 2 * n)
+            np.testing.assert_allclose(
+                hr @ complex_to_real_vector(xc), complex_to_real_vector(hc @ xc), atol=1e-13
+            )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            complex_to_real_model(np.eye(2, dtype=complex), np.zeros(3, dtype=complex))
+        for bad in (np.zeros(2, dtype=complex), np.zeros((2, 2, 2), dtype=complex)):
+            with pytest.raises(ValueError):
+                complex_matrix_to_real(bad)
 
     def test_matrix_only_helper(self):
         hc = np.array([[2.0 + 3.0j]])
@@ -136,41 +139,7 @@ class TestChannelAndAugmentation:
         ch = MimoChannel(h, noise_var=0.2, symbol_var=1.0)
         bar = augment(ch.matrix, ch.inv_snr)
         y = rng.normal(size=4)
-        ybar = augment_observation(y, ch.n_tx)
+        ybar = np.concatenate([y, np.zeros(ch.n_tx)])
         pinv = np.linalg.pinv(bar)
         np.testing.assert_allclose(pinv @ ybar, pinv[:, :4] @ y, atol=1e-13)
 
-    def test_augment_observation(self):
-        np.testing.assert_array_equal(
-            augment_observation(np.array([1.0, 2.0]), 2), [1.0, 2.0, 0.0, 0.0]
-        )
-
-
-class TestApplyChannel:
-    def test_noiseless_product(self):
-        ch = MimoChannel(np.array([[1.0, 0.0], [1.0, 1.0]]), noise_var=0.5, symbol_var=1.0)
-        y = apply_channel(ch, np.array([0.5, -0.5]))
-        np.testing.assert_array_equal(y, [0.5, 0.0])
-
-    def test_explicit_noise_is_deterministic(self):
-        ch = MimoChannel(np.eye(2), noise_var=0.5, symbol_var=1.0)
-        noise = np.array([0.1, -0.2])
-        y1 = apply_channel(ch, np.array([0.5, 0.5]), noise=noise)
-        y2 = apply_channel(ch, np.array([0.5, 0.5]), noise=noise)
-        np.testing.assert_array_equal(y1, y2)
-        np.testing.assert_allclose(y1, [0.6, 0.3])
-
-    def test_rng_noise_has_right_scale(self):
-        ch = MimoChannel(np.eye(2), noise_var=4.0, symbol_var=1.0)
-        rng = np.random.default_rng(11)
-        draws = np.array(
-            [apply_channel(ch, np.zeros(2), rng=rng) for _ in range(20_000)]
-        )
-        assert abs(draws.var() - 4.0) < 0.15
-
-    def test_shape_errors(self):
-        ch = MimoChannel(np.eye(2), noise_var=0.1, symbol_var=1.0)
-        with pytest.raises(ValueError):
-            apply_channel(ch, np.zeros(3))
-        with pytest.raises(ValueError):
-            apply_channel(ch, np.zeros(2), noise=np.zeros(3))

@@ -87,6 +87,35 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig.from_dict({"n_tx": 2, "snr": [10]})
 
+    @staticmethod
+    def _data(**overrides):
+        data = {
+            "n_tx": 2, "n_rx": 2, "order": 2, "snr_db": [10], "trials": 1,
+            "frames_per_channel": 1, "seed": 5, "specs": [{"structure": "le", "criterion": "zf"}],
+        }
+        data.update(overrides)
+        return data
+
+    def test_from_dict_rejects_coerced_values(self):
+        for key, value in (
+            ("oracle", "false"), ("oracle", 0), ("oracle", None),
+            ("n_tx", 1.9), ("n_tx", "2"), ("n_rx", True), ("seed", None), ("trials", float("inf")),
+            ("snr_db", "15"), ("snr_db", ["10", 20]), ("snr_db", [True]),
+        ):
+            with pytest.raises(ValueError, match=key):
+                SimConfig.from_dict(self._data(**{key: value}))
+
+    def test_from_dict_accepts_integral_numbers_and_bools(self):
+        cfg = SimConfig.from_dict(self._data(n_tx=2.0, n_rx=3, seed=np.int64(5), oracle=False))
+        assert (cfg.n_tx, cfg.n_rx, cfg.seed, cfg.oracle) == (2, 3, 5, False)
+        assert type(cfg.n_tx) is int and type(cfg.seed) is int
+
+    def test_from_dict_names_missing_keys(self):
+        data = self._data()
+        del data["specs"], data["seed"]
+        with pytest.raises(ValueError, match=r"missing config keys: \['seed', 'specs'\]"):
+            SimConfig.from_dict(data)
+
 
 class TestRandomStreams:
     def test_trial_rng_reproducible_and_distinct(self):
