@@ -35,17 +35,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equiv_suite(args) -> int:
     report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
-    rows = [
-        ("feedforward", "step feedforward residual", checks.FF_TOL),
-        ("feedback", "step feedback residual", checks.FB_TOL),
-        ("order_mismatches", "order mismatches", 0),
-        ("schur", "conditional-precision residual", checks.SCHUR_TOL),
-        ("fast_filters", "fast factorization residual", checks.FAST_TOL),
-        ("fast_order_mismatches", "fast order mismatches", 0),
-        ("mmse_le_forms", "MMSE receive-form residual", checks.MMSE_FORMS_TOL),
-    ]
     ok = report.within()
-    for key, name, tol in rows:
+    for key, name, tol in checks.TOLERANCES:
         value = getattr(report, key)
         if isinstance(value, int):
             line = f"{name:32s} {value:12d}  (allowed {tol})"
@@ -59,7 +50,8 @@ def _cmd_equiv_suite(args) -> int:
             "instances": args.instances,
             "verdict": "PASS" if ok else "FAIL",
             "residuals": {
-                key: {"max": getattr(report, key), "tolerance": tol} for key, _, tol in rows
+                key: {"max": getattr(report, key), "tolerance": tol}
+                for key, _, tol in checks.TOLERANCES
             },
         }
         with open(args.json, "w") as fh:

@@ -37,48 +37,46 @@ class ReductionTarget(enum.Enum):
 class EqualizerSpec:
     """One equalizer configuration.
 
-    ``reduction_target`` is meaningful only for reduction-aided MMSE; it
-    defaults to the augmented matrix there (reducing the regularized
-    matrix is the better-performing choice) and must be left unset or
-    ORIGINAL otherwise.
+    ``reduction_target`` names the matrix that is lattice reduced: None
+    for no reduction, ORIGINAL for the channel matrix, AUGMENTED for the
+    noise-regularized one, which only the MMSE criterion has.
     """
 
     structure: Structure
     criterion: Criterion
-    lra: bool = False
     reduction_target: ReductionTarget = None
 
     def __post_init__(self):
-        target = self.reduction_target
-        if self.lra and self.criterion is Criterion.MMSE:
-            if target is None:
-                target = ReductionTarget.AUGMENTED
-        else:
-            if target is ReductionTarget.AUGMENTED:
-                raise ValueError(
-                    "reducing the augmented matrix requires the MMSE criterion"
-                )
-            target = ReductionTarget.ORIGINAL if self.lra else None
-        object.__setattr__(self, "reduction_target", target)
+        mmse = self.criterion is Criterion.MMSE
+        if self.reduction_target is ReductionTarget.AUGMENTED and not mmse:
+            raise ValueError("reducing the augmented matrix requires the MMSE criterion")
 
     @property
     def spec_id(self) -> str:
         parts = [self.structure.value, self.criterion.value]
-        if self.lra:
-            parts.append("lra")
-            parts.append(self.reduction_target.value)
+        if self.reduction_target is not None:
+            parts += ["lra", self.reduction_target.value]
         return "-".join(parts)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EqualizerSpec":
+        """Parse a config entry; ``lra`` switches reduction on.
+
+        The target defaults to the augmented matrix for MMSE (the
+        better-performing choice) and to the original one for ZF.
+        """
         _check_keys(data, {"structure", "criterion"}, {"lra", "reduction_target"}, "equalizer spec")
+        criterion = _parse_enum(Criterion, data["criterion"])
+        lra = _parse_bool(data.get("lra", False), "lra")
         target = data.get("reduction_target")
-        return cls(
-            structure=_parse_enum(Structure, data["structure"]),
-            criterion=_parse_enum(Criterion, data["criterion"]),
-            lra=_parse_bool(data.get("lra", False), "lra"),
-            reduction_target=_parse_enum(ReductionTarget, target) if target is not None else None,
-        )
+        if target is not None:
+            if not lra:
+                raise ValueError(f'reduction_target {target!r} needs "lra": true')
+            target = _parse_enum(ReductionTarget, target)
+        elif lra:
+            mmse = criterion is Criterion.MMSE
+            target = ReductionTarget.AUGMENTED if mmse else ReductionTarget.ORIGINAL
+        return cls(_parse_enum(Structure, data["structure"]), criterion, target)
 
 
 def _check_keys(data: dict, required: set, optional: set, what: str) -> None:
@@ -116,12 +114,8 @@ def _parse_enum(kind, value):
 
 ALL_SPECS = tuple(
     [EqualizerSpec(s, c) for s in Structure for c in Criterion]
-    + [EqualizerSpec(s, Criterion.ZF, lra=True) for s in Structure]
-    + [
-        EqualizerSpec(s, Criterion.MMSE, lra=True, reduction_target=t)
-        for s in Structure
-        for t in ReductionTarget
-    ]
+    + [EqualizerSpec(s, Criterion.ZF, ReductionTarget.ORIGINAL) for s in Structure]
+    + [EqualizerSpec(s, Criterion.MMSE, t) for s in Structure for t in ReductionTarget]
 )
 
 
@@ -212,7 +206,7 @@ def build_detector(
     basis = augment(h, zeta) if mmse else h
     rb = zif = None
     z_offset = np.full(n_tx, ALPHABET_OFFSET)
-    if spec.lra:
+    if spec.reduction_target is not None:
         if spec.reduction_target is ReductionTarget.AUGMENTED:
             rb = lll_reduce(basis)
         elif reduction is None:

@@ -22,6 +22,7 @@ from .equalize import (
     Criterion,
     EqualizerSpec,
     ReductionTarget,
+    Structure,
     _check_keys,
     _parse_bool,
     build_detector,
@@ -41,10 +42,11 @@ _ML_SEARCH_LIMIT = 10**6
 # The oracle processes frames in blocks of about this many distances.
 _ML_BLOCK_ENTRIES = 1 << 16
 
-# A trial redraws its channel when detector construction fails for one of
-# these reasons; anything else is a bug and propagates.  The cap turns a
-# failure that recurs on every draw into an error instead of a hang.
-_REDRAW_CAUSES = (ReductionError, FactorizationError, np.linalg.LinAlgError)
+# A trial redraws its channel when the draw is rank deficient or detector
+# construction fails for one of these reasons; anything else is a bug and
+# propagates.  The cap on all draws of a trial turns a failure that recurs
+# on every draw into an error instead of a hang.
+_REDRAW_CAUSES = (RankDeficientError, ReductionError, FactorizationError, np.linalg.LinAlgError)
 _MAX_REDRAWS = 100
 
 # SNR convention: snr_db = 10 log10(symbol_var * n_tx / noise_var) with
@@ -175,22 +177,12 @@ def draw_channel(
     """Draw an iid circularly-symmetric complex channel in real form.
 
     Entries have unit complex variance (1/2 per real part); the returned
-    real model has dimensions (2 n_rx, 2 n_tx).  Rank-deficient draws
-    (probability zero) are redrawn, at most 100 times.
+    real model has dimensions (2 n_rx, 2 n_tx).  A rank-deficient draw
+    (probability zero) raises RankDeficientError.
     """
-    for _ in range(_MAX_REDRAWS):
-        hc = (rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))) / np.sqrt(2.0)
-        try:
-            return MimoChannel(
-                matrix=complex_matrix_to_real(hc),
-                noise_var=noise_var,
-                symbol_var=symbol_var,
-            )
-        except RankDeficientError as exc:
-            cause = exc
-    raise RedrawLimitError(
-        f"no valid channel in {_MAX_REDRAWS} draws; last cause: {cause}"
-    ) from cause
+    hc = (rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))) / np.sqrt(2.0)
+    matrix = complex_matrix_to_real(hc)
+    return MimoChannel(matrix=matrix, noise_var=noise_var, symbol_var=symbol_var)
 
 
 def ml_bruteforce_detect(
@@ -259,21 +251,20 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     ``workers`` > 1 distributes trials over processes; because every trial
     owns a (seed, trial)-keyed stream and integer counters merge
     commutatively, the result is bit-identical for any worker count.
-    ``meta["redraw_causes"]`` counts the channel draws on which detector
-    construction failed, by exception class name; ``meta["channel_redraws"]``
-    is their total.
+    ``meta["redraw_causes"]`` counts the channel draws that were rank
+    deficient or on which detector construction failed, by exception class
+    name; ``meta["channel_redraws"]`` is their total.
     """
     start = time.perf_counter()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ids = _result_ids(config)
+    args = ([config] * config.trials, range(config.trials))
     if workers == 1:
-        outcomes = [_run_trial(config, t) for t in range(config.trials)]
+        outcomes = list(map(_run_trial, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(_run_trial_args, [(config, t) for t in range(config.trials)], chunksize=8)
-            )
+            outcomes = list(pool.map(_run_trial, *args, chunksize=8))
     errors = np.zeros((len(ids), len(config.snr_db)), dtype=np.int64)
     vec_errors = np.zeros_like(errors)
     clipped = np.zeros(len(ids), dtype=np.int64)
@@ -319,58 +310,56 @@ def _result_ids(config: SimConfig):
     return ids
 
 
-def _run_trial_args(args):
-    return _run_trial(*args)
-
-
 def _run_trial(config: SimConfig, trial: int):
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
-    n_specs = len(config.specs)
-    n_ids = n_specs + (1 if config.oracle else 0)
+    causes = Counter()
+    for _ in range(_MAX_REDRAWS):
+        try:
+            channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
+            detectors = _build_detectors(config, channel)
+            break
+        except _REDRAW_CAUSES as exc:
+            causes[type(exc).__name__] += 1
+            cause = exc
+    else:
+        raise RedrawLimitError(
+            f"trial {trial}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
+        ) from cause
+
+    n_ids = len(_result_ids(config))
     errors = np.zeros((n_ids, len(config.snr_db)), dtype=np.int64)
     vec_errors = np.zeros_like(errors)
     clipped = np.zeros(n_ids, dtype=np.int64)
-
-    causes = Counter()
-    while True:
-        channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
-        try:
-            detectors = _build_detectors(config, channel)
-        except _REDRAW_CAUSES as exc:
-            # Reduction or factorization failed for this draw; count and redraw.
-            causes[type(exc).__name__] += 1
-            redraws = causes.total()
-            if redraws >= _MAX_REDRAWS:
-                raise RedrawLimitError(
-                    f"trial {trial}: detector construction failed on {redraws} "
-                    f"channel draws; last cause: {exc!r}"
-                ) from exc
-            continue
-        break
-
-    n_real_tx = 2 * config.n_tx
     frames = config.frames_per_channel
     h = channel.matrix
     for j, snr in enumerate(config.snr_db):
         noise_var = _noise_var(config, sv, snr)
-        idx = rng.integers(0, config.order, size=(n_real_tx, frames))
+        idx = rng.integers(0, config.order, size=(2 * config.n_tx, frames))
         sent = constellation.points[idx]
         noise = rng.normal(0.0, np.sqrt(noise_var), size=(2 * config.n_rx, frames))
         received = h @ sent + noise
-        for i, det in enumerate(detectors[j]):
-            a_hat, _, nclip = detect_block(det, received, constellation)
+        decisions = _decisions(detectors[j], config.oracle, h, received, constellation)
+        for i, (a_hat, nclip) in enumerate(decisions):
             wrong = a_hat != sent
             errors[i, j] += int(wrong.sum())
             vec_errors[i, j] += int(wrong.any(axis=0).sum())
             clipped[i] += nclip
-        if config.oracle:
-            a_ml = _ml_detect_block(h, received, constellation)
-            wrong = a_ml != sent
-            errors[n_specs, j] += int(wrong.sum())
-            vec_errors[n_specs, j] += int(wrong.any(axis=0).sum())
     return errors, vec_errors, clipped, causes
+
+
+def _decisions(detectors, oracle: bool, h, received, constellation):
+    """(decisions, clip count) of each detector, then of the ML oracle.
+
+    A generator, so each detector's decisions are counted and dropped
+    before the next one runs.
+    """
+    for det in detectors:
+        a_hat, _, nclip = detect_block(det, received, constellation)
+        yield a_hat, nclip
+    if oracle:
+        yield _ml_detect_block(h, received, constellation), 0
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:
@@ -450,14 +439,7 @@ def compare_reduction_targets(config: SimConfig, workers: int = 1) -> ReductionC
     binomial variances and is conservative because it ignores the positive
     coupling induced by the shared frames.
     """
-    pair = (
-        EqualizerSpec.from_dict(
-            {"structure": "dfe", "criterion": "mmse", "lra": True, "reduction_target": "orig"}
-        ),
-        EqualizerSpec.from_dict(
-            {"structure": "dfe", "criterion": "mmse", "lra": True, "reduction_target": "aug"}
-        ),
-    )
+    pair = tuple(EqualizerSpec(Structure.DFE, Criterion.MMSE, t) for t in ReductionTarget)
     config = replace(config, specs=pair)
     result = run_monte_carlo(config, workers=workers)
     deltas = []

@@ -77,7 +77,7 @@ def test_a3_order_equivalence(dfe_sweep):
 
 
 def test_a4_schur_gramian_identity():
-    worst = check_schur_identity(1000, seed=SEED, max_dim=8)
+    worst = check_schur_identity(1000, seed=SEED)
     _report(
         "A4 conditional-precision identity",
         worst <= SCHUR_TOL,

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -40,3 +41,18 @@ def test_equiv_suite_json_records_failure_and_keeps_exit_code(tmp_path, monkeypa
     assert data["verdict"] == "FAIL"
     assert data["residuals"]["schur"] == {"max": 1.0, "tolerance": checks.SCHUR_TOL}
 
+
+def test_compare_reduction_writes_the_pair_and_one_delta_per_snr(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n_tx": 1, "n_rx": 2, "order": 2, "snr_db": [4, 10, 16], "trials": 2,
+        "frames_per_channel": 20, "seed": 3, "specs": [{"structure": "le", "criterion": "zf"}],
+    }))
+    out = tmp_path / "pair.csv"
+    assert main(["compare-reduction", "--config", str(config), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["spec_id"] for r in rows} == {"dfe-mmse-lra-orig", "dfe-mmse-lra-aug"}
+    assert len(rows) == 2 * 3
+    deltas = [l for l in capsys.readouterr().out.splitlines() if "delta=" in l]
+    assert [float(l.split("snr=")[1].split("dB")[0]) for l in deltas] == [4.0, 10.0, 16.0]

@@ -37,7 +37,7 @@ def test_normal_form_and_noiseless_recovery(drawn):
     for spec in ALL_SPECS:
         det = build_detector(spec, channel)
         assert det.feedforward.shape == (n, channel.n_rx), spec.spec_id
-        assert (det.reduction is None) == (not spec.lra), spec.spec_id
+        assert (det.reduction is None) == (spec.reduction_target is None), spec.spec_id
         if spec.structure is Structure.DFE:
             b = det.feedback
             np.testing.assert_array_equal(b, np.tril(b), err_msg=spec.spec_id)

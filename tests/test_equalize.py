@@ -121,23 +121,38 @@ class TestEqualizerSpec:
         assert len(ALL_SPECS) == 10
 
     def test_mmse_lra_defaults_to_augmented_target(self):
-        spec = EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=True)
+        spec = EqualizerSpec.from_dict({"structure": "le", "criterion": "mmse", "lra": True})
         assert spec.reduction_target is ReductionTarget.AUGMENTED
         assert spec.spec_id == "le-mmse-lra-aug"
 
     def test_zf_lra_pins_original_target(self):
-        spec = EqualizerSpec(Structure.DFE, Criterion.ZF, lra=True)
+        spec = EqualizerSpec.from_dict({"structure": "dfe", "criterion": "zf", "lra": True})
         assert spec.reduction_target is ReductionTarget.ORIGINAL
+        assert spec == EqualizerSpec(Structure.DFE, Criterion.ZF, ReductionTarget.ORIGINAL)
 
     def test_non_lra_clears_target(self):
-        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, reduction_target=ReductionTarget.ORIGINAL)
-        assert spec.reduction_target is None
+        for extra in ({}, {"lra": False}, {"lra": False, "reduction_target": None}):
+            spec = EqualizerSpec.from_dict({"structure": "le", "criterion": "zf", **extra})
+            assert spec.reduction_target is None
+            assert spec == EqualizerSpec(Structure.LINEAR, Criterion.ZF)
 
     def test_augmented_target_requires_mmse(self):
-        with pytest.raises(ValueError):
-            EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True, reduction_target=ReductionTarget.AUGMENTED)
-        with pytest.raises(ValueError):
-            EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=False, reduction_target=ReductionTarget.AUGMENTED)
+        for structure in Structure:
+            with pytest.raises(ValueError, match="MMSE"):
+                EqualizerSpec(structure, Criterion.ZF, ReductionTarget.AUGMENTED)
+        with pytest.raises(ValueError, match="MMSE"):
+            EqualizerSpec.from_dict(
+                {"structure": "le", "criterion": "zf", "lra": True, "reduction_target": "aug"}
+            )
+
+    def test_from_dict_rejects_target_without_lra(self):
+        for criterion in Criterion:
+            for target in ("orig", "aug"):
+                for lra in ({}, {"lra": False}):
+                    data = {"structure": "dfe", "criterion": criterion.value,
+                            "reduction_target": target, **lra}
+                    with pytest.raises(ValueError, match='needs "lra": true'):
+                        EqualizerSpec.from_dict(data)
 
     def test_from_dict_aliases(self):
         spec = EqualizerSpec.from_dict(
@@ -168,7 +183,7 @@ class TestEqualizerSpec:
                 {
                     "structure": spec.structure.value,
                     "criterion": spec.criterion.value,
-                    "lra": spec.lra,
+                    "lra": spec.reduction_target is not None,
                     "reduction_target": None if spec.reduction_target is None else spec.reduction_target.value,
                 }
             )
@@ -183,7 +198,7 @@ class TestWorkedTranslateExample:
     def test_lra_zf_le_chain(self):
         channel = MimoChannel(np.array([[1.0, 1.0], [0.0, 1.0]]), noise_var=0.0, symbol_var=0.25)
         constellation = make_ask_constellation(2)
-        det = build_detector(EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True), channel)
+        det = build_detector(EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL), channel)
         np.testing.assert_allclose(matrix_to_float(det.reduction.unimodular), [[1.0, 1.0], [0.0, 1.0]])
         np.testing.assert_allclose(det.reduction.reduced, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(det.z_offset, [1.0, 0.5], atol=1e-12)
@@ -225,7 +240,7 @@ class TestDetectionBookkeeping:
         y = np.zeros(3)
         for spec in ALL_SPECS:
             _, z_hat, _ = detect_one(build_detector(spec, channel), y, constellation)
-            assert (z_hat is not None) == spec.lra, spec.spec_id
+            assert (z_hat is not None) == (spec.reduction_target is not None), spec.spec_id
 
     def test_order_only_for_dfe(self):
         channel = self._channel()
@@ -251,7 +266,7 @@ class TestDetectionBookkeeping:
     def test_clip_count_on_wild_observation(self):
         channel = MimoChannel(np.eye(2), noise_var=0.0, symbol_var=0.25)
         constellation = make_ask_constellation(2)
-        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True)
+        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL)
         a_hat, _, clipped = detect_one(build_detector(spec, channel), np.array([10.0, 0.0]), constellation)
         assert clipped == 1
         np.testing.assert_allclose(a_hat, [0.5, 0.5])
@@ -276,7 +291,7 @@ class TestDetectionBookkeeping:
     def test_mmse_dfe_feedforward_drops_regularizer_columns(self):
         channel = self._channel(n=4, seed=9, zeta=0.2)
         for target in ReductionTarget:
-            spec = EqualizerSpec(Structure.DFE, Criterion.MMSE, lra=True, reduction_target=target)
+            spec = EqualizerSpec(Structure.DFE, Criterion.MMSE, target)
             det = build_detector(spec, channel)
             assert det.feedforward.shape == (4, 4)
             assert det.feedback.shape == (4, 4)
@@ -288,8 +303,7 @@ class TestDetectionBookkeeping:
         for zeta in (1e-3, 1.0, 1e3):
             channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
             for spec in [LE_MMSE] + [
-                EqualizerSpec(Structure.LINEAR, Criterion.MMSE, lra=True, reduction_target=target)
-                for target in ReductionTarget
+                EqualizerSpec(Structure.LINEAR, Criterion.MMSE, target) for target in ReductionTarget
             ]:
                 det = build_detector(spec, channel)
                 z = np.eye(4, dtype=int) if det.reduction is None else det.reduction.unimodular
@@ -315,7 +329,7 @@ class TestDetectionBookkeeping:
 
     def test_given_reduction_of_another_matrix_is_rejected(self):
         channel = self._channel(n=4, seed=11)
-        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, lra=True)
+        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL)
         for other in (self._channel(n=4, seed=12).matrix, self._channel(n=2, seed=12).matrix):
             with pytest.raises(ValueError, match="does not factor"):
                 build_detector(spec, channel, reduction=lll_reduce(other))

@@ -381,6 +381,32 @@ class TestSharedConstruction:
         assert calls == ["channel matrix"] * cfg.trials
 
 
+def _scripted_failures(monkeypatch, script):
+    """Fail the k-th channel draw of a run as ``script(k)`` says.
+
+    "rank" makes the drawn matrix rank deficient, "build" makes detector
+    construction fail on it, None lets it through.  Returns the list of
+    scripted outcomes, one per draw, filled in as the run draws.
+    """
+    draws = []
+    real_channel, real_build = sim.MimoChannel, sim.build_detector
+
+    def channel(**kwargs):
+        draws.append(script(len(draws)))
+        if draws[-1] == "rank":
+            raise RankDeficientError("channel matrix is rank deficient")
+        return real_channel(**kwargs)
+
+    def build(spec, ch, **kwargs):
+        if draws[-1] == "build":
+            raise FactorizationError("forced")
+        return real_build(spec, ch, **kwargs)
+
+    monkeypatch.setattr(sim, "MimoChannel", channel)
+    monkeypatch.setattr(sim, "build_detector", build)
+    return draws
+
+
 class TestRedrawLimit:
     def test_construction_failing_on_every_draw_raises(self, monkeypatch):
         calls = []
@@ -420,20 +446,32 @@ class TestRedrawLimit:
         assert not isinstance(info.value, RedrawLimitError)
         assert len(calls) == 1
 
-    def test_draw_channel_gives_up_on_rank_deficient_draws(self, monkeypatch):
-        calls = []
-
-        def always_singular(**kwargs):
-            calls.append(kwargs)
-            raise RankDeficientError("channel matrix is rank deficient")
-
-        monkeypatch.setattr(sim, "MimoChannel", always_singular)
-        with pytest.raises(RedrawLimitError, match="rank deficient"):
+    def test_trial_gives_up_after_100_rank_deficient_draws(self, monkeypatch):
+        draws = _scripted_failures(monkeypatch, lambda k: "rank")
+        with pytest.raises(RankDeficientError):
             draw_channel(trial_rng(1, 0), 2, 2)
-        assert len(calls) == 100
+        assert len(draws) == 1  # draw_channel itself does not retry
+        draws.clear()
+        with pytest.raises(RedrawLimitError, match="rank deficient"):
+            run_monte_carlo(_config(trials=1))
+        assert len(draws) == 100
+
+    def test_one_cap_covers_rank_and_construction_failures(self, monkeypatch):
+        draws = _scripted_failures(monkeypatch, lambda k: ("rank", "build")[k % 2])
+        with pytest.raises(RedrawLimitError, match="trial 0: no usable channel in 100 draws"):
+            run_monte_carlo(_config(trials=1))
+        assert draws == ["rank", "build"] * 50
 
 
 class TestRedrawCauses:
+    def test_rank_and_construction_failures_are_both_counted(self, monkeypatch):
+        script = ["rank", "build", "rank", "build", "build"]
+        draws = _scripted_failures(monkeypatch, lambda k: script[k] if k < len(script) else None)
+        result = run_monte_carlo(_config(trials=2))
+        assert draws == script + [None, None]
+        assert result.meta["redraw_causes"] == {"FactorizationError": 3, "RankDeficientError": 2}
+        assert result.meta["channel_redraws"] == 5
+
     def test_causes_are_counted_by_class(self, monkeypatch):
         real = sim.build_detector
         forced = [FactorizationError("forced"), FactorizationError("forced"),
