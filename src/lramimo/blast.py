@@ -98,8 +98,8 @@ def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0
 def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: float) -> DfeFilterSet:
     """Sorted factorization for data correlated through an integer basis change.
 
-    Equivalent to ``vblast_sorted_factorization`` applied to the
-    row-augmented matrix [H Z^-1; sqrt(alpha) Z^-1].  The detection order
+    Equivalent to ``vblast_sorted_factorization`` applied to the augmented
+    matrix of the transformed symbols, [H; sqrt(alpha) I] Z^-1.  The order
     comes from rank-one downdates of Z (H^T H + alpha I)^-1 Z^T, so only
     the filters need a factorization of the doubled-row matrix.
 
@@ -116,7 +116,8 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     zi = matrix_to_float(unimodular_inverse(unimodular))
     gram = h.T @ h + alpha * np.eye(h.shape[1])
     perm = _greedy_order(zf @ np.linalg.solve(gram, zf.T))
-    return _sorted_ql_filters(augment(h @ zi, alpha, zi), perm)
+    basis = augment(h, alpha) @ zi
+    return _sorted_ql_filters(basis, perm)
 
 
 def _tall(matrix: np.ndarray) -> np.ndarray:

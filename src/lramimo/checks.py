@@ -117,10 +117,10 @@ def _draw_instance(rng, max_cond=None):
 
 
 def _augmented_reduction(h: np.ndarray, zeta: float):
-    """LLL reduction of [H; sqrt(zeta) I] and the stacked pair [H Z^-1; sqrt(zeta) Z^-1]."""
-    rb = lll_reduce(augment(h, zeta))
-    zi = matrix_to_float(rb.unimodular_inv)
-    return rb, augment(h @ zi, zeta, zi)
+    """LLL reduction of B = [H; sqrt(zeta) I] and B Z^-1, the matrix -aug detectors factorize."""
+    b = augment(h, zeta)
+    rb = lll_reduce(b)
+    return rb, b @ matrix_to_float(rb.unimodular_inv)
 
 
 def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
@@ -275,7 +275,7 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
     Compares (C^T C + zeta Z^-T Z^-1)^-1 C^T, Z (H^T H + zeta I)^-1 H^T,
     the optimum-estimator instantiation with white noise and data
     covariance symbol_var * Z Z^T, and the observation columns of the
-    pseudo-inverse of [C; sqrt(zeta) Z^-1], which is how the detectors
+    pseudo-inverse of [H; sqrt(zeta) I] Z^-1, which is how the detectors
     build it.  Instances are kept numerically tame
     (condition cap) because the stated agreement is at working precision.
     """

@@ -124,15 +124,14 @@ class Detector:
     """Frozen filters for one (spec, channel) pair; treat fields read-only.
 
     Every spec compiles to the same normal form: ``feedforward`` (the
-    observation columns of the zero-forcing filters of the basis matrix),
-    ``feedback`` and ``perm`` (None for linear detectors), and, for
-    reduction-aided specs, the ``reduction`` with Z^-1 in floating point.
+    observation columns of the zero-forcing filters of B Z^-1), ``feedback``
+    and ``perm`` (None for linear detectors), and, for reduction-aided
+    specs, the ``reduction`` that supplied Z, with Z^-1 in floating point.
     ``z_offset`` is the translate onto which the estimates are sliced:
     ALPHABET_OFFSET * 1 without reduction, Z (ALPHABET_OFFSET * 1) with it.
     """
 
     spec: EqualizerSpec
-    channel: MimoChannel
     feedforward: np.ndarray
     z_offset: np.ndarray
     feedback: np.ndarray = None
@@ -153,8 +152,9 @@ def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: floa
 
     Estimates the transformed symbols from the physical observation; valid
     for any unimodular basis change, whichever matrix it was derived from.
-    Detectors use the equal pseudo-inverse of the reduced augmented basis;
-    this closed form is the oracle the equivalence checks compare against.
+    Detectors use the equal pseudo-inverse of [H; sqrt(inv_snr) I] Z^-1,
+    restricted to the observation columns; this closed form is the oracle
+    the equivalence checks compare against.
     """
     m = np.asarray(matrix, dtype=float)
     if not (inv_snr >= 0):
@@ -184,35 +184,28 @@ def build_detector(
 ) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
-    Every spec is zero-forcing processing of one basis matrix: H for ZF,
-    [H; sqrt(zeta) I] for MMSE, and under reduction the reduced basis of
-    whichever of the two was reduced, which for MMSE is [H; sqrt(zeta) I]
-    Z^-1 in both targets.  Linear filters are its pseudo-inverse, DFE
-    filters its sorted successive factorization; either way only the
-    columns acting on the observation are kept.
+    Every spec is zero-forcing processing of one basis matrix B Z^-1, with
+    B = H for ZF, B = [H; sqrt(zeta) I] for MMSE and Z = I without
+    reduction.  A reduction contributes only Z; its target decides which
+    matrix Z reduces, H or B.  Linear filters are the pseudo-inverse of
+    B Z^-1, DFE filters its sorted successive factorization; either way
+    only the columns acting on the observation are kept.
 
     ``reduction`` lets a spec that reduces the original matrix reuse an
     LLL reduction of ``channel.matrix`` computed earlier; a reduction of
     any other matrix raises ValueError.  Without it the matrix is reduced
     here.
     """
-    if reduction is not None and spec.reduction_target is not ReductionTarget.ORIGINAL:
+    target = spec.reduction_target
+    if reduction is not None and target is not ReductionTarget.ORIGINAL:
         raise ValueError(f"{spec.spec_id} does not reduce the original matrix")
     h = channel.matrix
-    zeta = channel.inv_snr
     n_rx, n_tx = h.shape
-    mmse = spec.criterion is Criterion.MMSE
-
-    basis = augment(h, zeta) if mmse else h
+    basis = augment(h, channel.inv_snr) if spec.criterion is Criterion.MMSE else h
     rb = zif = None
     z_offset = np.full(n_tx, ALPHABET_OFFSET)
-    if spec.reduction_target is not None:
-        if spec.reduction_target is ReductionTarget.AUGMENTED:
-            rb = lll_reduce(basis)
-        elif reduction is None:
-            rb = lll_reduce(h)
-        else:
-            rb = reduction
+    if target is not None:
+        rb = reduction or lll_reduce(basis if target is ReductionTarget.AUGMENTED else h)
         zf = matrix_to_float(rb.unimodular)
         # np.allclose's test (rtol 1e-5, atol 1e-8) as one reduction.
         if reduction is not None and not (
@@ -224,9 +217,7 @@ def build_detector(
         # The transformed symbols live on Z * (ALPHABET_OFFSET * ones) plus
         # the integers.
         z_offset = zf @ z_offset
-        basis = rb.reduced
-        if mmse and spec.reduction_target is ReductionTarget.ORIGINAL:
-            basis = augment(basis, zeta, zif)
+        basis = basis @ zif
 
     if spec.structure is Structure.LINEAR:
         feedforward, feedback, perm = le_zf_matrix(basis), None, None
@@ -235,7 +226,6 @@ def build_detector(
         feedforward, feedback, perm = fs.feedforward, fs.feedback, fs.perm
     return Detector(
         spec=spec,
-        channel=channel,
         feedforward=feedforward[:, :n_rx],
         z_offset=z_offset,
         feedback=feedback,
@@ -259,10 +249,9 @@ def detect_block(detector: Detector, observations: np.ndarray, constellation: Co
     filters are mismatched.
     """
     ys = np.asarray(observations, dtype=float)
-    if ys.ndim != 2 or ys.shape[0] != detector.channel.n_rx:
-        raise ValueError(
-            f"observations must be ({detector.channel.n_rx}, frames), got {ys.shape}"
-        )
+    n_rx = detector.feedforward.shape[1]
+    if ys.ndim != 2 or ys.shape[0] != n_rx:
+        raise ValueError(f"observations must be ({n_rx}, frames), got {ys.shape}")
     reduced = detector.reduction is not None
     limit = constellation.amplitude_limit
     loop_limit = None if reduced else limit

@@ -132,16 +132,16 @@ def complex_matrix_to_real(matrix: np.ndarray) -> np.ndarray:
     return np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
 
 
-def augment(matrix: np.ndarray, inv_snr: float, regularizer: np.ndarray = None) -> np.ndarray:
-    """Stack ``matrix`` on sqrt(inv_snr) times ``regularizer`` (default I).
+def augment(matrix: np.ndarray, inv_snr: float) -> np.ndarray:
+    """Stack ``matrix`` on sqrt(inv_snr) I.
 
-    With the identity, the left pseudo-inverse of [H; sqrt(inv_snr) I],
-    restricted to the observation rows, is the MMSE receive filter of H; a
-    zero ratio reproduces plain zero forcing.  A reduced basis H Z^-1 is
-    augmented with ``regularizer`` Z^-1, giving [H; sqrt(inv_snr) I] Z^-1.
+    The left pseudo-inverse of [H; sqrt(inv_snr) I], restricted to the
+    observation rows, is the MMSE receive filter of H; a zero ratio
+    reproduces plain zero forcing.  A basis change Z acts on the result
+    from the right: [H; sqrt(inv_snr) I] Z^-1 is the augmented matrix of
+    the transformed symbols Z a.
     """
     m = np.asarray(matrix, dtype=float)
     if not (inv_snr >= 0):
         raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    lower = np.eye(m.shape[1]) if regularizer is None else regularizer
-    return np.vstack([m, np.sqrt(inv_snr) * lower])
+    return np.vstack([m, np.sqrt(inv_snr) * np.eye(m.shape[1])])

@@ -81,6 +81,10 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if len(snrs) == 0 or any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr_db must be a non-empty strictly ascending sequence")
+        if not all(s > -math.inf for s in snrs):
+            raise ValueError(f"snr_db must hold numbers above -inf (+inf is noiseless), got {snrs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1 or self.frames_per_channel < 1:
             raise ValueError("trials and frames_per_channel must be >= 1")
         specs = tuple(self.specs)
@@ -90,6 +94,8 @@ class SimConfig:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate equalizer specs: {ids}")
         make_ask_constellation(self.order)  # validates the order
+        if self.oracle and self.order ** (2 * self.n_tx) > _ML_SEARCH_LIMIT:
+            raise ValueError(f"oracle: {self.order}^{2 * self.n_tx} ML candidates exceed {_ML_SEARCH_LIMIT}")
         object.__setattr__(self, "snr_db", snrs)
         object.__setattr__(self, "specs", specs)
 

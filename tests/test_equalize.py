@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lramimo import blast
+from lramimo.checks import FB_TOL, FF_TOL
 from lramimo.equalize import (
     ALL_SPECS,
     Criterion,
@@ -333,3 +335,47 @@ class TestDetectionBookkeeping:
         for other in (self._channel(n=4, seed=12).matrix, self._channel(n=2, seed=12).matrix):
             with pytest.raises(ValueError, match="does not factor"):
                 build_detector(spec, channel, reduction=lll_reduce(other))
+
+
+def separate_route_basis(spec, h, zeta):
+    """The MMSE basis each reduction target was built from before both shared B Z^-1.
+
+    AUGMENTED factorized the LLL-tracked columns of the reduced
+    [H; sqrt(zeta) I]; ORIGINAL stacked the tracked columns C of the
+    reduced H on sqrt(zeta) Z^-1.  Kept as the oracle of the one formula.
+    """
+    if spec.reduction_target is ReductionTarget.AUGMENTED:
+        return lll_reduce(augment(h, zeta)).reduced
+    rb = lll_reduce(h)
+    return np.vstack([rb.reduced, np.sqrt(zeta) * matrix_to_float(rb.unimodular_inv)])
+
+
+class TestUnifiedBasis:
+    DRAWS = 10
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("zeta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "spec",
+        [EqualizerSpec(s, Criterion.MMSE, t) for s in Structure for t in ReductionTarget],
+        ids=lambda spec: spec.spec_id,
+    )
+    def test_matches_separate_route(self, spec, zeta, n):
+        rng = np.random.default_rng(n)
+        for _ in range(self.DRAWS):
+            h = rng.normal(size=(n, n))
+            det = build_detector(spec, MimoChannel(h, noise_var=zeta, symbol_var=1.0))
+            basis = separate_route_basis(spec, h, zeta)
+            if spec.structure is Structure.LINEAR:
+                assert det.feedback is None and det.perm is None
+                ff = le_zf_matrix(basis)
+            else:
+                fs = blast.vblast_sorted_factorization(basis)
+                np.testing.assert_array_equal(det.perm, fs.perm)
+                assert _rel(det.feedback, fs.feedback) <= FB_TOL
+                ff = fs.feedforward
+            assert _rel(det.feedforward, ff[:, :n]) <= FF_TOL
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)

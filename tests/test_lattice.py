@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lramimo import lattice
 from lramimo.checks import integer_determinant, random_unimodular
 from lramimo.lattice import (
     ReductionError,
@@ -81,6 +82,14 @@ class TestTrivialBases:
         with pytest.raises(ValueError):
             lll_reduce(np.eye(2), delta=0.2)
         lll_reduce(np.eye(2), delta=1.0)  # boundary allowed
+
+    def test_sweep_cap_hit_raises(self, monkeypatch):
+        # Consecutive Fibonacci columns: every Gauss step swaps, 6 sweeps.
+        basis = np.array([[89.0, 55.0], [55.0, 34.0]])
+        lll_reduce(basis, delta=1.0)
+        monkeypatch.setattr(lattice, "_MAX_SWEEPS_PER_DIM", 1)  # 4 sweeps at n = 2
+        with pytest.raises(ReductionError, match="did not converge within 4 sweeps"):
+            lll_reduce(basis, delta=1.0)
 
 
 def assert_reduced(h, rb, delta=0.75):

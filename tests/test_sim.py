@@ -63,6 +63,25 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _config(trials=0)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(snr_db=(5.0, float("nan"))), "snr_db"),
+            (dict(snr_db=(-np.inf, 5.0)), "snr_db"),
+            (dict(seed=-1), "seed"),
+            (dict(n_tx=4, n_rx=4, order=8, oracle=True), "oracle"),
+        ],
+        ids=["nan-snr", "minus-inf-snr", "negative-seed", "oracle-too-large"],
+    )
+    def test_rejects_values_that_would_fail_mid_run(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            _config(**overrides)
+
+    def test_plus_inf_snr_runs_noiseless(self):
+        result = run_monte_carlo(_config(snr_db=(15.0, np.inf), trials=2))
+        for spec_id in ("le-zf", "le-mmse"):
+            assert result.point(spec_id, np.inf).errors == 0
+
     def test_from_dict_round_trip(self):
         data = {
             "n_tx": 2,
