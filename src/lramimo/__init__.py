@@ -15,6 +15,7 @@ from .equalize import (
     ReductionTarget,
     Structure,
     build_detector,
+    build_detectors,
     detect_block,
     le_zf_matrix,
     lra_le_error_covariance,

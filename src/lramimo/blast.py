@@ -6,11 +6,12 @@ stream by a rank-one downdate; the filters of all steps then come from
 one QL factorization of the matrix with its columns in detection order.
 ``vblast_sorted_factorization`` takes the inverse Gram matrix from one QR
 of the matrix, ``fast_vblast_correlated`` from the channel and the basis
-change of a correlated problem.  The per-step pseudo-inverse route is
+change of a correlated problem.  The kernel takes a stack of equal-shaped
+matrices as well as one matrix and factorizes every slice exactly as it
+would factorize that slice alone.  The per-step pseudo-inverse route is
 kept in ``checks`` as the oracle.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,16 +31,19 @@ class FactorizationError(ValueError):
     """Raised when the successive factorization breaks down numerically."""
 
 
-def pick_stream(metric: np.ndarray) -> int:
+def pick_stream(metric: np.ndarray):
     """Lowest index whose metric is at most min(metric) * (1 + TIE_RTOL).
 
-    The metric is a diagonal of an inverse Gram matrix, so a minimum that
-    is not positive (or is NaN) means the factorization broke down.
+    The rule applies along the last axis: an int for one metric vector, an
+    index array for a stack of them.  The metric is a diagonal of an
+    inverse Gram matrix, so a minimum that is not positive (or is NaN)
+    means the factorization broke down.
     """
-    lo = metric.min()
-    if not (lo > 0.0):
+    lo = metric.min(axis=-1, keepdims=True)
+    if not (lo > 0.0).all():
         raise FactorizationError("sorting metric is not positive; the inverse Gram lost definiteness")
-    return int((metric <= lo * (1.0 + TIE_RTOL)).argmax())
+    picked = (metric <= lo * (1.0 + TIE_RTOL)).argmax(axis=-1)
+    return int(picked) if metric.ndim == 1 else picked
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ class DfeFilterSet:
 
     ``feedforward`` rows are arranged in detection order; ``feedback`` is
     unit lower triangular; ``perm[l]`` is the original column index of the
-    symbol detected at step l.
+    symbol detected at step l.  A factorization of a stack of matrices
+    holds the same fields with the stack's leading axes in front.
     """
 
     feedforward: np.ndarray
@@ -57,7 +62,7 @@ class DfeFilterSet:
 
 
 def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
-    """Sorted successive factorization of a tall full-rank matrix.
+    """Sorted successive factorization of a tall full-rank matrix or stack.
 
     At each step the stream with the smallest diagonal entry of the
     inverse Gram matrix of the remaining columns (best post-equalization
@@ -68,13 +73,15 @@ def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
 
     The returned set satisfies feedforward @ matrix[:, perm] == feedback,
     a unit lower triangular matrix, and the feedforward rows are mutually
-    orthogonal.
+    orthogonal.  A stack of shape (..., m, n) is factorized slice by slice
+    in the same calls, and each slice's filters equal those of the slice
+    factorized alone; any slice that is rank deficient fails the call.
     """
     m = _tall(matrix)
     r = np.linalg.qr(m, mode="r")
-    _require_full_rank(np.diag(r), m.shape)
+    _require_full_rank(_diagonal(r), m.shape[-2:])
     rinv = np.linalg.inv(r)
-    return _sorted_ql_filters(m, _greedy_order(rinv @ rinv.T))
+    return _sorted_ql_filters(m, _greedy_order(rinv @ _transpose(rinv)))
 
 
 def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0) -> DfeFilterSet:
@@ -122,14 +129,23 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
 
 def _tall(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise FactorizationError(f"matrix must be m x n with m >= n, got shape {m.shape}")
     return m
 
 
+def _diagonal(matrix: np.ndarray) -> np.ndarray:
+    return np.diagonal(matrix, axis1=-2, axis2=-1)
+
+
+def _transpose(matrix: np.ndarray) -> np.ndarray:
+    return np.swapaxes(matrix, -1, -2)
+
+
 def _require_full_rank(diag: np.ndarray, shape) -> None:
+    """Fail unless every triangular diagonal (last axis) is far from singular."""
     diag = np.abs(diag)
-    if not (diag.min() > 1e-12 * max(shape) * diag.max()):
+    if not (diag.min(axis=-1) > 1e-12 * max(shape) * diag.max(axis=-1)).all():
         raise FactorizationError("matrix lost full column rank during factorization")
 
 
@@ -139,20 +155,22 @@ def _greedy_order(gram_inv: np.ndarray) -> np.ndarray:
     Picks the stream with the smallest diagonal entry, then removes it by
     the rank-one downdate P - p_k p_k^T / P_kk, which leaves the inverse
     Gram matrix of the remaining streams in the other rows and columns.
-    The picked streams' diagonal entries are masked with +inf.
+    The picked streams' diagonal entries are masked with +inf.  A stack of
+    matrices is ordered row-wise, each slice by the same arithmetic.
     """
-    p = 0.5 * (gram_inv + gram_inv.T)
-    n = p.shape[0]
-    metric = p.diagonal().copy()
-    order = np.empty(n, dtype=np.intp)
+    n = gram_inv.shape[-1]
+    p = (0.5 * (gram_inv + _transpose(gram_inv))).reshape(-1, n, n)
+    rows = np.arange(len(p))
+    metric = _diagonal(p).copy()
+    order = np.empty(metric.shape, dtype=np.intp)
     for step in range(n):
         k = pick_stream(metric)
-        order[step] = k
-        v = p[k] / math.sqrt(metric[k])
-        p -= v[:, None] * v
+        order[:, step] = k
+        v = p[rows, k] / np.sqrt(metric[rows, k])[:, None]
+        p -= v[:, :, None] * v[:, None, :]
         metric -= v * v
-        metric[k] = np.inf
-    return order
+        metric[rows, k] = np.inf
+    return order.reshape(gram_inv.shape[:-1])
 
 
 def _sorted_ql_filters(matrix: np.ndarray, perm: np.ndarray) -> DfeFilterSet:
@@ -163,10 +181,11 @@ def _sorted_ql_filters(matrix: np.ndarray, perm: np.ndarray) -> DfeFilterSet:
     stream is q_l / L_ll.  The QL factors come from the QR of the
     column-reversed matrix.
     """
-    q, r = np.linalg.qr(matrix[:, perm[::-1]], mode="reduced")
-    low = r[::-1, ::-1]
-    diag = np.diag(low)
-    _require_full_rank(diag, matrix.shape)
-    feedforward = np.ascontiguousarray(q[:, ::-1].T)
-    feedforward /= diag[:, None]
-    return DfeFilterSet(feedforward=feedforward, feedback=low / diag[:, None], perm=perm)
+    sorted_cols = np.take_along_axis(matrix, perm[..., None, ::-1], axis=-1)
+    q, r = np.linalg.qr(sorted_cols, mode="reduced")
+    low = r[..., ::-1, ::-1]
+    diag = _diagonal(low)
+    _require_full_rank(diag, matrix.shape[-2:])
+    feedforward = np.ascontiguousarray(_transpose(q[..., ::-1]))
+    feedforward /= diag[..., None]
+    return DfeFilterSet(feedforward=feedforward, feedback=low / diag[..., None], perm=perm)

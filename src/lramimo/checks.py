@@ -311,7 +311,13 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
 
 
 def equivalence_suite(n_instances: int = 1000, seed: int = 20260823) -> EquivalenceReport:
-    """Run every check; fast path uses half the instances."""
+    """Run every check; fast path uses half the instances.
+
+    Raises ValueError for fewer than one instance: a suite that checks
+    nothing certifies nothing.
+    """
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     ff, fb, order_bad = check_dfe_equivalence(n_instances, seed)
     schur = check_schur_identity(n_instances, seed)
     fast, fast_bad = check_fast_vblast(max(1, n_instances // 2), seed)

@@ -34,7 +34,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_equiv_suite(args) -> int:
-    report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
+    try:
+        report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
+    except ValueError as exc:
+        print(f"equivalence suite: {exc}", file=sys.stderr)
+        return 2
     ok = report.within()
     for key, name, tol in checks.TOLERANCES:
         value = getattr(report, key)

@@ -3,9 +3,11 @@
 An :class:`EqualizerSpec` names one point in the design space
 (linear or decision-feedback) x (ZF or MMSE) x (lattice-reduction-aided
 or not); for reduction-aided MMSE the reduction may target the plain or
-the noise-regularized channel matrix.  :func:`build_detector` freezes all
-filters for a given channel, and :func:`detect_block` applies them to
-blocks of observations.
+the noise-regularized channel matrix.  :func:`build_detectors` freezes all
+filters for channels that share one matrix and differ in their noise
+variance, factorizing all of them in one stacked kernel call;
+:func:`build_detector` is its one-channel case, and :func:`detect_block`
+applies the filters to blocks of observations.
 """
 
 import enum
@@ -141,10 +143,16 @@ class Detector:
 
 
 def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Left pseudo-inverse (zero-forcing receive matrix)."""
+    """Left pseudo-inverse (zero-forcing receive matrix).
+
+    Takes one tall matrix or a stack (..., m, n) of them, inverting each
+    slice as it would alone.  Raises FactorizationError when a slice is
+    rank deficient.
+    """
     m = np.asarray(matrix, dtype=float)
     q, r = np.linalg.qr(m, mode="reduced")
-    return np.linalg.solve(r, q.T)
+    blast._require_full_rank(np.diagonal(r, axis1=-2, axis2=-1), m.shape[-2:])
+    return np.linalg.solve(r, np.swapaxes(q, -1, -2))
 
 
 def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: float) -> np.ndarray:
@@ -184,6 +192,14 @@ def build_detector(
 ) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
+    The one-channel case of :func:`build_detectors`.
+    """
+    return build_detectors(spec, [channel], reduction)[0]
+
+
+def build_detectors(spec: EqualizerSpec, channels, reduction: ReducedBasis = None) -> list:
+    """Detectors for ``spec`` on each of ``channels``, in order.
+
     Every spec is zero-forcing processing of one basis matrix B Z^-1, with
     B = H for ZF, B = [H; sqrt(zeta) I] for MMSE and Z = I without
     reduction.  A reduction contributes only Z; its target decides which
@@ -191,48 +207,77 @@ def build_detector(
     B Z^-1, DFE filters its sorted successive factorization; either way
     only the columns acting on the observation are kept.
 
+    The channels must share one matrix H (they may differ in their noise
+    variance, hence in zeta); otherwise ValueError is raised.  The matrix
+    is reduced once for the original target and once per channel for the
+    augmented one, and the bases of all channels are factorized in one
+    kernel call on their stack, slice by slice as each alone.
+
     ``reduction`` lets a spec that reduces the original matrix reuse an
-    LLL reduction of ``channel.matrix`` computed earlier; a reduction of
-    any other matrix raises ValueError.  Without it the matrix is reduced
-    here.
+    LLL reduction of H computed earlier; a reduction of any other matrix
+    raises ValueError.  Without it the matrix is reduced here.
     """
+    channels = list(channels)
+    if not channels:
+        raise ValueError("at least one channel is required")
+    h = channels[0].matrix
+    if any(ch.matrix is not h and not np.array_equal(ch.matrix, h) for ch in channels[1:]):
+        raise ValueError("channels must share one matrix")
     target = spec.reduction_target
     if reduction is not None and target is not ReductionTarget.ORIGINAL:
         raise ValueError(f"{spec.spec_id} does not reduce the original matrix")
-    h = channel.matrix
+    n = len(channels)
     n_rx, n_tx = h.shape
-    basis = augment(h, channel.inv_snr) if spec.criterion is Criterion.MMSE else h
-    rb = zif = None
-    z_offset = np.full(n_tx, ALPHABET_OFFSET)
-    if target is not None:
-        rb = reduction or lll_reduce(basis if target is ReductionTarget.AUGMENTED else h)
-        zf = matrix_to_float(rb.unimodular)
-        # np.allclose's test (rtol 1e-5, atol 1e-8) as one reduction.
-        if reduction is not None and not (
-            rb.reduced.shape == h.shape
-            and (np.abs(rb.reduced @ zf - h) <= 1e-8 + 1e-5 * np.abs(h)).all()
-        ):
-            raise ValueError("reduction does not factor the channel matrix")
-        zif = matrix_to_float(rb.unimodular_inv)
-        # The transformed symbols live on Z * (ALPHABET_OFFSET * ones) plus
-        # the integers.
-        z_offset = zf @ z_offset
-        basis = basis @ zif
+    if spec.criterion is Criterion.MMSE:
+        bases = [augment(h, ch.inv_snr) for ch in channels]
+    else:
+        bases = [h] * n
+    offset = np.full(n_tx, ALPHABET_OFFSET)
+    if target is ReductionTarget.ORIGINAL:
+        rb = reduction or lll_reduce(h)
+        if reduction is not None:
+            _require_reduction_of(rb, h)
+        reductions = [rb] * n
+        changes = [_float_basis_change(rb, offset)] * n
+    elif target is ReductionTarget.AUGMENTED:
+        reductions = [lll_reduce(b) for b in bases]
+        changes = [_float_basis_change(rb, offset) for rb in reductions]
+    else:
+        reductions, changes = [None] * n, [(None, offset)] * n
+    stack = np.stack([b if zif is None else b @ zif for b, (zif, _) in zip(bases, changes)])
 
     if spec.structure is Structure.LINEAR:
-        feedforward, feedback, perm = le_zf_matrix(basis), None, None
+        feedforward, feedbacks, perms = le_zf_matrix(stack), [None] * n, [None] * n
     else:
-        fs = blast.vblast_sorted_factorization(basis)
-        feedforward, feedback, perm = fs.feedforward, fs.feedback, fs.perm
-    return Detector(
-        spec=spec,
-        feedforward=feedforward[:, :n_rx],
-        z_offset=z_offset,
-        feedback=feedback,
-        perm=perm,
-        reduction=rb,
-        unimodular_inv_f=zif,
-    )
+        fs = blast.vblast_sorted_factorization(stack)
+        feedforward, feedbacks, perms = fs.feedforward, fs.feedback, fs.perm
+    return [
+        Detector(
+            spec=spec,
+            feedforward=feedforward[i, :, :n_rx],
+            z_offset=changes[i][1],
+            feedback=feedbacks[i],
+            perm=perms[i],
+            reduction=reductions[i],
+            unimodular_inv_f=changes[i][0],
+        )
+        for i in range(n)
+    ]
+
+
+def _require_reduction_of(rb: ReducedBasis, h: np.ndarray) -> None:
+    """Raise ValueError unless rb.reduced @ Z reproduces ``h``."""
+    # np.allclose's test (rtol 1e-5, atol 1e-8) as one reduction.
+    if not (
+        rb.reduced.shape == h.shape
+        and (np.abs(rb.reduced @ matrix_to_float(rb.unimodular) - h) <= 1e-8 + 1e-5 * np.abs(h)).all()
+    ):
+        raise ValueError("reduction does not factor the channel matrix")
+
+
+def _float_basis_change(rb: ReducedBasis, offset: np.ndarray):
+    """(Z^-1 in floats, Z offset): the transformed symbols live on Z offset plus the integers."""
+    return matrix_to_float(rb.unimodular_inv), matrix_to_float(rb.unimodular) @ offset
 
 
 def detect_block(detector: Detector, observations: np.ndarray, constellation: Constellation):

@@ -26,6 +26,7 @@ from .equalize import (
     _check_keys,
     _parse_bool,
     build_detector,
+    build_detectors,
     detect_block,
 )
 from .lattice import ReductionError
@@ -376,33 +377,30 @@ def _build_detectors(config: SimConfig, channel: MimoChannel):
     """Detectors for every SNR (outer list) and spec (inner list).
 
     Only the augmented matrix [H; sqrt(zeta) I] depends on the SNR.  ZF
-    detectors are therefore built once and reused at every SNR, and the
-    reduction of the original H, computed by the first detector that
-    needs it, is shared by every spec that reduces H.  The per-SNR
-    channels share the drawn matrix without checking its rank again.
+    detectors are therefore built once and reused at every SNR, and each
+    MMSE spec is built for all SNRs in one ``build_detectors`` call, which
+    factorizes the stack of its per-SNR bases at once.  The reduction of
+    the original H, computed by the first spec that needs it, is shared by
+    every spec that reduces H.  The per-SNR channels share the drawn
+    matrix without checking its rank again.
     """
+    channels = [
+        channel.with_noise_var(_noise_var(config, channel.symbol_var, snr))
+        for snr in config.snr_db
+    ]
     h_reduction = None
-
-    def build(spec, ch):
-        nonlocal h_reduction
-        if spec.reduction_target is not ReductionTarget.ORIGINAL:
-            return build_detector(spec, ch)
-        det = build_detector(spec, ch, reduction=h_reduction)
-        h_reduction = det.reduction
-        return det
-
-    fixed = {
-        i: build(spec, channel)
-        for i, spec in enumerate(config.specs)
-        if spec.criterion is Criterion.ZF
-    }
-    detectors = []
-    for snr in config.snr_db:
-        ch = channel.with_noise_var(_noise_var(config, channel.symbol_var, snr))
-        detectors.append(
-            [fixed[i] if i in fixed else build(spec, ch) for i, spec in enumerate(config.specs)]
-        )
-    return detectors
+    per_spec = []
+    for spec in config.specs:
+        original = spec.reduction_target is ReductionTarget.ORIGINAL
+        shared = h_reduction if original else None
+        if spec.criterion is Criterion.ZF:
+            built = [build_detector(spec, channel, reduction=shared)] * len(channels)
+        else:
+            built = build_detectors(spec, channels, reduction=shared)
+        if original:
+            h_reduction = built[0].reduction
+        per_spec.append(built)
+    return [list(row) for row in zip(*per_spec)]
 
 
 def emit_results(result: SimResult, path: str) -> None:

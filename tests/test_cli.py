@@ -2,6 +2,8 @@ import csv
 import json
 from dataclasses import replace
 
+import pytest
+
 from lramimo import checks
 from lramimo.cli import main
 
@@ -56,3 +58,14 @@ def test_compare_reduction_writes_the_pair_and_one_delta_per_snr(tmp_path, capsy
     assert len(rows) == 2 * 3
     deltas = [l for l in capsys.readouterr().out.splitlines() if "delta=" in l]
     assert [float(l.split("snr=")[1].split("dB")[0]) for l in deltas] == [4.0, 10.0, 16.0]
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_equiv_suite_without_instances_fails_and_writes_nothing(tmp_path, capsys, instances):
+    path = tmp_path / "equiv.json"
+    assert main(["equiv-suite", "--instances", instances, "--json", str(path)]) != 0
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "n_instances must be >= 1" in captured.err
+    assert not path.exists()
+    with pytest.raises(ValueError, match="n_instances"):
+        checks.equivalence_suite(n_instances=int(instances))

@@ -10,13 +10,14 @@ from lramimo.equalize import (
     ReductionTarget,
     Structure,
     build_detector,
+    build_detectors,
     detect_block,
     le_zf_matrix,
     lra_le_error_covariance,
     lra_le_mmse_matrix,
 )
 from lramimo.lattice import lll_reduce, matrix_to_float
-from lramimo.model import MimoChannel, augment, make_ask_constellation
+from lramimo.model import MimoChannel, augment, complex_matrix_to_real, make_ask_constellation
 
 LE_MMSE = EqualizerSpec(Structure.LINEAR, Criterion.MMSE)
 
@@ -43,6 +44,18 @@ class TestReceiveMatrices:
         got = le_zf_matrix(h)
         want = np.linalg.solve(h.T @ h, h.T)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_zf_rejects_rank_deficient_matrix(self):
+        # Without the check the filters come out near 1.5e16.
+        with pytest.raises(blast.FactorizationError):
+            le_zf_matrix([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+
+    def test_zf_stack_with_one_rank_deficient_slice_fails(self):
+        stack = np.random.default_rng(3).normal(size=(4, 5, 3))
+        le_zf_matrix(stack)
+        stack[2, :, 1] = 2.0 * stack[2, :, 0]
+        with pytest.raises(blast.FactorizationError):
+            le_zf_matrix(stack)
 
     def test_mmse_single_column_frozen(self):
         # Two unit taps, inv_snr 1/2: weights 1 / (2 + 0.5) each.
@@ -335,6 +348,40 @@ class TestDetectionBookkeeping:
         for other in (self._channel(n=4, seed=12).matrix, self._channel(n=2, seed=12).matrix):
             with pytest.raises(ValueError, match="does not factor"):
                 build_detector(spec, channel, reduction=lll_reduce(other))
+
+
+class TestBuildDetectors:
+    ZETAS = (1e3, 1.0, 1e-2, 1e-4)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.spec_id)
+    def test_equals_one_build_per_channel(self, spec):
+        # Real form of a complex channel, so the kernel meets twin-column ties.
+        rng = np.random.default_rng(21)
+        h = complex_matrix_to_real(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        channels = [MimoChannel(h, noise_var=z, symbol_var=1.0) for z in self.ZETAS]
+        shared = lll_reduce(h) if spec.reduction_target is ReductionTarget.ORIGINAL else None
+        dets = build_detectors(spec, channels, reduction=shared)
+        assert len(dets) == len(channels)
+        for det, channel in zip(dets, channels):
+            one = build_detector(spec, channel, reduction=shared)
+            assert det.spec == spec
+            for name in ("feedforward", "z_offset", "feedback", "perm", "unimodular_inv_f"):
+                got, want = getattr(det, name), getattr(one, name)
+                assert (got is None) == (want is None), name
+                if want is not None:
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+            if one.reduction is None:
+                assert det.reduction is None
+            else:
+                assert det.reduction.unimodular.tolist() == one.reduction.unimodular.tolist()
+
+    def test_channels_must_share_one_matrix(self):
+        rng = np.random.default_rng(5)
+        a, b = (MimoChannel(rng.normal(size=(3, 2)), noise_var=1.0, symbol_var=1.0) for _ in range(2))
+        with pytest.raises(ValueError, match="share one matrix"):
+            build_detectors(LE_MMSE, [a, b])
+        with pytest.raises(ValueError, match="at least one channel"):
+            build_detectors(LE_MMSE, [])
 
 
 def separate_route_basis(spec, h, zeta):

@@ -363,27 +363,39 @@ class TestSharedConstruction:
         assert result.meta["channel_redraws"] == 0
 
     def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
+        # ZF specs go through build_detector once per draw; each MMSE spec
+        # goes through build_detectors once, with every SNR's channel.
         calls = []
-        real = sim.build_detector
+        real_one, real_many = sim.build_detector, sim.build_detectors
 
-        def counting(spec, channel, **kwargs):
-            det = real(spec, channel, **kwargs)
-            calls.append((spec.spec_id, kwargs.get("reduction") is not None, det))
+        def one(spec, channel, reduction=None):
+            det = real_one(spec, channel, reduction=reduction)
+            calls.append((spec.spec_id, [channel], reduction, [det]))
             return det
 
-        monkeypatch.setattr(sim, "build_detector", counting)
+        def many(spec, channels, reduction=None):
+            dets = real_many(spec, channels, reduction=reduction)
+            calls.append((spec.spec_id, list(channels), reduction, dets))
+            return dets
+
+        monkeypatch.setattr(sim, "build_detector", one)
+        monkeypatch.setattr(sim, "build_detectors", many)
         cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=1)
         run_monte_carlo(cfg)
-        per_spec = {}
-        for spec_id, _, _ in calls:
-            per_spec[spec_id] = per_spec.get(spec_id, 0) + 1
-        for spec in ALL_SPECS:
-            expected = 1 if spec.criterion is Criterion.ZF else len(cfg.snr_db)
-            assert per_spec[spec.spec_id] == expected, spec.spec_id
-        orig = [(given, det) for spec_id, given, det in calls if spec_id.endswith("-orig")]
-        assert not orig[0][0]  # the first detector that needs it reduces H itself
-        assert all(given and det.reduction is orig[0][1].reduction for given, det in orig[1:])
-
+        assert [c[0] for c in calls] == [s.spec_id for s in ALL_SPECS]
+        for spec, (_, channels, _, dets) in zip(ALL_SPECS, calls):
+            if spec.criterion is Criterion.ZF:
+                assert len(channels) == 1, spec.spec_id
+            else:
+                sv = make_ask_constellation(cfg.order).variance
+                want = [sv * cfg.n_tx / 10.0 ** (snr / 10.0) for snr in cfg.snr_db]
+                assert [ch.noise_var for ch in channels] == want, spec.spec_id
+                assert len(dets) == len(want)
+        orig = [(given, dets) for spec_id, _, given, dets in calls if spec_id.endswith("-orig")]
+        assert orig[0][0] is None  # the first spec that needs it reduces H itself
+        shared = orig[0][1][0].reduction
+        assert all(given is shared for given, _ in orig[1:])
+        assert all(det.reduction is shared for _, dets in orig for det in dets)
 
     def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
         calls = []
