@@ -14,6 +14,7 @@ from .equalize import (
     EqualizerSpec,
     ReductionTarget,
     Structure,
+    Workspace,
     build_detector,
     build_detectors,
     detect_block,

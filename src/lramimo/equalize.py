@@ -7,10 +7,12 @@ the noise-regularized channel matrix.  :func:`build_detectors` freezes all
 filters for channels that share one matrix and differ in their noise
 variance, factorizing all of them in one stacked kernel call;
 :func:`build_detector` is its one-channel case, and :func:`detect_block`
-applies the filters to blocks of observations.
+applies the filters to blocks of observations, in place in the buffers of
+a :class:`Workspace`.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +282,44 @@ def _float_basis_change(rb: ReducedBasis, offset: np.ndarray):
     return matrix_to_float(rb.unimodular_inv), matrix_to_float(rb.unimodular) @ offset
 
 
-def detect_block(detector: Detector, observations: np.ndarray, constellation: Constellation):
+class Workspace:
+    """Named scratch arrays that successive detection calls reuse.
+
+    ``take`` hands out an array of the asked shape and dtype with undefined
+    contents, carved from the storage last held under that name when it is
+    large enough.  An array taken under a name is overwritten by the next
+    call that takes the same name, so a result computed in a workspace
+    stays valid only until the next call that uses the workspace.
+
+    Every array starts on a cache line.  malloc aligns to 16 bytes only,
+    and a vectorized pass that reads one array and writes another slows
+    down when the two start at different offsets within a cache line.
+    """
+
+    ALIGN = 64
+
+    def __init__(self):
+        # name -> (aligned byte storage, the array last taken from it)
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        storage, last = self._buffers.get(name, (None, None))
+        if last is not None and last.shape == shape and last.dtype == dtype:
+            return last
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if storage is None or storage.size < nbytes:
+            raw = np.empty(nbytes + self.ALIGN, np.uint8)
+            start = -raw.ctypes.data % self.ALIGN
+            storage = raw[start : start + nbytes]
+        last = storage[:nbytes].view(dtype).reshape(shape)
+        self._buffers[name] = storage, last
+        return last
+
+
+def detect_block(
+    detector: Detector, observations: np.ndarray, constellation: Constellation, workspace=None
+):
     """Detect a block of received vectors, one per column.
 
     Returns (decisions, transformed decisions or None, clip count).  The
@@ -292,35 +331,47 @@ def detect_block(detector: Detector, observations: np.ndarray, constellation: Co
     are clipped and counted.  The constellation's variance should match
     the symbol variance the detector was built with, otherwise the MMSE
     filters are mismatched.
+
+    All work is done in place in the arrays of ``workspace`` (a fresh
+    :class:`Workspace` when None), and the returned arrays are among them:
+    the next call with the same workspace overwrites them.
     """
     ys = np.asarray(observations, dtype=float)
     n_rx = detector.feedforward.shape[1]
     if ys.ndim != 2 or ys.shape[0] != n_rx:
         raise ValueError(f"observations must be ({n_rx}, frames), got {ys.shape}")
+    ws = Workspace() if workspace is None else workspace
     reduced = detector.reduction is not None
     limit = constellation.amplitude_limit
     loop_limit = None if reduced else limit
-    soft = detector.feedforward @ ys
+    shape = (detector.feedforward.shape[0], ys.shape[1])
+    soft = np.matmul(detector.feedforward, ys, out=ws.take("soft", shape))
     if detector.feedback is None:
         decided = _slice(soft, detector.z_offset[:, None], loop_limit)
     else:
+        # Row l of soft becomes the l-th decision in detection order once
+        # the decisions of the rows above it are cancelled from it.
         offsets = detector.z_offset[detector.perm]
-        in_order = np.empty_like(soft)
-        for l in range(soft.shape[0]):
-            resid = soft[l] - detector.feedback[l, :l] @ in_order[:l]
-            in_order[l] = _slice(resid, offsets[l], loop_limit)
-        decided = np.empty_like(in_order)
-        decided[detector.perm] = in_order
+        cancel = ws.take("cancel", shape[1:])
+        for l in range(shape[0]):
+            np.matmul(detector.feedback[l, :l], soft[:l], out=cancel)
+            np.subtract(soft[l], cancel, out=soft[l])
+            _slice(soft[l], offsets[l], loop_limit)
+        decided = ws.take("decided", shape)
+        decided[detector.perm] = soft
     if not reduced:
         return decided, None, 0
-    a_hat = _slice(detector.unimodular_inv_f @ decided, ALPHABET_OFFSET, None)
-    clipped = int(np.count_nonzero(np.abs(a_hat) > limit))
-    return np.clip(a_hat, -limit, limit), decided, clipped
+    a_hat = np.matmul(detector.unimodular_inv_f, decided, out=ws.take("a_hat", shape))
+    _slice(a_hat, ALPHABET_OFFSET, None)
+    outside = ws.take("outside", shape, bool)
+    clipped = int(np.count_nonzero(np.greater(a_hat, limit, out=outside)))
+    clipped += int(np.count_nonzero(np.less(a_hat, -limit, out=outside)))
+    return np.clip(a_hat, -limit, limit, out=a_hat), decided, clipped
 
 
 def _slice(soft: np.ndarray, offset, limit):
-    """Round onto offset + integers, then clip to +-limit unless it is None."""
-    snapped = soft - offset
-    np.rint(snapped, out=snapped)
-    snapped += offset
-    return snapped if limit is None else np.clip(snapped, -limit, limit, out=snapped)
+    """Round ``soft`` in place onto offset + integers, then clip to +-limit unless it is None."""
+    soft -= offset
+    np.rint(soft, out=soft)
+    soft += offset
+    return soft if limit is None else np.clip(soft, -limit, limit, out=soft)

@@ -23,6 +23,7 @@ from .equalize import (
     EqualizerSpec,
     ReductionTarget,
     Structure,
+    Workspace,
     _check_keys,
     _parse_bool,
     build_detector,
@@ -206,7 +207,7 @@ def ml_bruteforce_detect(
     return _ml_detect_block(matrix, y[:, None], constellation)[:, 0]
 
 
-def _ml_detect_block(matrix, observations, constellation) -> np.ndarray:
+def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.ndarray:
     """Exhaustive ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
@@ -215,7 +216,8 @@ def _ml_detect_block(matrix, observations, constellation) -> np.ndarray:
     distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 is formed once
     per call, u = -2 A y and v = -2 B y per frame.  Row-major (i, j) is the
     lexicographic candidate index, so argmin's first occurrence keeps the
-    tie rule.  Memory is about M^n floats, independent of the frame count.
+    tie rule.  Memory is about M^n floats, independent of the frame count;
+    T and the distance block are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -229,10 +231,16 @@ def _ml_detect_block(matrix, observations, constellation) -> np.ndarray:
     n_hi = n // 2
     a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
     b = _grid(constellation.points, n - n_hi) @ h[:, n_hi:].T
-    table = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] + 2.0 * (a @ b.T)
+    ws = Workspace() if workspace is None else workspace
     n_frames = ys.shape[1]
     block = max(1, _ML_BLOCK_ENTRIES // total)
-    dist = np.empty((min(block, n_frames),) + table.shape)
+    dist = ws.take("ml_dist", (max(1, min(block, n_frames)), len(a), len(b)))
+    # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, with 2 A B^T formed in dist[0].
+    cross = np.matmul(a, b.T, out=dist[0])
+    cross *= 2.0
+    table = ws.take("ml_table", cross.shape)
+    np.add((a**2).sum(axis=1)[:, None], (b**2).sum(axis=1)[None, :], out=table)
+    table += cross
     best = np.empty(n_frames, dtype=np.intp)
     for start in range(0, n_frames, block):
         y = ys[:, start : start + block]
@@ -318,6 +326,11 @@ def _result_ids(config: SimConfig):
 
 
 def _run_trial(config: SimConfig, trial: int):
+    """Error, vector-error and clip counts of one trial, and its redraw causes.
+
+    Every SNR and detector of the trial works in one :class:`Workspace`, so
+    the frame-sized arrays are allocated once per trial, not once per call.
+    """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
@@ -341,32 +354,42 @@ def _run_trial(config: SimConfig, trial: int):
     clipped = np.zeros(n_ids, dtype=np.int64)
     frames = config.frames_per_channel
     h = channel.matrix
+    ws = Workspace()
+    tx_shape, rx_shape = (2 * config.n_tx, frames), (2 * config.n_rx, frames)
+    sent, wrong = ws.take("sent", tx_shape), ws.take("wrong", tx_shape, bool)
+    noise, received = ws.take("noise", rx_shape), ws.take("received", rx_shape)
+    wrong_frame = ws.take("wrong_frame", (frames,), bool)
     for j, snr in enumerate(config.snr_db):
         noise_var = _noise_var(config, sv, snr)
-        idx = rng.integers(0, config.order, size=(2 * config.n_tx, frames))
-        sent = constellation.points[idx]
-        noise = rng.normal(0.0, np.sqrt(noise_var), size=(2 * config.n_rx, frames))
-        received = h @ sent + noise
-        decisions = _decisions(detectors[j], config.oracle, h, received, constellation)
+        idx = rng.integers(0, config.order, size=tx_shape)
+        # The indices are in range; mode="raise" would copy through a temporary.
+        np.take(constellation.points, idx, out=sent, mode="clip")
+        # Equal to rng.normal(0.0, sigma, rx_shape), drawing the same stream.
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt(noise_var)
+        np.matmul(h, sent, out=received)
+        received += noise
+        decisions = _decisions(detectors[j], config.oracle, h, received, constellation, ws)
         for i, (a_hat, nclip) in enumerate(decisions):
-            wrong = a_hat != sent
-            errors[i, j] += int(wrong.sum())
-            vec_errors[i, j] += int(wrong.any(axis=0).sum())
+            np.not_equal(a_hat, sent, out=wrong)
+            np.any(wrong, axis=0, out=wrong_frame)
+            errors[i, j] += np.count_nonzero(wrong)
+            vec_errors[i, j] += np.count_nonzero(wrong_frame)
             clipped[i] += nclip
     return errors, vec_errors, clipped, causes
 
 
-def _decisions(detectors, oracle: bool, h, received, constellation):
+def _decisions(detectors, oracle: bool, h, received, constellation, workspace):
     """(decisions, clip count) of each detector, then of the ML oracle.
 
-    A generator, so each detector's decisions are counted and dropped
-    before the next one runs.
+    A generator, so each detector's decisions are counted before the next
+    one runs and overwrites them in ``workspace``.
     """
     for det in detectors:
-        a_hat, _, nclip = detect_block(det, received, constellation)
+        a_hat, _, nclip = detect_block(det, received, constellation, workspace)
         yield a_hat, nclip
     if oracle:
-        yield _ml_detect_block(h, received, constellation), 0
+        yield _ml_detect_block(h, received, constellation, workspace), 0
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

@@ -1,0 +1,127 @@
+"""Detection into reused buffers against fresh calls.
+
+A simulation trial runs every detector, and the ML oracle, in one
+``Workspace``.  Each result must equal the result of a call that makes its
+own buffers, whatever ran in the workspace before it; a warm call must not
+allocate frame-sized arrays; and the trial's noise draw into a buffer must
+reproduce ``Generator.normal`` bit for bit, since every count rests on it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lramimo import sim
+from lramimo.equalize import ALL_SPECS, Workspace, build_detector, detect_block
+from lramimo.model import make_ask_constellation
+
+# (complex antennas, order): the detect-long shape and a wider BPSK one.
+CHANNELS = [(2, 4), (4, 2)]
+FRAME_COUNTS = (300, 7, 1, 1000, 64)
+
+
+def _channel(n, order, seed, snr_db=8.0):
+    """A drawn n x n channel at ``snr_db``, its constellation and the stream that drew it."""
+    constellation = make_ask_constellation(order)
+    rng = sim.trial_rng(seed, 0)
+    sv = constellation.variance
+    noise_var = sv * n / 10.0 ** (snr_db / 10.0)
+    channel = sim.draw_channel(rng, n, n, symbol_var=sv, noise_var=noise_var)
+    return channel, constellation, rng
+
+
+def _observations(channel, constellation, rng, frames):
+    sent = rng.choice(constellation.points, size=(channel.n_tx, frames))
+    noise = rng.normal(0.0, np.sqrt(channel.noise_var), size=(channel.n_rx, frames))
+    return channel.matrix @ sent + noise
+
+
+def test_shared_workspace_equals_fresh_calls():
+    """One workspace across specs, channel sizes and frame counts, oracle included."""
+    ws = Workspace()
+    clipped_total = 0
+    for seed, (n, order) in enumerate(CHANNELS):
+        channel, constellation, rng = _channel(n, order, seed)
+        detectors = [build_detector(spec, channel) for spec in ALL_SPECS]
+        for k, det in enumerate(detectors * 2):
+            ys = _observations(channel, constellation, rng, FRAME_COUNTS[k % len(FRAME_COUNTS)])
+            want = detect_block(det, ys, constellation)
+            got = detect_block(det, ys, constellation, ws)
+            where = f"{det.spec.spec_id} on {ys.shape}"
+            assert np.array_equal(got[0], want[0]), where
+            assert (got[1] is None) == (want[1] is None), where
+            if want[1] is not None:
+                assert np.array_equal(got[1], want[1]), where
+            assert got[2] == want[2], where
+            clipped_total += got[2]
+        for frames in (1, 255, 257, 600):
+            ys = _observations(channel, constellation, rng, frames)
+            want = sim._ml_detect_block(channel.matrix, ys, constellation)
+            got = sim._ml_detect_block(channel.matrix, ys, constellation, ws)
+            assert np.array_equal(got, want), f"ML on {ys.shape}"
+    assert clipped_total > 0, "no call exercised the clip count"
+
+
+def test_result_is_overwritten_by_the_next_call():
+    """The aliasing rule: a workspace result lives until the workspace is used again."""
+    channel, constellation, rng = _channel(2, 4, seed=3)
+    det = build_detector(ALL_SPECS[0], channel)
+    ws = Workspace()
+    first = detect_block(det, _observations(channel, constellation, rng, 50), constellation, ws)[0]
+    kept = first.copy()
+    second = detect_block(det, _observations(channel, constellation, rng, 50), constellation, ws)[0]
+    assert np.shares_memory(first, second)
+    assert not np.array_equal(first, kept)
+
+
+def test_arrays_start_on_a_cache_line_and_keep_their_storage():
+    """A name's storage serves any shape and dtype that fits, and grows when one does not."""
+    ws = Workspace()
+    first = ws.take("x", (4, 1001))
+    for shape, dtype in [((4, 1001), float), ((3, 7), bool), ((5,), np.intp), ((0, 3), float)]:
+        arr = ws.take("x", shape, dtype)
+        assert arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
+        if arr.size:
+            assert arr.ctypes.data % Workspace.ALIGN == 0
+            assert np.shares_memory(arr, first)
+    assert not np.shares_memory(ws.take("x", (4, 1002)), first)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_id)
+def test_warm_call_allocates_less_than_one_frame_array(spec):
+    """On (4, 40 000) observations a warm call peaks below one such float64 array."""
+    channel, constellation, rng = _channel(2, 4, seed=5, snr_db=18.0)
+    ys = _observations(channel, constellation, rng, 40_000)
+    det = build_detector(spec, channel)
+    ws = Workspace()
+    detect_block(det, ys, constellation, ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        detect_block(det, ys, constellation, ws)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < ys.nbytes, f"{spec.spec_id}: peak {peak} B"
+
+
+@pytest.mark.parametrize("noise_var", [1e-4, 0.05, 1.0, 7.3])
+def test_noise_drawn_into_a_buffer_equals_normal(noise_var):
+    """standard_normal(out=) scaled by sigma is Generator.normal(0, sigma), same stream use.
+
+    normal computes 0.0 + sigma * g, which differs from sigma * g only when g
+    is an exact zero: -0.0 there against +0.0.  No draw below is zero.
+    """
+    sigma = np.sqrt(noise_var)
+    shape = (4, 40_000)
+    ours, theirs = sim.trial_rng(11, 2), sim.trial_rng(11, 2)
+    for _ in range(2):
+        assert np.array_equal(ours.integers(0, 4, size=(4, 9)), theirs.integers(0, 4, size=(4, 9)))
+        buf = np.empty(shape)
+        ours.standard_normal(out=buf)
+        buf *= sigma
+        ref = theirs.normal(0.0, sigma, size=shape)
+        assert np.array_equal(buf.view(np.int64), ref.view(np.int64))
+    assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
