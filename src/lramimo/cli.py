@@ -9,17 +9,21 @@ from . import checks
 from .sim import SimConfig, compare_reduction_targets, emit_results, run_monte_carlo
 
 
-def _load_config(path: str) -> SimConfig:
-    with open(path) as fh:
-        data = json.load(fh)
-    return SimConfig.from_dict(data)
+def _config_from_args(args) -> SimConfig:
+    """The --config file with --seed applied, once --workers is checked.
+
+    Raises OSError or ValueError on bad input.
+    """
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    with open(args.config) as fh:
+        config = SimConfig.from_dict(json.load(fh))
+    seed = getattr(args, "seed", None)
+    return config if seed is None else replace(config, seed=seed)
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    result = run_monte_carlo(config, workers=args.workers)
+    result = run_monte_carlo(args.sim_config, workers=args.workers)
     emit_results(result, args.out)
     for p in result.points:
         print(
@@ -66,8 +70,7 @@ def _cmd_equiv_suite(args) -> int:
 
 
 def _cmd_compare_reduction(args) -> int:
-    config = _load_config(args.config)
-    comparison = compare_reduction_targets(config, workers=args.workers)
+    comparison = compare_reduction_targets(args.sim_config, workers=args.workers)
     if args.out:
         emit_results(comparison.result, args.out)
     print("SER delta (reduce original matrix minus reduce augmented matrix):")
@@ -117,6 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # Bad input gets one line and exit code 2; errors of the run itself propagate.
+        try:
+            args.sim_config = _config_from_args(args)
+        except (OSError, ValueError) as exc:
+            print(f"lramimo {args.command}: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

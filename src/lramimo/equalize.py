@@ -4,14 +4,14 @@ An :class:`EqualizerSpec` names one point in the design space
 (linear or decision-feedback) x (ZF or MMSE) x (lattice-reduction-aided
 or not); for reduction-aided MMSE the reduction may target the plain or
 the noise-regularized channel matrix.  :func:`build_detectors` freezes all
-filters for channels that share one matrix and differ in their noise
-variance, factorizing all of them in one stacked kernel call;
-:func:`build_detector` is its one-channel case, and :func:`detect_block`
-applies the filters to blocks of observations, in place in the buffers of
-a :class:`Workspace`.
+filters of one channel draw, for every spec and SNR point, doing each
+piece of work the specs and SNRs share once; :func:`build_detector` is its
+one-spec, one-SNR case, and :func:`detect_block` applies the filters to
+blocks of observations, in place in the buffers of a :class:`Workspace`.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,7 +84,9 @@ class EqualizerSpec:
 
 
 def _check_keys(data: dict, required: set, optional: set, what: str) -> None:
-    """Raise ValueError naming the unknown and the missing keys of ``data``."""
+    """Raise ValueError unless ``data`` is a dict; name its unknown and missing keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
     extra = set(data) - required - optional
     if extra:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
@@ -189,18 +191,16 @@ def lra_le_error_covariance(
     return 0.5 * (cov + cov.T)
 
 
-def build_detector(
-    spec: EqualizerSpec, channel: MimoChannel, reduction: ReducedBasis = None
-) -> Detector:
+def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
-    The one-channel case of :func:`build_detectors`.
+    The one-spec, one-SNR case of :func:`build_detectors`.
     """
-    return build_detectors(spec, [channel], reduction)[0]
+    return build_detectors([spec], channel.matrix, [channel.inv_snr])[0][0]
 
 
-def build_detectors(spec: EqualizerSpec, channels, reduction: ReducedBasis = None) -> list:
-    """Detectors for ``spec`` on each of ``channels``, in order.
+def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
+    """Detectors of one channel draw for every SNR (outer list) and spec (inner list).
 
     Every spec is zero-forcing processing of one basis matrix B Z^-1, with
     B = H for ZF, B = [H; sqrt(zeta) I] for MMSE and Z = I without
@@ -209,77 +209,53 @@ def build_detectors(spec: EqualizerSpec, channels, reduction: ReducedBasis = Non
     B Z^-1, DFE filters its sorted successive factorization; either way
     only the columns acting on the observation are kept.
 
-    The channels must share one matrix H (they may differ in their noise
-    variance, hence in zeta); otherwise ValueError is raised.  The matrix
-    is reduced once for the original target and once per channel for the
-    augmented one, and the bases of all channels are factorized in one
-    kernel call on their stack, slice by slice as each alone.
-
-    ``reduction`` lets a spec that reduces the original matrix reuse an
-    LLL reduction of H computed earlier; a reduction of any other matrix
-    raises ValueError.  Without it the matrix is reduced here.
+    ``matrix`` is H and ``inv_snrs`` holds zeta per SNR point.  Only B of
+    an MMSE spec depends on zeta, so a ZF detector is built once and
+    repeated at every SNR; H, each [H; sqrt(zeta) I] and their reductions
+    are made at most once, on first use.  Each spec factorizes its bases
+    in one kernel call on their stack, slice by slice as each alone.
     """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("at least one channel is required")
-    h = channels[0].matrix
-    if any(ch.matrix is not h and not np.array_equal(ch.matrix, h) for ch in channels[1:]):
-        raise ValueError("channels must share one matrix")
-    target = spec.reduction_target
-    if reduction is not None and target is not ReductionTarget.ORIGINAL:
-        raise ValueError(f"{spec.spec_id} does not reduce the original matrix")
-    n = len(channels)
-    n_rx, n_tx = h.shape
-    if spec.criterion is Criterion.MMSE:
-        bases = [augment(h, ch.inv_snr) for ch in channels]
-    else:
-        bases = [h] * n
-    offset = np.full(n_tx, ALPHABET_OFFSET)
-    if target is ReductionTarget.ORIGINAL:
-        rb = reduction or lll_reduce(h)
-        if reduction is not None:
-            _require_reduction_of(rb, h)
-        reductions = [rb] * n
-        changes = [_float_basis_change(rb, offset)] * n
-    elif target is ReductionTarget.AUGMENTED:
-        reductions = [lll_reduce(b) for b in bases]
-        changes = [_float_basis_change(rb, offset) for rb in reductions]
-    else:
-        reductions, changes = [None] * n, [(None, offset)] * n
-    stack = np.stack([b if zif is None else b @ zif for b, (zif, _) in zip(bases, changes)])
+    inv_snrs = list(inv_snrs)
+    if not inv_snrs or not all(r >= 0 for r in inv_snrs):
+        raise ValueError(f"inv_snrs must be a non-empty list of values >= 0, got {inv_snrs}")
+    h = np.asarray(matrix, dtype=float)
+    offset = np.full(h.shape[1], ALPHABET_OFFSET)
+    augmented = functools.cache(lambda: [augment(h, r) for r in inv_snrs])
+    h_change = functools.cache(lambda: [_basis_change(lll_reduce(h), offset)])
+    b_changes = functools.cache(lambda: [_basis_change(lll_reduce(b), offset) for b in augmented()])
+    per_spec = []
+    for spec in specs:
+        mmse = spec.criterion is Criterion.MMSE
+        bases = augmented() if mmse else [h]
+        if spec.reduction_target is ReductionTarget.ORIGINAL:
+            changes = h_change() * len(bases)
+        elif spec.reduction_target is ReductionTarget.AUGMENTED:
+            changes = b_changes()
+        else:
+            changes = [(None, None, offset)] * len(bases)
+        built = _factorize(spec, bases, changes, h.shape[0])
+        per_spec.append(built if mmse else built * len(inv_snrs))
+    return [[column[j] for column in per_spec] for j in range(len(inv_snrs))]
 
+
+def _basis_change(rb: ReducedBasis, offset: np.ndarray):
+    """(rb, Z^-1 in floats, Z offset): the transformed symbols lie on Z offset + integers."""
+    return rb, matrix_to_float(rb.unimodular_inv), matrix_to_float(rb.unimodular) @ offset
+
+
+def _factorize(spec: EqualizerSpec, bases: list, changes: list, n_rx: int) -> list:
+    """One detector per basis B, from one kernel call on the stack of B Z^-1."""
+    n = len(bases)
+    stack = np.stack([b if zif is None else b @ zif for b, (_, zif, _) in zip(bases, changes)])
     if spec.structure is Structure.LINEAR:
         feedforward, feedbacks, perms = le_zf_matrix(stack), [None] * n, [None] * n
     else:
         fs = blast.vblast_sorted_factorization(stack)
         feedforward, feedbacks, perms = fs.feedforward, fs.feedback, fs.perm
     return [
-        Detector(
-            spec=spec,
-            feedforward=feedforward[i, :, :n_rx],
-            z_offset=changes[i][1],
-            feedback=feedbacks[i],
-            perm=perms[i],
-            reduction=reductions[i],
-            unimodular_inv_f=changes[i][0],
-        )
-        for i in range(n)
+        Detector(spec, feedforward[i, :, :n_rx], z_offset, feedbacks[i], perms[i], rb, zif)
+        for i, (rb, zif, z_offset) in enumerate(changes)
     ]
-
-
-def _require_reduction_of(rb: ReducedBasis, h: np.ndarray) -> None:
-    """Raise ValueError unless rb.reduced @ Z reproduces ``h``."""
-    # np.allclose's test (rtol 1e-5, atol 1e-8) as one reduction.
-    if not (
-        rb.reduced.shape == h.shape
-        and (np.abs(rb.reduced @ matrix_to_float(rb.unimodular) - h) <= 1e-8 + 1e-5 * np.abs(h)).all()
-    ):
-        raise ValueError("reduction does not factor the channel matrix")
-
-
-def _float_basis_change(rb: ReducedBasis, offset: np.ndarray):
-    """(Z^-1 in floats, Z offset): the transformed symbols live on Z offset plus the integers."""
-    return matrix_to_float(rb.unimodular_inv), matrix_to_float(rb.unimodular) @ offset
 
 
 class Workspace:

@@ -26,7 +26,7 @@ from .equalize import (
     Workspace,
     _check_keys,
     _parse_bool,
-    build_detector,
+    build_detector,  # unused here, but the benchmark tracer (perfbench/spans.py) wraps it
     build_detectors,
     detect_block,
 )
@@ -104,6 +104,8 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         _check_keys(data, {*_INT_KEYS, "snr_db", "specs"}, {"oracle"}, "config")
+        if not isinstance(data["specs"], list):
+            raise ValueError(f"specs must be a list of objects, got {data['specs']!r}")
         return cls(
             **{key: _parse_int(data[key], key) for key in _INT_KEYS},
             snr_db=_parse_snrs(data["snr_db"]),
@@ -175,22 +177,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
 
 
-def draw_channel(
-    rng: np.random.Generator,
-    n_rx: int,
-    n_tx: int,
-    symbol_var: float = 1.0,
-    noise_var: float = 1.0,
-) -> MimoChannel:
+def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     """Draw an iid circularly-symmetric complex channel in real form.
 
     Entries have unit complex variance (1/2 per real part); the returned
-    real model has dimensions (2 n_rx, 2 n_tx).  A rank-deficient draw
-    (probability zero) raises RankDeficientError.
+    real model has dimensions (2 n_rx, 2 n_tx) and unit noise and symbol
+    variances.  A rank-deficient draw (probability zero) raises
+    RankDeficientError.
     """
     hc = (rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))) / np.sqrt(2.0)
     matrix = complex_matrix_to_real(hc)
-    return MimoChannel(matrix=matrix, noise_var=noise_var, symbol_var=symbol_var)
+    return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
 def ml_bruteforce_detect(
@@ -328,17 +325,20 @@ def _result_ids(config: SimConfig):
 def _run_trial(config: SimConfig, trial: int):
     """Error, vector-error and clip counts of one trial, and its redraw causes.
 
+    All detectors of a channel draw come from one ``build_detectors`` call.
     Every SNR and detector of the trial works in one :class:`Workspace`, so
     the frame-sized arrays are allocated once per trial, not once per call.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
+    noise_vars = [_noise_var(config, sv, snr) for snr in config.snr_db]
+    inv_snrs = [noise_var / sv for noise_var in noise_vars]
     causes = Counter()
     for _ in range(_MAX_REDRAWS):
         try:
-            channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
-            detectors = _build_detectors(config, channel)
+            h = draw_channel(rng, config.n_rx, config.n_tx).matrix
+            detectors = build_detectors(config.specs, h, inv_snrs)
             break
         except _REDRAW_CAUSES as exc:
             causes[type(exc).__name__] += 1
@@ -353,14 +353,12 @@ def _run_trial(config: SimConfig, trial: int):
     vec_errors = np.zeros_like(errors)
     clipped = np.zeros(n_ids, dtype=np.int64)
     frames = config.frames_per_channel
-    h = channel.matrix
     ws = Workspace()
     tx_shape, rx_shape = (2 * config.n_tx, frames), (2 * config.n_rx, frames)
     sent, wrong = ws.take("sent", tx_shape), ws.take("wrong", tx_shape, bool)
     noise, received = ws.take("noise", rx_shape), ws.take("received", rx_shape)
     wrong_frame = ws.take("wrong_frame", (frames,), bool)
-    for j, snr in enumerate(config.snr_db):
-        noise_var = _noise_var(config, sv, snr)
+    for j, noise_var in enumerate(noise_vars):
         idx = rng.integers(0, config.order, size=tx_shape)
         # The indices are in range; mode="raise" would copy through a temporary.
         np.take(constellation.points, idx, out=sent, mode="clip")
@@ -394,36 +392,6 @@ def _decisions(detectors, oracle: bool, h, received, constellation, workspace):
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:
     return symbol_var * config.n_tx / (10.0 ** (snr_db / 10.0))
-
-
-def _build_detectors(config: SimConfig, channel: MimoChannel):
-    """Detectors for every SNR (outer list) and spec (inner list).
-
-    Only the augmented matrix [H; sqrt(zeta) I] depends on the SNR.  ZF
-    detectors are therefore built once and reused at every SNR, and each
-    MMSE spec is built for all SNRs in one ``build_detectors`` call, which
-    factorizes the stack of its per-SNR bases at once.  The reduction of
-    the original H, computed by the first spec that needs it, is shared by
-    every spec that reduces H.  The per-SNR channels share the drawn
-    matrix without checking its rank again.
-    """
-    channels = [
-        channel.with_noise_var(_noise_var(config, channel.symbol_var, snr))
-        for snr in config.snr_db
-    ]
-    h_reduction = None
-    per_spec = []
-    for spec in config.specs:
-        original = spec.reduction_target is ReductionTarget.ORIGINAL
-        shared = h_reduction if original else None
-        if spec.criterion is Criterion.ZF:
-            built = [build_detector(spec, channel, reduction=shared)] * len(channels)
-        else:
-            built = build_detectors(spec, channels, reduction=shared)
-        if original:
-            h_reduction = built[0].reduction
-        per_spec.append(built)
-    return [list(row) for row in zip(*per_spec)]
 
 
 def emit_results(result: SimResult, path: str) -> None:

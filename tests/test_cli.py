@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from lramimo import checks
+from lramimo import checks, cli
+from lramimo.blast import FactorizationError
 from lramimo.cli import main
 
 KEYS = {
@@ -44,12 +45,15 @@ def test_equiv_suite_json_records_failure_and_keeps_exit_code(tmp_path, monkeypa
     assert data["residuals"]["schur"] == {"max": 1.0, "tolerance": checks.SCHUR_TOL}
 
 
+CONFIG = {
+    "n_tx": 1, "n_rx": 2, "order": 2, "snr_db": [4, 10, 16], "trials": 2,
+    "frames_per_channel": 20, "seed": 3, "specs": [{"structure": "le", "criterion": "zf"}],
+}
+
+
 def test_compare_reduction_writes_the_pair_and_one_delta_per_snr(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "n_tx": 1, "n_rx": 2, "order": 2, "snr_db": [4, 10, 16], "trials": 2,
-        "frames_per_channel": 20, "seed": 3, "specs": [{"structure": "le", "criterion": "zf"}],
-    }))
+    config.write_text(json.dumps(CONFIG))
     out = tmp_path / "pair.csv"
     assert main(["compare-reduction", "--config", str(config), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
@@ -69,3 +73,53 @@ def test_equiv_suite_without_instances_fails_and_writes_nothing(tmp_path, capsys
     assert not path.exists()
     with pytest.raises(ValueError, match="n_instances"):
         checks.equivalence_suite(n_instances=int(instances))
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare-reduction"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({**CONFIG, "specs": CONFIG["specs"][0]}), "specs must be a list"),
+        (json.dumps({**CONFIG, "specs": ["le"]}), "equalizer spec must be an object, got 'le'"),
+        (json.dumps([CONFIG]), "config must be an object"),
+        (json.dumps({**CONFIG, "trials": 0}), "trials"),
+        ("{", "Expecting"),
+        (None, "No such file"),
+    ],
+    ids=["specs-object", "spec-string", "top-level-list", "bad-value", "not-json", "no-file"],
+)
+def test_bad_config_gets_one_line_and_exit_code_2(tmp_path, capsys, command, text, message):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert captured.err.startswith(f"lramimo {command}: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare-reduction"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_get_one_line_and_exit_code_2(tmp_path, capsys, command, workers):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    assert main([command, "--config", str(config), "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lramimo {command}: --workers must be >= 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("simulate", "run_monte_carlo"), ("compare-reduction", "compare_reduction_targets"),
+])
+def test_errors_of_the_run_propagate(tmp_path, monkeypatch, command, entry):
+    def fails(config, workers):
+        raise FactorizationError("breakdown during the run")
+
+    monkeypatch.setattr(cli, entry, fails)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    with pytest.raises(FactorizationError, match="during the run"):
+        main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")])

@@ -326,62 +326,47 @@ class TestDetectionBookkeeping:
                 err = np.linalg.norm(det.feedforward - want) / np.linalg.norm(want)
                 assert err < 1e-12, (spec.spec_id, zeta, err)
 
-    def test_given_reduction_is_used_only_for_original_target(self):
-        channel = self._channel(n=4, seed=11)
-        rb = lll_reduce(channel.matrix)
-        for spec in ALL_SPECS:
-            if spec.reduction_target is ReductionTarget.ORIGINAL:
-                det = build_detector(spec, channel, reduction=rb)
-                assert det.reduction is rb
-                fresh = build_detector(spec, channel)
-                assert fresh.reduction.unimodular.tolist() == rb.unimodular.tolist()
-                for name in ("feedforward", "feedback"):
-                    if getattr(det, name) is not None:
-                        np.testing.assert_array_equal(getattr(det, name), getattr(fresh, name))
-            else:
-                with pytest.raises(ValueError):
-                    build_detector(spec, channel, reduction=rb)
-
-    def test_given_reduction_of_another_matrix_is_rejected(self):
-        channel = self._channel(n=4, seed=11)
-        spec = EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL)
-        for other in (self._channel(n=4, seed=12).matrix, self._channel(n=2, seed=12).matrix):
-            with pytest.raises(ValueError, match="does not factor"):
-                build_detector(spec, channel, reduction=lll_reduce(other))
-
 
 class TestBuildDetectors:
     ZETAS = (1e3, 1.0, 1e-2, 1e-4)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.spec_id)
-    def test_equals_one_build_per_channel(self, spec):
+    @staticmethod
+    def _grid():
         # Real form of a complex channel, so the kernel meets twin-column ties.
         rng = np.random.default_rng(21)
         h = complex_matrix_to_real(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        channels = [MimoChannel(h, noise_var=z, symbol_var=1.0) for z in self.ZETAS]
-        shared = lll_reduce(h) if spec.reduction_target is ReductionTarget.ORIGINAL else None
-        dets = build_detectors(spec, channels, reduction=shared)
-        assert len(dets) == len(channels)
-        for det, channel in zip(dets, channels):
-            one = build_detector(spec, channel, reduction=shared)
-            assert det.spec == spec
-            for name in ("feedforward", "z_offset", "feedback", "perm", "unimodular_inv_f"):
-                got, want = getattr(det, name), getattr(one, name)
-                assert (got is None) == (want is None), name
-                if want is not None:
-                    np.testing.assert_array_equal(got, want, err_msg=name)
-            if one.reduction is None:
-                assert det.reduction is None
-            else:
-                assert det.reduction.unimodular.tolist() == one.reduction.unimodular.tolist()
+        return h, build_detectors(ALL_SPECS, h, TestBuildDetectors.ZETAS)
 
-    def test_channels_must_share_one_matrix(self):
-        rng = np.random.default_rng(5)
-        a, b = (MimoChannel(rng.normal(size=(3, 2)), noise_var=1.0, symbol_var=1.0) for _ in range(2))
-        with pytest.raises(ValueError, match="share one matrix"):
-            build_detectors(LE_MMSE, [a, b])
-        with pytest.raises(ValueError, match="at least one channel"):
-            build_detectors(LE_MMSE, [])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.spec_id)
+    def test_equals_one_build_per_channel(self, spec):
+        h, grid = self._grid()
+        assert len(grid) == len(self.ZETAS)
+        k = ALL_SPECS.index(spec)
+        for row, zeta in zip(grid, self.ZETAS):
+            assert len(row) == len(ALL_SPECS)
+            one = build_detector(spec, MimoChannel(h, noise_var=zeta, symbol_var=1.0))
+            assert_same_detector(row[k], one)
+
+    def test_needs_at_least_one_snr(self):
+        with pytest.raises(ValueError, match="inv_snrs"):
+            build_detectors(ALL_SPECS, np.eye(2), [])
+
+
+def assert_same_detector(got, want):
+    """``got`` equals ``want`` bit for bit, field by field."""
+    assert got.spec == want.spec
+    for name in ("feedforward", "z_offset", "feedback", "perm", "unimodular_inv_f"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.dtype == b.dtype, name
+    if want.reduction is None:
+        assert got.reduction is None
+    else:
+        for name in ("unimodular", "unimodular_inv"):
+            assert getattr(got.reduction, name).tolist() == getattr(want.reduction, name).tolist()
+        np.testing.assert_array_equal(got.reduction.reduced, want.reduction.reduced)
 
 
 def separate_route_basis(spec, h, zeta):

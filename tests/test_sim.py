@@ -2,14 +2,22 @@ import concurrent.futures
 import csv
 import functools
 import multiprocessing
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lramimo import model, sim
+from lramimo import equalize, model, sim
 from lramimo.blast import FactorizationError
-from lramimo.equalize import ALL_SPECS, Criterion, EqualizerSpec, build_detector, detect_block
+from lramimo.equalize import (
+    ALL_SPECS,
+    Criterion,
+    EqualizerSpec,
+    ReductionTarget,
+    build_detector,
+    detect_block,
+)
 from lramimo.lattice import ReductionError
 from lramimo.model import RankDeficientError, make_ask_constellation
 from lramimo.sim import (
@@ -317,7 +325,7 @@ def _reference_counts(config):
     frames = config.frames_per_channel
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        channel = draw_channel(rng, config.n_rx, config.n_tx, symbol_var=sv)
+        channel = replace(draw_channel(rng, config.n_rx, config.n_tx), symbol_var=sv)
         noise_vars = [sv * config.n_tx / 10.0 ** (snr / 10.0) for snr in config.snr_db]
         detectors = [
             [build_detector(spec, replace(channel, noise_var=nv)) for spec in config.specs]
@@ -363,39 +371,47 @@ class TestSharedConstruction:
         assert result.meta["channel_redraws"] == 0
 
     def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
-        # ZF specs go through build_detector once per draw; each MMSE spec
-        # goes through build_detectors once, with every SNR's channel.
-        calls = []
-        real_one, real_many = sim.build_detector, sim.build_detectors
+        # Per draw, H is reduced once, and each [H; sqrt(zeta) I] is built
+        # once and reduced once, however many specs use it.
+        counts, grids = Counter(), []
+        for name in ("lll_reduce", "augment"):
 
-        def one(spec, channel, reduction=None):
-            det = real_one(spec, channel, reduction=reduction)
-            calls.append((spec.spec_id, [channel], reduction, [det]))
-            return det
+            def counted(*args, _name=name, _real=getattr(equalize, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
 
-        def many(spec, channels, reduction=None):
-            dets = real_many(spec, channels, reduction=reduction)
-            calls.append((spec.spec_id, list(channels), reduction, dets))
-            return dets
+            monkeypatch.setattr(equalize, name, counted)
+        real_build = sim.build_detectors
 
-        monkeypatch.setattr(sim, "build_detector", one)
-        monkeypatch.setattr(sim, "build_detectors", many)
-        cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=1)
-        run_monte_carlo(cfg)
-        assert [c[0] for c in calls] == [s.spec_id for s in ALL_SPECS]
-        for spec, (_, channels, _, dets) in zip(ALL_SPECS, calls):
-            if spec.criterion is Criterion.ZF:
-                assert len(channels) == 1, spec.spec_id
-            else:
-                sv = make_ask_constellation(cfg.order).variance
-                want = [sv * cfg.n_tx / 10.0 ** (snr / 10.0) for snr in cfg.snr_db]
-                assert [ch.noise_var for ch in channels] == want, spec.spec_id
-                assert len(dets) == len(want)
-        orig = [(given, dets) for spec_id, _, given, dets in calls if spec_id.endswith("-orig")]
-        assert orig[0][0] is None  # the first spec that needs it reduces H itself
-        shared = orig[0][1][0].reduction
-        assert all(given is shared for given, _ in orig[1:])
-        assert all(det.reduction is shared for _, dets in orig for det in dets)
+        def build(*args):
+            grids.append(real_build(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(sim, "build_detectors", build)
+        a9 = _specs("le-zf", "le-mmse", "dfe-zf-lra-orig", "dfe-mmse-lra-orig", "dfe-mmse-lra-aug")
+        cases = [  # config, then LLL and augment calls per draw
+            # Shaped like the detect-long and the a9-build benchmark workloads.
+            (_config(specs=ALL_SPECS, order=4, snr_db=(18.0, 26.0)), 3, 2),
+            (_config(specs=a9, n_tx=4, n_rx=4, snr_db=tuple(range(10, 30, 2))), 11, 10),
+        ]
+        for cfg, lll_calls, augment_calls in cases:
+            counts.clear()
+            grids.clear()
+            assert run_monte_carlo(cfg).meta["channel_redraws"] == 0
+            assert len(grids) == cfg.trials
+            want = {"lll_reduce": lll_calls * cfg.trials, "augment": augment_calls * cfg.trials}
+            assert counts == want
+            for grid in grids:
+                for k, spec in enumerate(cfg.specs):
+                    if spec.criterion is Criterion.ZF:
+                        assert all(row[k] is grid[0][k] for row in grid), spec.spec_id
+                orig = [det.reduction for row in grid for det in row
+                        if det.spec.reduction_target is ReductionTarget.ORIGINAL]
+                assert all(rb is orig[0] for rb in orig)
+                for row in grid:
+                    aug = [det.reduction for det in row
+                           if det.spec.reduction_target is ReductionTarget.AUGMENTED]
+                    assert all(rb is aug[0] for rb in aug)
 
     def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
         calls = []
@@ -420,7 +436,7 @@ def _scripted_failures(monkeypatch, script):
     scripted outcomes, one per draw, filled in as the run draws.
     """
     draws = []
-    real_channel, real_build = sim.MimoChannel, sim.build_detector
+    real_channel, real_build = sim.MimoChannel, sim.build_detectors
 
     def channel(**kwargs):
         draws.append(script(len(draws)))
@@ -428,13 +444,13 @@ def _scripted_failures(monkeypatch, script):
             raise RankDeficientError("channel matrix is rank deficient")
         return real_channel(**kwargs)
 
-    def build(spec, ch, **kwargs):
+    def build(*args):
         if draws[-1] == "build":
             raise FactorizationError("forced")
-        return real_build(spec, ch, **kwargs)
+        return real_build(*args)
 
     monkeypatch.setattr(sim, "MimoChannel", channel)
-    monkeypatch.setattr(sim, "build_detector", build)
+    monkeypatch.setattr(sim, "build_detectors", build)
     return draws
 
 
@@ -442,11 +458,11 @@ class TestRedrawLimit:
     def test_construction_failing_on_every_draw_raises(self, monkeypatch):
         calls = []
 
-        def always_fails(spec, channel, **kwargs):
-            calls.append(spec.spec_id)
+        def always_fails(specs, matrix, inv_snrs):
+            calls.append(matrix)
             raise ReductionError("basis is rank deficient")
 
-        monkeypatch.setattr(sim, "build_detector", always_fails)
+        monkeypatch.setattr(sim, "build_detectors", always_fails)
         with pytest.raises(RedrawLimitError, match="rank deficient"):
             run_monte_carlo(_config(trials=1))
         assert len(calls) == 100
@@ -458,7 +474,7 @@ class TestRedrawLimit:
             calls.append(args)
             raise ValueError("not a channel failure")
 
-        monkeypatch.setattr(sim, "build_detector", broken)
+        monkeypatch.setattr(sim, "build_detectors", broken)
         with pytest.raises(ValueError, match="not a channel failure"):
             run_monte_carlo(_config(trials=1))
         assert len(calls) == 1
@@ -472,8 +488,8 @@ class TestRedrawLimit:
             return real_channel(**kwargs)
 
         monkeypatch.setattr(sim, "MimoChannel", counted)
-        with pytest.raises(ValueError, match="noise_var") as info:
-            draw_channel(trial_rng(1, 0), 2, 2, noise_var=-1.0)
+        with pytest.raises(ValueError, match="receive") as info:
+            draw_channel(trial_rng(1, 0), 1, 2)
         assert not isinstance(info.value, RedrawLimitError)
         assert len(calls) == 1
 
@@ -504,16 +520,16 @@ class TestRedrawCauses:
         assert result.meta["channel_redraws"] == 5
 
     def test_causes_are_counted_by_class(self, monkeypatch):
-        real = sim.build_detector
+        real = sim.build_detectors
         forced = [FactorizationError("forced"), FactorizationError("forced"),
                   np.linalg.LinAlgError("forced")]
 
-        def flaky(spec, channel, **kwargs):
+        def flaky(*args):
             if forced:
                 raise forced.pop(0)
-            return real(spec, channel, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(sim, "build_detector", flaky)
+        monkeypatch.setattr(sim, "build_detectors", flaky)
         result = run_monte_carlo(_config(trials=3))
         assert result.meta["redraw_causes"] == {"FactorizationError": 2, "LinAlgError": 1}
         assert result.meta["channel_redraws"] == 3
@@ -523,19 +539,19 @@ class TestRedrawCauses:
         reason="forked workers are needed to carry the patched builder",
     )
     def test_causes_identical_across_worker_counts(self, monkeypatch):
-        real = sim.build_detector
+        real = sim.build_detectors
 
-        def flaky(spec, channel, **kwargs):
+        def flaky(specs, matrix, inv_snrs):
             # The corner entry comes from the trial's own stream, so the same
             # draws fail whichever worker runs the trial.
-            corner = channel.matrix[0, 0]
+            corner = matrix[0, 0]
             if corner > 0.5:
                 raise FactorizationError("forced")
             if corner < -0.5:
                 raise ReductionError("forced")
-            return real(spec, channel, **kwargs)
+            return real(specs, matrix, inv_snrs)
 
-        monkeypatch.setattr(sim, "build_detector", flaky)
+        monkeypatch.setattr(sim, "build_detectors", flaky)
         monkeypatch.setattr(
             concurrent.futures,
             "ProcessPoolExecutor",

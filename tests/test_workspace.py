@@ -8,6 +8,7 @@ reproduce ``Generator.normal`` bit for bit, since every count rests on it.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def _channel(n, order, seed, snr_db=8.0):
     rng = sim.trial_rng(seed, 0)
     sv = constellation.variance
     noise_var = sv * n / 10.0 ** (snr_db / 10.0)
-    channel = sim.draw_channel(rng, n, n, symbol_var=sv, noise_var=noise_var)
+    channel = replace(sim.draw_channel(rng, n, n), noise_var=noise_var, symbol_var=sv)
     return channel, constellation, rng
 
 
