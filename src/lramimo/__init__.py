@@ -19,7 +19,6 @@ from .equalize import (
     build_detectors,
     detect_block,
     le_zf_matrix,
-    lra_le_error_covariance,
     lra_le_mmse_matrix,
 )
 from .estimate import (
@@ -49,7 +48,6 @@ from .sim import (
     compare_reduction_targets,
     draw_channel,
     emit_results,
-    ml_bruteforce_detect,
     run_monte_carlo,
     trial_rng,
 )

@@ -176,10 +176,7 @@ def _greedy_order(reduced_obs: np.ndarray, reg: np.ndarray) -> np.ndarray:
 
 def random_unimodular(rng, n: int, n_ops: int = None, max_shear: int = 2) -> np.ndarray:
     """Product of random elementary integer operations; determinant +-1."""
-    z = np.eye(n, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            z[i, j] = int(z[i, j])
+    z = np.eye(n, dtype=object)  # Python ints, which the row operations keep exact
     if n_ops is None:
         n_ops = 3 * n
     for _ in range(n_ops):

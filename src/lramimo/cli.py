@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -9,13 +10,24 @@ from . import checks
 from .sim import SimConfig, compare_reduction_targets, emit_results, run_monte_carlo
 
 
+def _check_args(args) -> None:
+    """Raise ValueError on a count below 1 or an --out/--json path that cannot name a file."""
+    for flag in ("workers", "instances"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
+    for flag in ("out", "json"):
+        path = getattr(args, flag, None)
+        folder = os.path.dirname(path or "") or "."
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(folder)):
+            raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
+
+
 def _config_from_args(args) -> SimConfig:
-    """The --config file with --seed applied, once --workers is checked.
+    """The --config file with --seed applied.
 
     Raises OSError or ValueError on bad input.
     """
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     with open(args.config) as fh:
         config = SimConfig.from_dict(json.load(fh))
     seed = getattr(args, "seed", None)
@@ -38,11 +50,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_equiv_suite(args) -> int:
-    try:
-        report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
-    except ValueError as exc:
-        print(f"equivalence suite: {exc}", file=sys.stderr)
-        return 2
+    report = checks.equivalence_suite(n_instances=args.instances, seed=args.seed)
     ok = report.within()
     for key, name, tol in checks.TOLERANCES:
         value = getattr(report, key)
@@ -120,13 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        # Bad input gets one line and exit code 2; errors of the run itself propagate.
-        try:
+    # Bad input gets one line and exit code 2 before any work; run errors propagate.
+    try:
+        _check_args(args)
+        if getattr(args, "config", None) is not None:
             args.sim_config = _config_from_args(args)
-        except (OSError, ValueError) as exc:
-            print(f"lramimo {args.command}: {exc}", file=sys.stderr)
-            return 2
+    except (OSError, ValueError) as exc:
+        print(f"lramimo {args.command}: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

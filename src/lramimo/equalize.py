@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blast
-from .lattice import ReducedBasis, lll_reduce, matrix_to_float, unimodular_inverse
+from .lattice import ReducedBasis, lll_reduce, matrix_to_float
+from .lattice import unimodular_inverse  # unused here, but the benchmark tracer (perfbench/spans.py) wraps it
 from .model import ALPHABET_OFFSET, Constellation, MimoChannel, augment
 
 
@@ -174,21 +175,6 @@ def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: floa
     zf = matrix_to_float(unimodular)
     gram = m.T @ m + inv_snr * np.eye(m.shape[1])
     return zf @ np.linalg.solve(gram, m.T)
-
-
-def lra_le_error_covariance(
-    reduced: np.ndarray, unimodular: np.ndarray, inv_snr: float, noise_var: float
-) -> np.ndarray:
-    """Error covariance of the reduction-aided MMSE linear estimator.
-
-    noise_var * (C^T C + inv_snr Z^-T Z^-1)^-1 for reduced basis C and
-    basis change Z.
-    """
-    c = np.asarray(reduced, dtype=float)
-    zi = matrix_to_float(unimodular_inverse(unimodular))
-    gram = c.T @ c + inv_snr * (zi.T @ zi)
-    cov = noise_var * np.linalg.inv(gram)
-    return 0.5 * (cov + cov.T)
 
 
 def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:

@@ -106,14 +106,12 @@ def schur_gramian_identity(
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def sorting_metric(
-    channel: np.ndarray, regularizer: np.ndarray, n_known: int, noise_var: float = 1.0
-) -> np.ndarray:
+def sorting_metric(channel: np.ndarray, regularizer: np.ndarray, n_known: int) -> np.ndarray:
     """Per-stream error variances used to pick the next detected stream.
 
-    Diagonal of noise_var * (C2^T C2 + A2^T A2)^-1 over the streams still
-    open; the stream with the smallest entry (ties: lowest index) is the
-    most reliable next decision.
+    Diagonal of (C2^T C2 + A2^T A2)^-1 over the streams still open: the
+    error variances per unit noise variance.  The stream with the smallest
+    entry (ties: lowest index) is the most reliable next decision.
     """
     c = np.asarray(channel, dtype=float)
     a = np.asarray(regularizer, dtype=float)
@@ -121,7 +119,7 @@ def sorting_metric(
     c2 = c[:, n_known:]
     a2 = a[:, n_known:]
     inv = np.linalg.inv(c2.T @ c2 + a2.T @ a2)
-    return noise_var * np.diag(inv).copy()
+    return np.diag(inv).copy()
 
 
 def _conditional_precision(regularizer: np.ndarray, n_known: int) -> np.ndarray:

@@ -86,14 +86,6 @@ class MimoChannel:
         object.__setattr__(self, "matrix", h)
 
     @property
-    def n_rx(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def inv_snr(self) -> float:
         """Noise-to-signal variance ratio; the MMSE regularization weight."""
         return self.noise_var / self.symbol_var

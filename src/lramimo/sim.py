@@ -32,7 +32,6 @@ from .equalize import (
 )
 from .lattice import ReductionError
 from .model import (
-    Constellation,
     MimoChannel,
     RankDeficientError,
     complex_matrix_to_real,
@@ -190,20 +189,6 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
-def ml_bruteforce_detect(
-    matrix: np.ndarray, observation: np.ndarray, constellation: Constellation
-) -> np.ndarray:
-    """Maximum-likelihood detection by exhaustive search.
-
-    Minimizes the Euclidean distance over every constellation vector; ties
-    resolve to the lexicographically smallest candidate (points ascending,
-    first component most significant).  Raises when the search space
-    exceeds 10^6 candidates.
-    """
-    y = np.asarray(observation, dtype=float)
-    return _ml_detect_block(matrix, y[:, None], constellation)[:, 0]
-
-
 def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.ndarray:
     """Exhaustive ML search over every frame (column) of ``observations``.
 
@@ -212,9 +197,10 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     B = grid(n - n // 2) H_lo^T.  Up to the frame-constant ||y||^2 the
     distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 is formed once
     per call, u = -2 A y and v = -2 B y per frame.  Row-major (i, j) is the
-    lexicographic candidate index, so argmin's first occurrence keeps the
-    tie rule.  Memory is about M^n floats, independent of the frame count;
-    T and the distance block are taken from ``workspace`` when one is given.
+    lexicographic candidate index, so argmin's first occurrence gives ties
+    to the smallest candidate (points ascending, first component most
+    significant).  Memory is about M^n floats, whatever the frame count; T
+    and the distance block are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -430,9 +416,11 @@ def compare_reduction_targets(config: SimConfig, workers: int = 1) -> ReductionC
     """Reduction-aided MMSE DFE with original- vs augmented-matrix reduction.
 
     Both detectors run on identical channel and noise realizations (common
-    random numbers).  The delta confidence interval combines the two
-    binomial variances and is conservative because it ignores the positive
-    coupling induced by the shared frames.
+    random numbers).  The delta's ci95 is sqrt(ci_orig^2 + ci_aug^2) of the
+    two cells' ``SimPoint.ci95``: it treats every symbol as independent,
+    although all frames of a trial share one channel, so it is no bound and
+    can be several times too narrow.  ROADMAP item 3 replaces it with a
+    paired interval from per-trial differences.
     """
     pair = tuple(EqualizerSpec(Structure.DFE, Criterion.MMSE, t) for t in ReductionTarget)
     config = replace(config, specs=pair)

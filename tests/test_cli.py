@@ -67,9 +67,10 @@ def test_compare_reduction_writes_the_pair_and_one_delta_per_snr(tmp_path, capsy
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_equiv_suite_without_instances_fails_and_writes_nothing(tmp_path, capsys, instances):
     path = tmp_path / "equiv.json"
-    assert main(["equiv-suite", "--instances", instances, "--json", str(path)]) != 0
+    assert main(["equiv-suite", "--instances", instances, "--json", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "PASS" not in captured.out and "n_instances must be >= 1" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"lramimo equiv-suite: --instances must be >= 1, got {instances}\n"
     assert not path.exists()
     with pytest.raises(ValueError, match="n_instances"):
         checks.equivalence_suite(n_instances=int(instances))
@@ -123,3 +124,37 @@ def test_errors_of_the_run_propagate(tmp_path, monkeypatch, command, entry):
     config.write_text(json.dumps(CONFIG))
     with pytest.raises(FactorizationError, match="during the run"):
         main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize(
+    "owner, entry, argv",
+    [
+        (cli, "run_monte_carlo", ["simulate", "--config", "{config}", "--out", "{missing}/r.csv"]),
+        (cli, "run_monte_carlo", ["simulate", "--config", "{config}", "--out", "{tmp}"]),
+        (cli, "compare_reduction_targets",
+         ["compare-reduction", "--config", "{config}", "--out", "{missing}/r.csv"]),
+        (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--json", "{missing}/e.json"]),
+        (checks, "equivalence_suite", ["equiv-suite", "--instances", "0"]),
+    ],
+    ids=["simulate-missing-dir", "simulate-out-is-dir", "compare-missing-dir", "equiv-missing-dir",
+         "equiv-no-instances"],
+)
+def test_bad_arguments_stop_before_the_run(tmp_path, monkeypatch, capsys, owner, entry, argv):
+    runs = []
+    monkeypatch.setattr(owner, entry, lambda *args, **kwargs: runs.append(args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    names = {"config": config, "missing": tmp_path / "missing", "tmp": tmp_path}
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"lramimo {argv[0]}: ")
+
+
+def test_errors_of_the_suite_propagate(monkeypatch):
+    def fails(n_instances, seed):
+        raise FactorizationError("breakdown during the suite")
+
+    monkeypatch.setattr(checks, "equivalence_suite", fails)
+    with pytest.raises(FactorizationError, match="during the suite"):
+        main(["equiv-suite", "--instances", "3"])

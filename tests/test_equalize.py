@@ -13,7 +13,6 @@ from lramimo.equalize import (
     build_detectors,
     detect_block,
     le_zf_matrix,
-    lra_le_error_covariance,
     lra_le_mmse_matrix,
 )
 from lramimo.lattice import lll_reduce, matrix_to_float
@@ -100,23 +99,6 @@ class TestReceiveMatrices:
         rb = lll_reduce(h)
         got = le_zf_matrix(rb.reduced)
         np.testing.assert_allclose(got @ rb.reduced, np.eye(3), atol=1e-10)
-
-    def test_lra_error_covariance_matches_estimator_theory(self):
-        # Same object through the Gaussian estimator error covariance
-        # (Px^-1 + C^T Pn^-1 C)^-1 with prior Px = symbol_var Z Z^T and
-        # white noise Pn = noise_var I.
-        rng = np.random.default_rng(12)
-        for _ in range(15):
-            n = int(rng.integers(2, 5))
-            h = rng.normal(size=(n + 1, n))
-            noise_var, symbol_var = 0.1, 1.25
-            zeta = noise_var / symbol_var
-            rb = lll_reduce(h)
-            zf = matrix_to_float(rb.unimodular)
-            got = lra_le_error_covariance(rb.reduced, rb.unimodular, zeta, noise_var)
-            c = rb.reduced
-            want = np.linalg.inv(np.linalg.inv(symbol_var * (zf @ zf.T)) + c.T @ c / noise_var)
-            np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 class TestEqualizerSpec:

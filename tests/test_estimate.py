@@ -2,7 +2,7 @@ import numpy as np
 
 from lramimo.blast import vblast_sorted_factorization
 from lramimo.checks import SCHUR_TOL, equivalence_suite, random_unimodular
-from lramimo.equalize import lra_le_error_covariance, lra_le_mmse_matrix
+from lramimo.equalize import lra_le_mmse_matrix
 from lramimo.estimate import (
     correlated_fb_matrix,
     correlated_ff_matrix,
@@ -14,9 +14,8 @@ from lramimo.lattice import matrix_to_float, unimodular_inverse
 
 # The linear MMSE estimator of z = Z a from y = H a + n, with zero-mean
 # white data of variance symbol_var and white noise of variance noise_var,
-# is Z (H^T H + zeta I)^-1 H^T with zeta = noise_var / symbol_var; its
-# error covariance is noise_var (C^T C + zeta Z^-T Z^-1)^-1 for C = H Z^-1.
-# These are ``lra_le_mmse_matrix`` and ``lra_le_error_covariance``.
+# is Z (H^T H + zeta I)^-1 H^T with zeta = noise_var / symbol_var: this is
+# ``lra_le_mmse_matrix``.
 
 
 class TestLinearMmseEstimate:
@@ -52,33 +51,6 @@ class TestLinearMmseEstimate:
             cov_yy = c @ prior @ c.T + noise_var * np.eye(m_rows)
             want = cov_zy @ np.linalg.solve(cov_yy, y)
             np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-class TestErrorCovariance:
-    def test_identity_channel_halves(self):
-        got = lra_le_error_covariance(np.eye(2), np.eye(2, dtype=int), 1.0, 1.0)
-        np.testing.assert_allclose(got, 0.5 * np.eye(2), atol=1e-14)
-
-    def test_zero_channel_returns_prior_cov(self):
-        # Without observation the error covariance is the prior of z = Z a.
-        z = np.array([[1, 1], [0, 1]], dtype=object)
-        symbol_var, noise_var = 1.25, 0.5
-        got = lra_le_error_covariance(np.zeros((2, 2)), z, noise_var / symbol_var, noise_var)
-        np.testing.assert_allclose(got, symbol_var * np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-12)
-
-    def test_empirical_error_covariance(self):
-        rng = np.random.default_rng(11)
-        h = np.array([[1.0, 0.5], [0.0, 1.0], [0.3, -0.2]])
-        noise_var = 0.5
-        pred = lra_le_error_covariance(h, np.eye(2, dtype=int), noise_var, noise_var)
-        n_draws = 200_000
-        x = rng.normal(size=(n_draws, 2))
-        y = x @ h.T + rng.normal(scale=np.sqrt(noise_var), size=(n_draws, 3))
-        gain = h.T @ np.linalg.inv(h @ h.T + noise_var * np.eye(3))
-        err = x - y @ gain.T
-        emp = err.T @ err / n_draws
-        se = 3.0 / np.sqrt(n_draws)
-        assert np.abs(emp - pred).max() < 3 * se
 
 
 class TestCorrelatedFeedforward:
@@ -194,8 +166,8 @@ class TestSchurGramianIdentity:
 
 class TestSortingMetric:
     def test_identity_channel_frozen(self):
-        # Gram = (1 + zeta) I with zeta = 1: every stream scores 1/2... the
-        # implementation returns noise_var-scaled MSEs; frozen at 0.5 each.
+        # Gram = (1 + zeta) I with zeta = 1: every stream's error variance
+        # per unit noise variance is 1/2.
         metric = sorting_metric(np.eye(2), np.eye(2), 0)
         np.testing.assert_allclose(metric, [0.5, 0.5], atol=1e-14)
 
@@ -203,14 +175,6 @@ class TestSortingMetric:
         metric = sorting_metric(np.diag([1.0, 2.0]), 0.0 * np.eye(2), 0)
         np.testing.assert_allclose(metric, [1.0, 0.25], atol=1e-12)
         assert np.argmin(metric) == 1
-
-    def test_noise_var_scales_linearly(self):
-        rng = np.random.default_rng(81)
-        h = rng.normal(size=(3, 3))
-        reg = 0.5 * np.eye(3)
-        base = sorting_metric(h, reg, 0, noise_var=1.0)
-        scaled = sorting_metric(h, reg, 0, noise_var=2.5)
-        np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
 
 
 class TestPartitionedGramian:

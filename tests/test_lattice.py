@@ -168,6 +168,19 @@ class TestIntegerDeterminant:
         assert integer_determinant(a) == 10**24 - 1
 
 
+class TestRandomUnimodular:
+    def test_entries_are_python_ints_with_unit_determinant(self):
+        # Python ints keep the products exact at any size; n_ops = 0 checks
+        # the identity the operations start from.
+        rng = np.random.default_rng(29)
+        for n in range(1, 9):
+            for n_ops in (0, None, 40):
+                z = random_unimodular(rng, n, n_ops, int(rng.integers(1, 4)))
+                assert z.dtype == object and z.shape == (n, n)
+                assert all(type(v) is int for v in z.flat), z
+                assert abs(integer_determinant(z)) == 1
+
+
 class TestUnimodularInverse:
     def test_shear(self):
         z = np.array([[1, 1], [0, 1]])

@@ -137,7 +137,7 @@ class TestChannelAndAugmentation:
         ch = MimoChannel(h, noise_var=0.2, symbol_var=1.0)
         bar = augment(ch.matrix, ch.inv_snr)
         y = rng.normal(size=4)
-        ybar = np.concatenate([y, np.zeros(ch.n_tx)])
+        ybar = np.concatenate([y, np.zeros(3)])
         pinv = np.linalg.pinv(bar)
         np.testing.assert_allclose(pinv @ ybar, pinv[:, :4] @ y, atol=1e-13)
 

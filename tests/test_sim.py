@@ -28,7 +28,6 @@ from lramimo.sim import (
     compare_reduction_targets,
     draw_channel,
     emit_results,
-    ml_bruteforce_detect,
     run_monte_carlo,
     trial_rng,
 )
@@ -176,28 +175,34 @@ class TestRandomStreams:
 
 
 class TestMlBruteForce:
+    """The exhaustive search on one-frame blocks."""
+
+    @staticmethod
+    def _detect(h, y, constellation):
+        return sim._ml_detect_block(h, np.asarray(y)[:, None], constellation)[:, 0]
+
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(3)
         constellation = make_ask_constellation(2)
         h = rng.normal(size=(6, 6))
         a = rng.choice(constellation.points, size=6)
-        got = ml_bruteforce_detect(h, h @ a, constellation)
+        got = self._detect(h, h @ a, constellation)
         np.testing.assert_array_equal(got, a)
 
     def test_hand_checked_2x2(self):
         # Shear channel, y = (1.2, 0.1): distances over the four candidates
         # are 0.2, 1.8, 1.6, 5.2, so (+, +) wins.
         h = np.array([[1.0, 1.0], [0.0, 1.0]])
-        got = ml_bruteforce_detect(h, np.array([1.2, 0.1]), make_ask_constellation(2))
+        got = self._detect(h, [1.2, 0.1], make_ask_constellation(2))
         np.testing.assert_array_equal(got, [0.5, 0.5])
 
     def test_tie_breaks_lexicographically_smallest(self):
-        got = ml_bruteforce_detect(np.eye(2), np.zeros(2), make_ask_constellation(2))
+        got = self._detect(np.eye(2), np.zeros(2), make_ask_constellation(2))
         np.testing.assert_array_equal(got, [-0.5, -0.5])
 
     def test_search_limit(self):
         with pytest.raises(ValueError):
-            ml_bruteforce_detect(np.eye(10), np.zeros(10), make_ask_constellation(4))
+            self._detect(np.eye(10), np.zeros(10), make_ask_constellation(4))
 
 
 class TestRunMonteCarlo:

@@ -33,8 +33,9 @@ def _channel(n, order, seed, snr_db=8.0):
 
 
 def _observations(channel, constellation, rng, frames):
-    sent = rng.choice(constellation.points, size=(channel.n_tx, frames))
-    noise = rng.normal(0.0, np.sqrt(channel.noise_var), size=(channel.n_rx, frames))
+    n_rx, n_tx = channel.matrix.shape
+    sent = rng.choice(constellation.points, size=(n_tx, frames))
+    noise = rng.normal(0.0, np.sqrt(channel.noise_var), size=(n_rx, frames))
     return channel.matrix @ sent + noise
 
 
