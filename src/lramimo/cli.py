@@ -11,11 +11,11 @@ from .sim import SimConfig, compare_reduction_targets, emit_results, run_monte_c
 
 
 def _check_args(args) -> None:
-    """Raise ValueError on a count below 1 or an --out/--json path that cannot name a file."""
-    for flag in ("workers", "instances"):
+    """Raise ValueError on a count below 1, a negative seed or an --out/--json path that names no file."""
+    for flag, least in (("workers", 1), ("instances", 1), ("seed", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise ValueError(f"--{flag} must be >= {least}, got {value}")
     for flag in ("out", "json"):
         path = getattr(args, flag, None)
         folder = os.path.dirname(path or "") or "."

@@ -248,10 +248,11 @@ class Workspace:
     """Named scratch arrays that successive detection calls reuse.
 
     ``take`` hands out an array of the asked shape and dtype with undefined
-    contents, carved from the storage last held under that name when it is
-    large enough.  An array taken under a name is overwritten by the next
-    call that takes the same name, so a result computed in a workspace
-    stays valid only until the next call that uses the workspace.
+    contents: the array last taken under that name when shape and dtype
+    match, a fresh one otherwise.  An array taken under a name is
+    overwritten by the next call that takes the same name, so a result
+    computed in a workspace stays valid only until the next call that uses
+    the workspace.
 
     Every array starts on a cache line.  malloc aligns to 16 bytes only,
     and a vectorized pass that reads one array and writes another slows
@@ -261,22 +262,17 @@ class Workspace:
     ALIGN = 64
 
     def __init__(self):
-        # name -> (aligned byte storage, the array last taken from it)
-        self._buffers = {}
+        self._arrays = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        storage, last = self._buffers.get(name, (None, None))
-        if last is not None and last.shape == shape and last.dtype == dtype:
-            return last
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if storage is None or storage.size < nbytes:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
             raw = np.empty(nbytes + self.ALIGN, np.uint8)
             start = -raw.ctypes.data % self.ALIGN
-            storage = raw[start : start + nbytes]
-        last = storage[:nbytes].view(dtype).reshape(shape)
-        self._buffers[name] = storage, last
-        return last
+            arr = self._arrays[name] = raw[start : start + nbytes].view(dtype).reshape(shape)
+        return arr
 
 
 def detect_block(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _require_full_column_rank
+
 DEFAULT_DELTA = 0.75
 
 # Sweep bound, about 100x the most seen on seeded draws (9.2 n^2 at 16
@@ -25,7 +27,7 @@ _MAX_SWEEPS_PER_DIM = 1000
 
 
 class ReductionError(ValueError):
-    """Raised when a basis cannot be reduced (rank loss, no convergence)."""
+    """Raised when the reduction does not converge within its sweep cap."""
 
 
 @dataclass(frozen=True)
@@ -52,19 +54,15 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
 
     Parameters
     ----------
-    basis : array, shape (m, n) with m >= n, full column rank.
+    basis : array, shape (m, n) with m >= n, full column rank by the channel's rule.
     delta : Lovasz parameter in (1/4, 1]; termination is guaranteed for
         delta < 1.
     """
     h = np.asarray(basis, dtype=float)
-    if h.ndim != 2 or h.shape[0] < h.shape[1]:
-        raise ReductionError(f"basis must be m x n with m >= n, got shape {h.shape}")
+    _require_full_column_rank(h, "basis")
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     n = h.shape[1]
-    s = np.linalg.svd(h, compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-10 * max(h.shape) * s[0]:
-        raise ReductionError("basis is rank deficient")
 
     # Column operations act on the basis columns, on the columns of the
     # triangular factor R, on the rows of z and on the columns of zinv
@@ -116,7 +114,7 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     z_arr = np.array(z, dtype=object)
     zinv_arr = np.array([list(row) for row in zip(*zinv_cols)], dtype=object)
     if not _is_identity(z_arr @ zinv_arr):
-        raise ReductionError("internal bookkeeping error: Z @ Zinv != I")
+        raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
     return ReducedBasis(reduced=np.column_stack(cols), unimodular=z_arr, unimodular_inv=zinv_arr)
 
 

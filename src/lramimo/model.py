@@ -71,12 +71,6 @@ class MimoChannel:
     def __post_init__(self):
         # A copy: freezing the caller's own array would freeze it for the caller too.
         h = np.array(self.matrix, dtype=float)
-        if h.ndim != 2:
-            raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
-        if h.shape[0] < h.shape[1]:
-            raise ValueError(
-                f"channel needs at least as many receive as transmit dimensions, got {h.shape}"
-            )
         if not (self.noise_var >= 0.0):
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
         if not (self.symbol_var > 0.0):
@@ -96,6 +90,12 @@ class RankDeficientError(ValueError):
 
 
 def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
+    """ValueError unless 2-D and tall, RankDeficientError unless of full column rank.
+
+    [H; sqrt(zeta) I] has singular values sqrt(s_i^2 + zeta): rank deficient only where H is.
+    """
+    if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1]:
+        raise ValueError(f"{what} needs at least as many receive as transmit dimensions, got {matrix.shape}")
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.size == 0 or s[-1] <= _RANK_TOL_FACTOR * max(matrix.shape) * s[0]:
         raise RankDeficientError(f"{what} is rank deficient")

@@ -135,9 +135,10 @@ def test_errors_of_the_run_propagate(tmp_path, monkeypatch, command, entry):
          ["compare-reduction", "--config", "{config}", "--out", "{missing}/r.csv"]),
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--json", "{missing}/e.json"]),
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "0"]),
+        (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--seed", "-1"]),
     ],
     ids=["simulate-missing-dir", "simulate-out-is-dir", "compare-missing-dir", "equiv-missing-dir",
-         "equiv-no-instances"],
+         "equiv-no-instances", "equiv-negative-seed"],
 )
 def test_bad_arguments_stop_before_the_run(tmp_path, monkeypatch, capsys, owner, entry, argv):
     runs = []

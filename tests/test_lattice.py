@@ -9,7 +9,7 @@ from lramimo.lattice import (
     matrix_to_float,
     unimodular_inverse,
 )
-from lramimo.model import augment
+from lramimo.model import RankDeficientError, augment
 
 
 def orthogonality_defect(basis):
@@ -75,8 +75,20 @@ class TestTrivialBases:
         assert rb.unimodular.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_rejects_rank_deficient(self):
-        with pytest.raises(ReductionError):
+        with pytest.raises(RankDeficientError, match="basis is rank deficient"):
             lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_wrong_shape_is_a_value_error_not_a_reduction_error(self, shape):
+        with pytest.raises(ValueError, match="receive") as info:
+            lll_reduce(np.ones(shape))
+        assert not isinstance(info.value, (ReductionError, RankDeficientError))
+
+    def test_bookkeeping_fault_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_is_identity", lambda arr: False)
+        with pytest.raises(RuntimeError, match="bookkeeping") as info:
+            lll_reduce(np.eye(2))
+        assert not isinstance(info.value, ValueError)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lramimo.checks import random_unimodular
 from lramimo.lattice import lll_reduce
+from lramimo.model import MimoChannel, RankDeficientError
 from test_lattice import assert_reduced
 
 
@@ -47,3 +48,45 @@ def test_second_reduction_is_signed_permutation(h, delta):
     assert (z.sum(axis=0) == 1).all() and (z.sum(axis=1) == 1).all(), z
     perm = z.argmax(axis=1)
     np.testing.assert_array_equal(np.abs(again.reduced), np.abs(rb.reduced[:, perm]))
+
+
+def near_dependent(n, rows, k, seed):
+    """Gaussian rows x n matrix whose column j is column i plus 10^-k times a Gaussian column.
+
+    The smallest singular value falls as about 10^-k, across the rank
+    tolerance of 1e-10 max(rows, n) relative to the largest.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(rows, n))
+    i, j = rng.choice(n, 2, replace=False)
+    h[:, j] = h[:, i] + 10.0**-k * h[:, j]
+    return h
+
+
+def verdict(build):
+    """The class of the error ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8),
+    extra=st.sampled_from((-1, 0, 0, 1, 2)),
+    k=st.integers(4, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_and_reduction_reject_the_same_matrices(n, extra, k, seed):
+    """One rule for shape and rank: the channel accepts exactly the bases LLL accepts."""
+    h = near_dependent(n, n + extra, k, seed)
+    expected = verdict(lambda: MimoChannel(h, noise_var=1.0, symbol_var=1.0))
+    assert verdict(lambda: lll_reduce(h)) is expected
+
+
+def test_dependence_sweep_crosses_the_rank_threshold():
+    """The k range above holds accepted and rejected matrices alike."""
+    verdicts = {verdict(lambda: lll_reduce(near_dependent(4, 4, k, seed=0))) for k in range(4, 17)}
+    assert verdicts == {None, RankDeficientError}

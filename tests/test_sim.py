@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lramimo import equalize, model, sim
+from lramimo import equalize, lattice, model, sim
 from lramimo.blast import FactorizationError
 from lramimo.equalize import (
     ALL_SPECS,
@@ -465,12 +465,27 @@ class TestRedrawLimit:
 
         def always_fails(specs, matrix, inv_snrs):
             calls.append(matrix)
-            raise ReductionError("basis is rank deficient")
+            raise ReductionError("reduction did not converge within 4 sweeps")
 
         monkeypatch.setattr(sim, "build_detectors", always_fails)
-        with pytest.raises(RedrawLimitError, match="rank deficient"):
+        with pytest.raises(RedrawLimitError, match="did not converge"):
             run_monte_carlo(_config(trials=1))
         assert len(calls) == 100
+
+    def test_bookkeeping_fault_propagates_on_the_first_draw(self, monkeypatch):
+        draws = []
+        real_draw = sim.draw_channel
+
+        def counted(*args):
+            draws.append(args)
+            return real_draw(*args)
+
+        monkeypatch.setattr(sim, "draw_channel", counted)
+        monkeypatch.setattr(lattice, "_is_identity", lambda arr: False)
+        with pytest.raises(RuntimeError, match="bookkeeping") as info:
+            run_monte_carlo(_config(trials=1, specs=_specs("le-zf-lra-orig")))
+        assert not isinstance(info.value, RedrawLimitError)
+        assert len(draws) == 1
 
     def test_unclassified_error_is_not_a_redraw(self, monkeypatch):
         calls = []

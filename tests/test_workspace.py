@@ -78,16 +78,18 @@ def test_result_is_overwritten_by_the_next_call():
 
 
 def test_arrays_start_on_a_cache_line_and_keep_their_storage():
-    """A name's storage serves any shape and dtype that fits, and grows when one does not."""
+    """A name keeps its array while shape and dtype match, and gets a fresh one when they change."""
     ws = Workspace()
-    first = ws.take("x", (4, 1001))
     for shape, dtype in [((4, 1001), float), ((3, 7), bool), ((5,), np.intp), ((0, 3), float)]:
         arr = ws.take("x", shape, dtype)
         assert arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
         if arr.size:
             assert arr.ctypes.data % Workspace.ALIGN == 0
-            assert np.shares_memory(arr, first)
-    assert not np.shares_memory(ws.take("x", (4, 1002)), first)
+    first = ws.take("x", (4, 1001))
+    assert np.shares_memory(ws.take("x", (4, 1001)), first)
+    retyped = ws.take("x", (4, 1001), np.int64)
+    assert not np.shares_memory(retyped, first)
+    assert not np.shares_memory(ws.take("x", (4, 1000)), retyped)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_id)
