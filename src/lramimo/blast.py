@@ -130,7 +130,7 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
 def _tall(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
-        raise FactorizationError(f"matrix must be m x n with m >= n, got shape {m.shape}")
+        raise ValueError(f"matrix must be m x n with m >= n, got shape {m.shape}")
     return m
 
 

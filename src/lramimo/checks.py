@@ -77,7 +77,7 @@ def sorted_factorization_oracle(matrix: np.ndarray) -> blast.DfeFilterSet:
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
-        raise blast.FactorizationError(f"matrix must be m x n with m >= n, got shape {m.shape}")
+        raise ValueError(f"matrix must be m x n with m >= n, got shape {m.shape}")
     n = m.shape[1]
     remaining = list(range(n))
     rows = []

@@ -151,10 +151,10 @@ def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
     """Left pseudo-inverse (zero-forcing receive matrix).
 
     Takes one tall matrix or a stack (..., m, n) of them, inverting each
-    slice as it would alone.  Raises FactorizationError when a slice is
-    rank deficient.
+    slice as it would alone.  Raises ValueError on a wrong shape and
+    FactorizationError when a slice is rank deficient.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = blast._tall(matrix)
     q, r = np.linalg.qr(m, mode="reduced")
     blast._require_full_rank(np.diagonal(r, axis1=-2, axis2=-1), m.shape[-2:])
     return np.linalg.solve(r, np.swapaxes(q, -1, -2))

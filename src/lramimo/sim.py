@@ -3,8 +3,8 @@
 Channels are drawn per trial, noise per frame.  Every trial consumes its
 own counter-based random stream keyed by (seed, trial index), so serial
 and parallel executions produce bit-identical results and trials can be
-merged in any order.  The ML brute-force detector serves as the
-performance oracle.
+merged in any order.  The exhaustive ML search, split into two half-grid
+tables, serves as the performance oracle.
 """
 
 import concurrent.futures
@@ -244,10 +244,10 @@ def _grid(points, k) -> np.ndarray:
 
 
 def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
-    """Run the full trial grid and aggregate counters.
+    """Run the full trial grid and add up the trials' count arrays.
 
     ``workers`` > 1 distributes trials over processes; because every trial
-    owns a (seed, trial)-keyed stream and integer counters merge
+    owns a (seed, trial)-keyed stream and integer counts add up
     commutatively, the result is bit-identical for any worker count.
     ``meta["redraw_causes"]`` counts the channel draws that were rank
     deficient or on which detector construction failed, by exception class
@@ -263,28 +263,21 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, *args, chunksize=8))
-    errors = np.zeros((len(ids), len(config.snr_db)), dtype=np.int64)
-    vec_errors = np.zeros_like(errors)
-    clipped = np.zeros(len(ids), dtype=np.int64)
-    causes = Counter()
-    for trial_err, trial_vec, trial_clip, trial_causes in outcomes:
-        errors += trial_err
-        vec_errors += trial_vec
-        clipped += trial_clip
-        causes.update(trial_causes)
-    n_real = 2 * config.n_tx
-    frames_total = config.trials * config.frames_per_channel
+    trial_counts, trial_causes = zip(*outcomes)
+    errors, vec_errors, clips = np.sum(trial_counts, axis=0)
+    causes = sum(trial_causes, Counter())
+    frames = config.trials * config.frames_per_channel
     points = [
         SimPoint(
-            spec_id=ids[i],
-            snr_db=config.snr_db[j],
-            symbols=frames_total * n_real,
+            spec_id=spec_id,
+            snr_db=snr,
+            symbols=frames * 2 * config.n_tx,
             errors=int(errors[i, j]),
-            frames=frames_total,
+            frames=frames,
             vector_errors=int(vec_errors[i, j]),
         )
-        for i in range(len(ids))
-        for j in range(len(config.snr_db))
+        for i, spec_id in enumerate(ids)
+        for j, snr in enumerate(config.snr_db)
     ]
     meta = {
         "seed": config.seed,
@@ -296,7 +289,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     }
     return SimResult(
         points=points,
-        clipped={ids[i]: int(clipped[i]) for i in range(len(ids))},
+        clipped={spec_id: int(n) for spec_id, n in zip(ids, clips.sum(axis=1))},
         meta=meta,
     )
 
@@ -309,11 +302,13 @@ def _result_ids(config: SimConfig):
 
 
 def _run_trial(config: SimConfig, trial: int):
-    """Error, vector-error and clip counts of one trial, and its redraw causes.
+    """One trial's ``(counts, causes)``.
 
-    All detectors of a channel draw come from one ``build_detectors`` call.
-    Every SNR and detector of the trial works in one :class:`Workspace`, so
-    the frame-sized arrays are allocated once per trial, not once per call.
+    ``counts`` is an int64 array of shape (3, detectors, SNRs): the symbol
+    errors, vector errors and clipped decisions of each detector (ML oracle
+    last) at each SNR.  ``causes`` counts redrawn draws by exception class
+    name.  A draw's detectors come from one ``build_detectors`` call and all
+    work in one :class:`Workspace`, so frame arrays are allocated once.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
@@ -334,10 +329,7 @@ def _run_trial(config: SimConfig, trial: int):
             f"trial {trial}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
         ) from cause
 
-    n_ids = len(_result_ids(config))
-    errors = np.zeros((n_ids, len(config.snr_db)), dtype=np.int64)
-    vec_errors = np.zeros_like(errors)
-    clipped = np.zeros(n_ids, dtype=np.int64)
+    counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
     frames = config.frames_per_channel
     ws = Workspace()
     tx_shape, rx_shape = (2 * config.n_tx, frames), (2 * config.n_rx, frames)
@@ -357,10 +349,8 @@ def _run_trial(config: SimConfig, trial: int):
         for i, (a_hat, nclip) in enumerate(decisions):
             np.not_equal(a_hat, sent, out=wrong)
             np.any(wrong, axis=0, out=wrong_frame)
-            errors[i, j] += np.count_nonzero(wrong)
-            vec_errors[i, j] += np.count_nonzero(wrong_frame)
-            clipped[i] += nclip
-    return errors, vec_errors, clipped, causes
+            counts[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
+    return counts, causes
 
 
 def _decisions(detectors, oracle: bool, h, received, constellation, workspace):

@@ -46,10 +46,15 @@ class TestFrozenExamples:
         np.testing.assert_allclose(fs.feedback, m, atol=1e-12)
 
     def test_rejects_wide_and_rank_deficient(self):
-        with pytest.raises(FactorizationError):
-            vblast_sorted_factorization(np.ones((2, 3)))
-        with pytest.raises(FactorizationError):
-            vblast_sorted_factorization(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        # A wrong shape is the caller's error, not a breakdown to redraw;
+        # the kernel and its oracle agree on both.
+        for factorize in (vblast_sorted_factorization, sorted_factorization_oracle):
+            for wrong in (np.ones((2, 3)), np.ones(3)):
+                with pytest.raises(ValueError, match="m >= n") as info:
+                    factorize(wrong)
+                assert not isinstance(info.value, (FactorizationError, np.linalg.LinAlgError))
+            with pytest.raises(FactorizationError):
+                factorize(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestAgainstNaiveOracle:

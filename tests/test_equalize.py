@@ -49,6 +49,15 @@ class TestReceiveMatrices:
         with pytest.raises(blast.FactorizationError):
             le_zf_matrix([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "matrix", [np.ones((2, 3)), np.random.default_rng(5).normal(size=(2, 3)), np.ones(3)],
+        ids=["wide-ones", "wide-random", "1-d"],
+    )
+    def test_zf_wrong_shape_is_a_value_error_not_a_redraw_cause(self, matrix):
+        with pytest.raises(ValueError, match="m >= n") as info:
+            le_zf_matrix(matrix)
+        assert not isinstance(info.value, (blast.FactorizationError, np.linalg.LinAlgError))
+
     def test_zf_stack_with_one_rank_deficient_slice_fails(self):
         stack = np.random.default_rng(3).normal(size=(4, 5, 3))
         le_zf_matrix(stack)

@@ -4,6 +4,7 @@ import functools
 import multiprocessing
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from lramimo.sim import (
     emit_results,
     run_monte_carlo,
     trial_rng,
+)
+
+
+_NEEDS_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="forked workers are needed to carry the patched builder",
 )
 
 
@@ -236,6 +243,28 @@ class TestRunMonteCarlo:
         assert serial.clipped == parallel.clipped
         assert parallel.meta["workers"] == 2
 
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_NEEDS_FORK)])
+    def test_result_is_the_sum_of_the_trials(self, monkeypatch, workers):
+        _fail_by_corner(monkeypatch)
+        cfg = _config(order=4, snr_db=(0.0, 10.0), trials=6, oracle=True,
+                      specs=_specs("le-zf", "dfe-mmse-lra-aug"))
+        outcomes = [sim._run_trial(cfg, trial) for trial in range(cfg.trials)]
+        for counts, _ in outcomes:
+            assert counts.dtype == np.int64 and counts.shape == (3, 3, len(cfg.snr_db))
+        counts = sum(trial_counts for trial_counts, _ in outcomes)
+        causes = sum((trial_causes for _, trial_causes in outcomes), Counter())
+        assert counts[2].any() and causes, "no clips or no redraws; their sums go unchecked"
+        result = run_monte_carlo(cfg, workers=workers)
+        ids = ["le-zf", "dfe-mmse-lra-aug", ML_ORACLE_ID]
+        assert [(p.spec_id, p.snr_db, p.errors, p.vector_errors) for p in result.points] == [
+            (spec_id, snr, counts[0, i, j], counts[1, i, j])
+            for i, spec_id in enumerate(ids)
+            for j, snr in enumerate(cfg.snr_db)
+        ]
+        assert result.clipped == {spec_id: counts[2, i].sum() for i, spec_id in enumerate(ids)}
+        assert result.meta["redraw_causes"] == dict(sorted(causes.items()))
+        assert result.meta["channel_redraws"] == causes.total()
+
     def test_statistical_orderings_hold_within_ci(self):
         cfg = _config(
             snr_db=(5.0, 15.0),
@@ -316,6 +345,9 @@ class TestCompareReductionTargets:
 def _reference_counts(config):
     """Counts of ``config`` with every (spec, SNR) detector built from scratch.
 
+    Shaped like a trial's counts: (symbol errors, vector errors, clips) by
+    detector (the ML oracle last) by SNR, summed over the trials.
+
     Replays each trial's random stream exactly as ``run_monte_carlo`` does,
     but reduces and factorizes anew for every detector at every SNR, so no
     construction is shared between specs or SNRs.  Assumes no trial redraws
@@ -324,9 +356,7 @@ def _reference_counts(config):
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
     n_ids = len(config.specs) + (1 if config.oracle else 0)
-    errors = np.zeros((n_ids, len(config.snr_db)), dtype=np.int64)
-    vec_errors = np.zeros_like(errors)
-    clipped = np.zeros(n_ids, dtype=np.int64)
+    counts = np.zeros((3, n_ids, len(config.snr_db)), dtype=np.int64)
     frames = config.frames_per_channel
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
@@ -347,10 +377,8 @@ def _reference_counts(config):
                 decisions.append((a_ml, None, 0))
             for i, (a_hat, _, nclip) in enumerate(decisions):
                 wrong = a_hat != sent
-                errors[i, j] += int(wrong.sum())
-                vec_errors[i, j] += int(wrong.any(axis=0).sum())
-                clipped[i] += nclip
-    return errors, vec_errors, clipped
+                counts[:, i, j] += int(wrong.sum()), int(wrong.any(axis=0).sum()), nclip
+    return counts
 
 
 class TestSharedConstruction:
@@ -365,14 +393,17 @@ class TestSharedConstruction:
             seed=seed,
         )
         result = run_monte_carlo(cfg)
-        errors, vec_errors, clipped = _reference_counts(cfg)
+        want = _reference_counts(cfg)
+        got = sum(sim._run_trial(cfg, trial)[0] for trial in range(cfg.trials))
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert want[2].any(), "no detector clipped; the clip counts go unchecked"
         ids = [s.spec_id for s in ALL_SPECS] + [ML_ORACLE_ID]
         for i, spec_id in enumerate(ids):
             for j, snr in enumerate(cfg.snr_db):
+                assert tuple(got[:, i, j]) == tuple(want[:, i, j]), (spec_id, snr)
                 p = result.point(spec_id, snr)
-                want = (errors[i, j], vec_errors[i, j])
-                assert (p.errors, p.vector_errors) == want, (spec_id, snr)
-            assert result.clipped[spec_id] == clipped[i], spec_id
+                assert (p.errors, p.vector_errors) == tuple(want[:2, i, j]), (spec_id, snr)
+            assert result.clipped[spec_id] == want[2, i].sum(), spec_id
         assert result.meta["channel_redraws"] == 0
 
     def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
@@ -459,6 +490,33 @@ def _scripted_failures(monkeypatch, script):
     return draws
 
 
+def _fail_by_corner(monkeypatch):
+    """Fail construction on draws whose corner entry is large, in any worker.
+
+    The corner entry comes from the trial's own stream, so the same draws
+    fail whichever worker runs the trial; workers are forked so that they
+    carry the patched builder.
+    """
+    real = sim.build_detectors
+
+    def flaky(specs, matrix, inv_snrs):
+        corner = matrix[0, 0]
+        if corner > 0.5:
+            raise FactorizationError("forced")
+        if corner < -0.5:
+            raise ReductionError("forced")
+        return real(specs, matrix, inv_snrs)
+
+    monkeypatch.setattr(sim, "build_detectors", flaky)
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        ),
+    )
+
+
 class TestRedrawLimit:
     def test_construction_failing_on_every_draw_raises(self, monkeypatch):
         calls = []
@@ -485,6 +543,22 @@ class TestRedrawLimit:
         with pytest.raises(RuntimeError, match="bookkeeping") as info:
             run_monte_carlo(_config(trials=1, specs=_specs("le-zf-lra-orig")))
         assert not isinstance(info.value, RedrawLimitError)
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("spec_id", ["le-zf", "dfe-zf"])
+    def test_kernel_shape_error_propagates_on_the_first_draw(self, monkeypatch, spec_id):
+        # A wide H reaches the ZF kernels, as a caller's shape bug would.
+        draws = []
+        real_draw = sim.draw_channel
+
+        def wide(*args):
+            draws.append(args)
+            return SimpleNamespace(matrix=real_draw(*args).matrix.T)
+
+        monkeypatch.setattr(sim, "draw_channel", wide)
+        with pytest.raises(ValueError, match="m >= n") as info:
+            run_monte_carlo(_config(n_rx=3, trials=1, specs=_specs(spec_id)))
+        assert not isinstance(info.value, (FactorizationError, np.linalg.LinAlgError))
         assert len(draws) == 1
 
     def test_unclassified_error_is_not_a_redraw(self, monkeypatch):
@@ -554,31 +628,9 @@ class TestRedrawCauses:
         assert result.meta["redraw_causes"] == {"FactorizationError": 2, "LinAlgError": 1}
         assert result.meta["channel_redraws"] == 3
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="forked workers are needed to carry the patched builder",
-    )
+    @_NEEDS_FORK
     def test_causes_identical_across_worker_counts(self, monkeypatch):
-        real = sim.build_detectors
-
-        def flaky(specs, matrix, inv_snrs):
-            # The corner entry comes from the trial's own stream, so the same
-            # draws fail whichever worker runs the trial.
-            corner = matrix[0, 0]
-            if corner > 0.5:
-                raise FactorizationError("forced")
-            if corner < -0.5:
-                raise ReductionError("forced")
-            return real(specs, matrix, inv_snrs)
-
-        monkeypatch.setattr(sim, "build_detectors", flaky)
-        monkeypatch.setattr(
-            concurrent.futures,
-            "ProcessPoolExecutor",
-            functools.partial(
-                concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
-            ),
-        )
+        _fail_by_corner(monkeypatch)
         cfg = _config(trials=6)
         serial = run_monte_carlo(cfg, workers=1)
         parallel = run_monte_carlo(cfg, workers=2)
