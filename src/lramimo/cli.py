@@ -19,7 +19,7 @@ def _check_args(args) -> None:
     for flag in ("out", "json"):
         path = getattr(args, flag, None)
         folder = os.path.dirname(path or "") or "."
-        if path is not None and (os.path.isdir(path) or not os.path.isdir(folder)):
+        if path is not None and (path == "" or os.path.isdir(path) or not os.path.isdir(folder)):
             raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
 
 
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON config file")
     p_sim.add_argument("--out", default="results.csv", help="output CSV path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes, at most one per trial")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_eq = sub.add_parser(

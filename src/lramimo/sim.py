@@ -82,8 +82,6 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if len(snrs) == 0 or any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr_db must be a non-empty strictly ascending sequence")
-        if not all(s > -math.inf for s in snrs):
-            raise ValueError(f"snr_db must hold numbers above -inf (+inf is noiseless), got {snrs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1 or self.frames_per_channel < 1:
@@ -94,7 +92,14 @@ class SimConfig:
         ids = [s.spec_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate equalizer specs: {ids}")
-        make_ask_constellation(self.order)  # validates the order
+        sv = make_ask_constellation(self.order).variance  # validates the order
+        for snr in snrs:
+            try:
+                noise_var = _noise_var(self, sv, snr)
+            except (OverflowError, ZeroDivisionError):
+                noise_var = math.nan
+            if not (0.0 < noise_var < math.inf or snr == math.inf):
+                raise ValueError(f"snr_db {snr} gives no finite noise variance > 0 (+inf is noiseless)")
         if self.oracle and self.order ** (2 * self.n_tx) > _ML_SEARCH_LIMIT:
             raise ValueError(f"oracle: {self.order}^{2 * self.n_tx} ML candidates exceed {_ML_SEARCH_LIMIT}")
         object.__setattr__(self, "snr_db", snrs)
@@ -246,9 +251,9 @@ def _grid(points, k) -> np.ndarray:
 def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     """Run the full trial grid and add up the trials' count arrays.
 
-    ``workers`` > 1 distributes trials over processes; because every trial
-    owns a (seed, trial)-keyed stream and integer counts add up
-    commutatively, the result is bit-identical for any worker count.
+    Trials run on ``meta["workers"] = min(workers, trials)`` processes, one
+    trial per task; every trial owns a (seed, trial)-keyed stream and counts
+    add up commutatively, so the result is bit-identical for any worker count.
     ``meta["redraw_causes"]`` counts the channel draws that were rank
     deficient or on which detector construction failed, by exception class
     name; ``meta["channel_redraws"]`` is their total.
@@ -256,13 +261,14 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     start = time.perf_counter()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, config.trials)
     ids = _result_ids(config)
     args = ([config] * config.trials, range(config.trials))
     if workers == 1:
         outcomes = list(map(_run_trial, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, *args, chunksize=8))
+            outcomes = list(pool.map(_run_trial, *args))
     trial_counts, trial_causes = zip(*outcomes)
     errors, vec_errors, clips = np.sum(trial_counts, axis=0)
     causes = sum(trial_causes, Counter())

@@ -84,10 +84,14 @@ def test_equiv_suite_without_instances_fails_and_writes_nothing(tmp_path, capsys
         (json.dumps({**CONFIG, "specs": ["le"]}), "equalizer spec must be an object, got 'le'"),
         (json.dumps([CONFIG]), "config must be an object"),
         (json.dumps({**CONFIG, "trials": 0}), "trials"),
+        (json.dumps({**CONFIG, "snr_db": [4000]}), "snr_db 4000.0"),
+        (json.dumps({**CONFIG, "snr_db": [-4000]}), "snr_db -4000.0"),
+        (json.dumps({**CONFIG, "snr_db": [-3200]}), "snr_db -3200.0"),
         ("{", "Expecting"),
         (None, "No such file"),
     ],
-    ids=["specs-object", "spec-string", "top-level-list", "bad-value", "not-json", "no-file"],
+    ids=["specs-object", "spec-string", "top-level-list", "bad-value", "snr-overflow",
+         "snr-zero-division", "snr-inf-noise", "not-json", "no-file"],
 )
 def test_bad_config_gets_one_line_and_exit_code_2(tmp_path, capsys, command, text, message):
     config = tmp_path / "config.json"
@@ -136,9 +140,13 @@ def test_errors_of_the_run_propagate(tmp_path, monkeypatch, command, entry):
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--json", "{missing}/e.json"]),
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "0"]),
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--seed", "-1"]),
+        (cli, "run_monte_carlo", ["simulate", "--config", "{config}", "--out", ""]),
+        (cli, "compare_reduction_targets", ["compare-reduction", "--config", "{config}", "--out", ""]),
+        (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--json", ""]),
     ],
     ids=["simulate-missing-dir", "simulate-out-is-dir", "compare-missing-dir", "equiv-missing-dir",
-         "equiv-no-instances", "equiv-negative-seed"],
+         "equiv-no-instances", "equiv-negative-seed", "simulate-empty-out", "compare-empty-out",
+         "equiv-empty-json"],
 )
 def test_bad_arguments_stop_before_the_run(tmp_path, monkeypatch, capsys, owner, entry, argv):
     runs = []

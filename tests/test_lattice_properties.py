@@ -1,4 +1,4 @@
-"""Property-based tests of ``lll_reduce`` over dimension, shape and delta."""
+"""Property-based tests of ``lll_reduce`` over dimension, shape, SNR and delta."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,27 +6,31 @@ from hypothesis import strategies as st
 
 from lramimo.checks import random_unimodular
 from lramimo.lattice import lll_reduce
-from lramimo.model import MimoChannel, RankDeficientError
+from lramimo.model import MimoChannel, RankDeficientError, augment
 from test_lattice import assert_reduced
 
 
 @st.composite
 def bases(draw):
-    """A full-rank m x n basis, n in 1..16, square or tall, optionally skewed.
+    """A full-rank basis, n in 1..16 columns: an m x n H or an augmented [H; sqrt(zeta) I].
 
-    Entries are Gaussian with per-column scales spanning two decades; the
-    skew multiplies by a random unimodular matrix, which makes the columns
-    long and nearly dependent without changing the lattice.
+    H is square or tall, with Gaussian entries whose per-column scales
+    span two decades, optionally skewed by a random unimodular matrix,
+    which makes the columns long and nearly dependent without changing
+    the lattice.  The augmented kind stacks sqrt(zeta) I under H with
+    zeta = 1/SNR log-uniform in [1e-12, 1e8], as the MMSE detectors
+    reduce it at extreme SNRs.
     """
     n = draw(st.integers(1, 16))
     m = n + draw(st.sampled_from((0, 0, 1, 2, n)))
     seed = draw(st.integers(0, 2**32 - 1))
     skew_ops = draw(st.integers(0, 2 * n))
+    log_zeta = draw(st.none() | st.floats(-12.0, 8.0))
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=n)
     if skew_ops:
         h = h @ random_unimodular(rng, n, n_ops=skew_ops, max_shear=1).astype(float)
-    return h
+    return h if log_zeta is None else augment(h, 10.0**log_zeta)
 
 
 deltas = st.floats(0.26, 1.0, exclude_min=True, exclude_max=True)

@@ -2,6 +2,8 @@ import concurrent.futures
 import csv
 import functools
 import multiprocessing
+import os
+import time
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -91,8 +93,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             _config(**overrides)
 
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, -3200.0], ids=["overflow", "zero", "inf-noise"])
+    def test_rejects_snrs_without_a_finite_positive_noise_variance(self, snr):
+        with pytest.raises(ValueError, match=f"snr_db {snr} gives no finite noise variance"):
+            _config(snr_db=(snr,))
+
     def test_plus_inf_snr_runs_noiseless(self):
-        result = run_monte_carlo(_config(snr_db=(15.0, np.inf), trials=2))
+        # -300 and 300 dB are extreme but give a finite noise variance > 0, so they run too.
+        result = run_monte_carlo(_config(snr_db=(-300.0, 15.0, 300.0, np.inf), trials=2))
         for spec_id in ("le-zf", "le-mmse"):
             assert result.point(spec_id, np.inf).errors == 0
 
@@ -264,6 +272,60 @@ class TestRunMonteCarlo:
         assert result.clipped == {spec_id: counts[2, i].sum() for i, spec_id in enumerate(ids)}
         assert result.meta["redraw_causes"] == dict(sorted(causes.items()))
         assert result.meta["channel_redraws"] == causes.total()
+
+    @pytest.mark.parametrize(
+        "workers, trials, pools",
+        [(10_000, 3, [3]), (4, 1, []), (2, 6, [2])],
+        ids=["capped-at-trials", "one-trial-no-pool", "below-trials"],
+    )
+    def test_pool_has_at_most_one_process_per_trial(self, monkeypatch, workers, trials, pools):
+        built, map_options = [], []
+
+        class InlinePool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, **options):
+                map_options.append(options)
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = _config(trials=trials)
+        result = run_monte_carlo(cfg, workers=workers)
+        assert built == pools
+        assert map_options == [{}] * len(pools)  # one trial per task
+        assert result.meta["workers"] == (pools[0] if pools else 1)
+        assert result.points == run_monte_carlo(cfg).points
+
+    @_NEEDS_FORK
+    def test_trials_spread_over_the_processes(self, monkeypatch, tmp_path):
+        # Shaped like A11: 8 trials on 3 workers.
+        log = tmp_path / "pids"
+        real = sim.draw_channel
+
+        def logged(*args):
+            time.sleep(0.02)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(sim, "draw_channel", logged)
+        _fork_pool(monkeypatch)
+        cfg = _config(n_rx=3, snr_db=(5.0, 15.0), trials=8, frames_per_channel=20,
+                      specs=_specs("le-mmse", "dfe-mmse-lra-aug"), oracle=True)
+        result = run_monte_carlo(cfg, workers=3)
+        pids = log.read_text().split()
+        assert len(pids) == cfg.trials and len(set(pids)) >= 2, pids
+        assert os.getpid() not in map(int, pids)
+        assert result.meta["workers"] == 3
 
     def test_statistical_orderings_hold_within_ci(self):
         cfg = _config(
@@ -508,6 +570,11 @@ def _fail_by_corner(monkeypatch):
         return real(specs, matrix, inv_snrs)
 
     monkeypatch.setattr(sim, "build_detectors", flaky)
+    _fork_pool(monkeypatch)
+
+
+def _fork_pool(monkeypatch):
+    """Make ``run_monte_carlo``'s pool fork its workers, so they carry the test's patches."""
     monkeypatch.setattr(
         concurrent.futures,
         "ProcessPoolExecutor",
