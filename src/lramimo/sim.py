@@ -3,8 +3,10 @@
 Channels are drawn per trial, noise per frame.  Every trial consumes its
 own counter-based random stream keyed by (seed, trial index), so serial
 and parallel executions produce bit-identical results and trials can be
-merged in any order.  The exhaustive ML search, split into two half-grid
-tables, serves as the performance oracle.
+merged in any order.  An exact ML search serves as the performance
+oracle: it tabulates ||H s||^2 over two half-grids and, on large grids,
+evaluates per frame only the part of that table that projection bounds
+cannot rule out.
 """
 
 import concurrent.futures
@@ -40,8 +42,17 @@ from .model import (
 
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
-# The oracle processes frames in blocks of about this many distances.
+# The oracle correlates frames with the half-grid images in blocks of
+# max(1, _ML_BLOCK_ENTRIES // M^n) frames.  Up to _ML_FULL_TABLE_LIMIT
+# candidates every frame scans the whole table, which is faster there than
+# bounding it (measured at M^n = 2^12 to 2^14 on 200 frames).  Above it,
+# _ML_CHUNK_FRAMES frames (or one block) are bounded at a time, and
+# subgrids of up to _ML_SUBGRID_ENTRIES candidates are searched together,
+# larger ones alone, in pieces of that size.
 _ML_BLOCK_ENTRIES = 1 << 16
+_ML_FULL_TABLE_LIMIT = 1 << 13
+_ML_CHUNK_FRAMES = 16
+_ML_SUBGRID_ENTRIES = 1 << 11
 
 # A trial redraws its channel when the draw is rank deficient or detector
 # construction fails for one of these reasons; anything else is a bug and
@@ -195,17 +206,22 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
 
 
 def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.ndarray:
-    """Exhaustive ML search over every frame (column) of ``observations``.
+    """Exact ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
     rest s_lo, so that H s = A_i + B_j with A = grid(n // 2) H_hi^T and
     B = grid(n - n // 2) H_lo^T.  Up to the frame-constant ||y||^2 the
     distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 is formed once
     per call, u = -2 A y and v = -2 B y per frame.  Row-major (i, j) is the
-    lexicographic candidate index, so argmin's first occurrence gives ties
-    to the smallest candidate (points ascending, first component most
-    significant).  Memory is about M^n floats, whatever the frame count; T
-    and the distance block are taken from ``workspace`` when one is given.
+    lexicographic candidate index; ties go to the smallest candidate
+    (points ascending, first component most significant).
+
+    Above _ML_FULL_TABLE_LIMIT candidates, each frame evaluates only the
+    rows and columns that per-half projection bounds cannot rule out (see
+    ``_bounded_minima``); the decisions equal those of a full-table argmin
+    bit for bit.  Observations and the channel must be finite.  Memory is
+    M^n floats for T plus buffers of bounded size, whatever the frame
+    count; all are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -216,19 +232,33 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
         raise ValueError(
             f"ML search space {order}^{n} = {total} exceeds {_ML_SEARCH_LIMIT}"
         )
+    if not (np.isfinite(h).all() and np.isfinite(ys).all()):
+        raise ValueError("ML search needs a finite channel and finite observations")
     n_hi = n // 2
     a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
     b = _grid(constellation.points, n - n_hi) @ h[:, n_hi:].T
     ws = Workspace() if workspace is None else workspace
-    n_frames = ys.shape[1]
+    norms_a, norms_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
+    # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, added a few rows at a time
+    # so that no second M^n array is needed.
+    table = ws.take("ml_table", (len(a), len(b)))
+    np.matmul(a, b.T, out=table)
+    table *= 2.0
+    step = max(1, _ML_SUBGRID_ENTRIES // len(b))
+    for r in range(0, len(a), step):
+        table[r : r + step] += norms_a[r : r + step, None] + norms_b
     block = max(1, _ML_BLOCK_ENTRIES // total)
-    dist = ws.take("ml_dist", (max(1, min(block, n_frames)), len(a), len(b)))
-    # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, with 2 A B^T formed in dist[0].
-    cross = np.matmul(a, b.T, out=dist[0])
-    cross *= 2.0
-    table = ws.take("ml_table", cross.shape)
-    np.add((a**2).sum(axis=1)[:, None], (b**2).sum(axis=1)[None, :], out=table)
-    table += cross
+    if total <= _ML_FULL_TABLE_LIMIT:
+        best = _full_table_minima(table, a, b, ys, block, ws)
+    else:
+        best = _bounded_minima(table, a, b, h[:, :n_hi], h[:, n_hi:], ys, block, ws)
+    return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
+
+
+def _full_table_minima(table, a, b, ys, block, ws) -> np.ndarray:
+    """Each frame's first minimum over the whole table, in frame blocks of ``block``."""
+    n_frames = ys.shape[1]
+    dist = ws.take("ml_dist", (min(block, n_frames), len(a), len(b)))
     best = np.empty(n_frames, dtype=np.intp)
     for start in range(0, n_frames, block):
         y = ys[:, start : start + block]
@@ -236,7 +266,160 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
         np.add(table, (-2.0 * (y.T @ a.T))[:, :, None], out=d)
         d += (-2.0 * (y.T @ b.T))[:, None, :]
         best[start : start + block] = d.reshape(len(d), -1).argmin(axis=1)
-    return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
+    return best
+
+
+def _bounded_minima(table, a, b, h_hi, h_lo, ys, block, ws) -> np.ndarray:
+    """Each frame's first minimum over the rows and columns its bounds keep."""
+    # Every candidate in row i lies at least ||W_lo^T (y - A_i)||^2 from y,
+    # with W_lo an orthonormal basis of range(H_lo)^perp, since B_j lies in
+    # range(H_lo); likewise for column j with W_hi.  Let U be any table
+    # value (T + u) + v of the frame, so the float minimum is <= U.  A
+    # candidate whose float value is that minimum has exact distance at
+    # most U + ||y||^2 plus rounding, so its row bound and its column bound
+    # are at most U + ||y||^2 plus rounding.  The rounding of T, u, v, the
+    # bounds and W, and that of the images A_i and B_j, which the bounds
+    # take as exact, stays within a small multiple of m eps (||y||^2 +
+    # max||A_i||^2 + max||B_j||^2) for m receive rows; the margin below
+    # exceeds it by four orders of magnitude or more for m up to a few
+    # dozen.  So every candidate that can tie the float minimum stays, and
+    # the first minimum of the kept rows and columns, both ascending, is
+    # the full table's.
+    w_lo, w_hi = _complement(h_lo), _complement(h_hi)
+    proj_a, proj_b = a @ w_lo, b @ w_hi
+    image_scale = 4.0 * ((a**2).sum(axis=1).max() + (b**2).sum(axis=1).max())
+    n_frames = ys.shape[1]
+    chunk = block * max(1, _ML_CHUNK_FRAMES // block)
+    best = np.empty(n_frames, dtype=np.intp)
+    for start in range(0, n_frames, chunk):
+        yt = ys[:, start : start + chunk].T
+        f = len(yt)
+        # Buffers of a whole chunk, so that a shorter last chunk reuses them.
+        u = _frame_products(yt, a, block, ws.take("ml_u", (chunk, len(a)))[:f])
+        v = _frame_products(yt, b, block, ws.take("ml_v", (chunk, len(b)))[:f])
+        rows_lb = _projected_distances(yt, w_lo, proj_a, ws.take("ml_rows_lb", (chunk, len(a)))[:f])
+        cols_lb = _projected_distances(yt, w_hi, proj_b, ws.take("ml_cols_lb", (chunk, len(b)))[:f])
+        # U: the smallest table value along the row with the smallest row
+        # bound and along the column with the smallest column bound.
+        idx = np.arange(f)
+        r0, c0 = rows_lb.argmin(axis=1), cols_lb.argmin(axis=1)
+        along = table[r0]
+        along += u[idx, r0][:, None]
+        along += v
+        limit = along.min(axis=1)
+        along = table[:, c0].T
+        along += u
+        along += v[idx, c0][:, None]
+        np.minimum(limit, along.min(axis=1), out=limit)
+        del along
+        y_norms = (yt**2).sum(axis=1)
+        limit += y_norms
+        limit += 1e-9 * (y_norms + image_scale)
+        keep_rows = rows_lb <= limit[:, None]
+        keep_cols = cols_lb <= limit[:, None]
+        sizes = keep_rows.sum(axis=1) * keep_cols.sum(axis=1)
+        large = sizes > _ML_SUBGRID_ENTRIES
+        for g in np.flatnonzero(large):
+            best[start + g] = _search_alone(
+                table, u[g], v[g], np.flatnonzero(keep_rows[g]), np.flatnonzero(keep_cols[g])
+            )
+        small = np.flatnonzero(~large)
+        if len(small):
+            # Groups of consecutive frames, at most 2 * _ML_SUBGRID_ENTRIES
+            # candidates each.
+            ends = np.cumsum(sizes[small])
+            cuts = np.searchsorted(
+                ends, np.arange(_ML_SUBGRID_ENTRIES, ends[-1], _ML_SUBGRID_ENTRIES), side="right"
+            )
+            for group in np.split(small, cuts):
+                best[start + group] = _search_together(
+                    table, u, v, keep_rows[group], keep_cols[group], group
+                )
+    return best
+
+
+def _complement(h) -> np.ndarray:
+    """Orthonormal basis, one vector per column, of range(h)^perp."""
+    if h.shape[1] == 0:
+        return np.eye(len(h))
+    return np.linalg.qr(h, mode="complete")[0][:, h.shape[1] :]
+
+
+def _frame_products(yt, images, block, out) -> np.ndarray:
+    """-2 y^T x for each frame y (row of ``yt``) and image x (row of ``images``).
+
+    The products are formed in frame blocks of ``block`` rows, one matmul
+    of that shape per block (the last block may be partial), because a
+    matmul's bits depend on its shape.
+    """
+    full = len(yt) // block * block
+    np.matmul(
+        yt[:full].reshape(-1, block, yt.shape[1]),
+        images.T,
+        out=out[:full].reshape(-1, block, len(images)),
+    )
+    if full < len(yt):
+        np.matmul(yt[full:], images.T, out=out[full:])
+    out *= -2.0
+    return out
+
+
+def _projected_distances(yt, w, projected, out) -> np.ndarray:
+    """||W^T y - p||^2 for each frame y (row of ``yt``) and row p of ``projected``."""
+    py = yt @ w
+    np.matmul(py, projected.T, out=out)
+    out *= -2.0
+    out += (py**2).sum(axis=1)[:, None]
+    out += (projected**2).sum(axis=1)
+    return out
+
+
+def _search_alone(table, u, v, rows, cols) -> int:
+    """Row-major index into ``table`` of one frame's first minimum over rows x cols.
+
+    Evaluated a few rows at a time, at most _ML_SUBGRID_ENTRIES values at once.
+    """
+    step = max(1, _ML_SUBGRID_ENTRIES // len(cols))
+    best_val, best_idx = np.inf, -1
+    for p in range(0, len(rows), step):
+        r = rows[p : p + step]
+        d = table[np.ix_(r, cols)]
+        d += u[r][:, None]
+        d += v[cols]
+        k = d.argmin()
+        if d.flat[k] < best_val:  # strict: earlier pieces win ties
+            best_val = d.flat[k]
+            best_idx = r[k // len(cols)] * table.shape[1] + cols[k % len(cols)]
+    return best_idx
+
+
+def _search_together(table, u, v, keep_rows, keep_cols, frames) -> np.ndarray:
+    """Each frame's first minimum over its kept rows x kept columns, flat-indexed.
+
+    ``keep_rows`` and ``keep_cols`` hold one mask row per entry of ``frames``,
+    the frames' rows in ``u`` and ``v``.  The candidates of all frames are
+    listed together, frame by frame in row-major order.
+    """
+    ncols = keep_cols.sum(axis=1)
+    fr, rows = np.nonzero(keep_rows)
+    cols = np.nonzero(keep_cols)[1]
+    reps = ncols[fr]
+    # Candidate k of kept row e takes kept column col_start[fr[e]] + k.
+    col_start = np.cumsum(ncols) - ncols
+    pair_start = np.cumsum(reps) - reps
+    at = np.repeat(col_start[fr] - pair_start, reps)
+    at += np.arange(len(at))
+    col = cols[at]
+    row = np.repeat(rows, reps)
+    frame = np.repeat(frames[fr], reps)
+    vals = table[row, col]
+    vals += u[frame, row]
+    vals += v[frame, col]
+    sizes = keep_rows.sum(axis=1) * ncols
+    seg = np.cumsum(sizes) - sizes
+    hits = np.flatnonzero(vals == np.repeat(np.minimum.reduceat(vals, seg), sizes))
+    first = hits[np.searchsorted(hits, seg)]
+    return row[first] * table.shape[1] + col[first]
 
 
 def _grid(points, k) -> np.ndarray:

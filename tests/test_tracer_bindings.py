@@ -2,11 +2,18 @@
 
 ``perfbench/spans.py`` wraps named attributes of the ``lramimo`` modules.
 Installing and uninstalling it here fails at once when a rename or a
-deletion leaves the tracer pointing at a name that no longer exists.
+deletion leaves the tracer pointing at a name that no longer exists.  A
+name can also survive while the program stops calling it, which leaves
+its per-layer metrics at 0; a traced run checks that the oracle's is
+still called.
 """
 
 import types
+from collections import Counter
 from pathlib import Path
+
+from lramimo import sim
+from lramimo.equalize import ALL_SPECS
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,3 +38,21 @@ def test_install_then_uninstall_restores_every_binding():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_a_traced_run_records_one_oracle_span_per_trial_and_snr():
+    config = sim.SimConfig(
+        n_tx=2, n_rx=2, order=2, snr_db=(6.0, 12.0, 18.0), trials=3,
+        frames_per_channel=7, seed=4, specs=ALL_SPECS[:1], oracle=True,
+    )
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        sim.run_monte_carlo(config)
+    finally:
+        tracer.uninstall()
+    oracle = [span for span in tracer.spans if span[0] == "sim.oracle"]
+    assert Counter(tuple(span[4]) for span in oracle) == {
+        ("trial", t): len(config.snr_db) for t in range(config.trials)
+    }
+    assert all(span[6]["frames"] == config.frames_per_channel for span in oracle)
