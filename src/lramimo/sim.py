@@ -4,9 +4,8 @@ Channels are drawn per trial, noise per frame.  Every trial consumes its
 own counter-based random stream keyed by (seed, trial index), so serial
 and parallel executions produce bit-identical results and trials can be
 merged in any order.  An exact ML search serves as the performance
-oracle: it tabulates ||H s||^2 over two half-grids and, on large grids,
-evaluates per frame only the part of that table that projection bounds
-cannot rule out.
+oracle: it tabulates ||H s||^2 over two half-grids and evaluates per
+frame only the part of that table that projection bounds cannot rule out.
 """
 
 import concurrent.futures
@@ -43,14 +42,11 @@ from .model import (
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
 # The oracle correlates frames with the half-grid images in blocks of
-# max(1, _ML_BLOCK_ENTRIES // M^n) frames.  Up to _ML_FULL_TABLE_LIMIT
-# candidates every frame scans the whole table, which is faster there than
-# bounding it (measured at M^n = 2^12 to 2^14 on 200 frames).  Above it,
-# _ML_CHUNK_FRAMES frames (or one block) are bounded at a time, and
-# subgrids of up to _ML_SUBGRID_ENTRIES candidates are searched together,
-# larger ones alone, in pieces of that size.
+# max(1, _ML_BLOCK_ENTRIES // M^n) frames, and bounds _ML_CHUNK_FRAMES
+# frames (or one block) at a time.  Subgrids of up to _ML_SUBGRID_ENTRIES
+# candidates are searched together, larger ones alone, in pieces of that
+# size.
 _ML_BLOCK_ENTRIES = 1 << 16
-_ML_FULL_TABLE_LIMIT = 1 << 13
 _ML_CHUNK_FRAMES = 16
 _ML_SUBGRID_ENTRIES = 1 << 11
 
@@ -216,12 +212,12 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     lexicographic candidate index; ties go to the smallest candidate
     (points ascending, first component most significant).
 
-    Above _ML_FULL_TABLE_LIMIT candidates, each frame evaluates only the
-    rows and columns that per-half projection bounds cannot rule out (see
-    ``_bounded_minima``); the decisions equal those of a full-table argmin
-    bit for bit.  Observations and the channel must be finite.  Memory is
-    M^n floats for T plus buffers of bounded size, whatever the frame
-    count; all are taken from ``workspace`` when one is given.
+    Each frame evaluates only the rows and columns of T that per-half
+    projection bounds cannot rule out (see ``_bounded_minima``); the
+    decisions equal those of an argmin over the whole table bit for bit.
+    Observations and the channel must be finite.  Memory is M^n floats for
+    T plus buffers of bounded size, whatever the frame count; all are taken
+    from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -247,29 +243,13 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     step = max(1, _ML_SUBGRID_ENTRIES // len(b))
     for r in range(0, len(a), step):
         table[r : r + step] += norms_a[r : r + step, None] + norms_b
+    image_scale = 4.0 * (norms_a.max() + norms_b.max())
     block = max(1, _ML_BLOCK_ENTRIES // total)
-    if total <= _ML_FULL_TABLE_LIMIT:
-        best = _full_table_minima(table, a, b, ys, block, ws)
-    else:
-        best = _bounded_minima(table, a, b, h[:, :n_hi], h[:, n_hi:], ys, block, ws)
+    best = _bounded_minima(table, a, b, h[:, :n_hi], h[:, n_hi:], image_scale, ys, block, ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _full_table_minima(table, a, b, ys, block, ws) -> np.ndarray:
-    """Each frame's first minimum over the whole table, in frame blocks of ``block``."""
-    n_frames = ys.shape[1]
-    dist = ws.take("ml_dist", (min(block, n_frames), len(a), len(b)))
-    best = np.empty(n_frames, dtype=np.intp)
-    for start in range(0, n_frames, block):
-        y = ys[:, start : start + block]
-        d = dist[: y.shape[1]]
-        np.add(table, (-2.0 * (y.T @ a.T))[:, :, None], out=d)
-        d += (-2.0 * (y.T @ b.T))[:, None, :]
-        best[start : start + block] = d.reshape(len(d), -1).argmin(axis=1)
-    return best
-
-
-def _bounded_minima(table, a, b, h_hi, h_lo, ys, block, ws) -> np.ndarray:
+def _bounded_minima(table, a, b, h_hi, h_lo, image_scale, ys, block, ws) -> np.ndarray:
     """Each frame's first minimum over the rows and columns its bounds keep."""
     # Every candidate in row i lies at least ||W_lo^T (y - A_i)||^2 from y,
     # with W_lo an orthonormal basis of range(H_lo)^perp, since B_j lies in
@@ -284,10 +264,9 @@ def _bounded_minima(table, a, b, h_hi, h_lo, ys, block, ws) -> np.ndarray:
     # exceeds it by four orders of magnitude or more for m up to a few
     # dozen.  So every candidate that can tie the float minimum stays, and
     # the first minimum of the kept rows and columns, both ascending, is
-    # the full table's.
+    # the full table's.  ``image_scale`` is 4 (max||A_i||^2 + max||B_j||^2).
     w_lo, w_hi = _complement(h_lo), _complement(h_hi)
     proj_a, proj_b = a @ w_lo, b @ w_hi
-    image_scale = 4.0 * ((a**2).sum(axis=1).max() + (b**2).sum(axis=1).max())
     n_frames = ys.shape[1]
     chunk = block * max(1, _ML_CHUNK_FRAMES // block)
     best = np.empty(n_frames, dtype=np.intp)

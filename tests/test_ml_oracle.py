@@ -1,12 +1,11 @@
 """The bounded ML search against two references.
 
 ``sim._ml_detect_block`` forms the distance of every candidate from two
-half-grids.  Above ``sim._ML_FULL_TABLE_LIMIT`` candidates it evaluates,
-per frame, only the rows and columns of that split table which per-half
-projection bounds cannot rule out; ``bounded_ml_block`` forces that search
-at every size.  ``split_table_ml_block`` evaluates the whole split table
-for every frame; both must return its decisions exactly, on every case,
-frame count and noise level below.  ``reference_ml_block`` is the direct
+half-grids and evaluates, per frame, only the rows and columns of that
+split table which per-half projection bounds cannot rule out.
+``split_table_ml_block`` evaluates the whole split table for every frame;
+the bounded search must return its decisions exactly, on every case, frame
+count and noise level below.  ``reference_ml_block`` is the direct
 search: it builds every candidate, its image and the K x F distance
 matrix, and scans candidates in chunks.  All must agree on exact ties,
 where the lexicographically smallest candidate wins.
@@ -86,13 +85,6 @@ def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def bounded_ml_block(matrix, observations, constellation) -> np.ndarray:
-    """``sim._ml_detect_block`` with the bounded search at every table size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_ML_FULL_TABLE_LIMIT", 0)
-        return sim._ml_detect_block(matrix, observations, constellation)
-
-
 def _block(n, order):
     return max(1, sim._ML_BLOCK_ENTRIES // order**n)
 
@@ -139,9 +131,8 @@ def test_bit_identical_to_the_split_table(n, m, order):
         for std in (0.0, 0.1, 0.6, 3.0, 30.0):
             h, ys, constellation = _draw(n, m, order, frames, seed=100 * n + m + frames, std=std)
             want = split_table_ml_block(h, ys, constellation)
-            for search in (sim._ml_detect_block, bounded_ml_block):
-                got = search(h, ys, constellation)
-                np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames, std {std}")
+            got = sim._ml_detect_block(h, ys, constellation)
+            np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames, std {std}")
 
 
 @st.composite
@@ -163,8 +154,7 @@ def _scaled_draws(draw):
 def test_bit_identical_on_scaled_columns_and_any_noise(drawn):
     h, ys, constellation = drawn
     want = split_table_ml_block(h, ys, constellation)
-    for search in (sim._ml_detect_block, bounded_ml_block):
-        np.testing.assert_array_equal(search(h, ys, constellation), want)
+    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -203,7 +193,6 @@ def _assert_exact_ties(n, m, order, spread, seed):
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got, reference_ml_block(h, ys, constellation))
     np.testing.assert_array_equal(got, split_table_ml_block(h, ys, constellation))
-    np.testing.assert_array_equal(got, bounded_ml_block(h, ys, constellation))
     if n > 1:
         # Swapping the twin symbols gives a tied candidate whenever they differ;
         # the winner is the one with the smaller first symbol.
