@@ -5,7 +5,8 @@ own counter-based random stream keyed by (seed, trial index), so serial
 and parallel executions produce bit-identical results and trials can be
 merged in any order.  An exact ML search serves as the performance
 oracle: it tabulates ||H s||^2 over two half-grids and evaluates per
-frame only the part of that table that projection bounds cannot rule out.
+frame only the rows of that table that a projection bound cannot rule
+out, each against every column.
 """
 
 import concurrent.futures
@@ -42,13 +43,12 @@ from .model import (
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
 # The oracle correlates frames with the half-grid images in blocks of
-# max(1, _ML_BLOCK_ENTRIES // M^n) frames, and bounds _ML_CHUNK_FRAMES
-# frames (or one block) at a time.  Subgrids of up to _ML_SUBGRID_ENTRIES
-# candidates are searched together, larger ones alone, in pieces of that
-# size.
+# max(1, _ML_BLOCK_ENTRIES // M^n) frames, bounds _ML_CHUNK_FRAMES frames
+# (or one block) at a time, and evaluates table rows in pieces of at most
+# _ML_PIECE_ENTRIES values (or one row).
 _ML_BLOCK_ENTRIES = 1 << 16
 _ML_CHUNK_FRAMES = 16
-_ML_SUBGRID_ENTRIES = 1 << 11
+_ML_PIECE_ENTRIES = 1 << 14
 
 # A trial redraws its channel when the draw is rank deficient or detector
 # construction fails for one of these reasons; anything else is a bug and
@@ -212,8 +212,8 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     lexicographic candidate index; ties go to the smallest candidate
     (points ascending, first component most significant).
 
-    Each frame evaluates only the rows and columns of T that per-half
-    projection bounds cannot rule out (see ``_bounded_minima``); the
+    Each frame evaluates only the rows of T that a projection bound cannot
+    rule out, each against every column (see ``_bounded_minima``); the
     decisions equal those of an argmin over the whole table bit for bit.
     Observations and the channel must be finite.  Memory is M^n floats for
     T plus buffers of bounded size, whatever the frame count; all are taken
@@ -240,35 +240,37 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     table = ws.take("ml_table", (len(a), len(b)))
     np.matmul(a, b.T, out=table)
     table *= 2.0
-    step = max(1, _ML_SUBGRID_ENTRIES // len(b))
+    step = max(1, _ML_PIECE_ENTRIES // len(b))
     for r in range(0, len(a), step):
         table[r : r + step] += norms_a[r : r + step, None] + norms_b
     image_scale = 4.0 * (norms_a.max() + norms_b.max())
     block = max(1, _ML_BLOCK_ENTRIES // total)
-    best = _bounded_minima(table, a, b, h[:, :n_hi], h[:, n_hi:], image_scale, ys, block, ws)
+    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, block, ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _bounded_minima(table, a, b, h_hi, h_lo, image_scale, ys, block, ws) -> np.ndarray:
-    """Each frame's first minimum over the rows and columns its bounds keep."""
-    # Every candidate in row i lies at least ||W_lo^T (y - A_i)||^2 from y,
-    # with W_lo an orthonormal basis of range(H_lo)^perp, since B_j lies in
-    # range(H_lo); likewise for column j with W_hi.  Let U be any table
-    # value (T + u) + v of the frame, so the float minimum is <= U.  A
-    # candidate whose float value is that minimum has exact distance at
-    # most U + ||y||^2 plus rounding, so its row bound and its column bound
-    # are at most U + ||y||^2 plus rounding.  The rounding of T, u, v, the
-    # bounds and W, and that of the images A_i and B_j, which the bounds
-    # take as exact, stays within a small multiple of m eps (||y||^2 +
-    # max||A_i||^2 + max||B_j||^2) for m receive rows; the margin below
+def _bounded_minima(table, a, b, h_lo, image_scale, ys, block, ws) -> np.ndarray:
+    """Each frame's first minimum over every column of the rows its bound keeps."""
+    # Every candidate in row i lies at least ||W^T (y - A_i)||^2 from y, with
+    # W an orthonormal basis of range(H_lo)^perp, since B_j lies in
+    # range(H_lo).  Let U be any table value (T + u) + v of the frame, so
+    # the float minimum is <= U.  A candidate whose float value is that
+    # minimum has exact distance at most U + ||y||^2 plus rounding, so its
+    # row bound is at most U + ||y||^2 plus rounding.  The rounding of T,
+    # u, v, the bound and W, and that of the images A_i and B_j, which the
+    # bound takes as exact, stays within a small multiple of m eps (||y||^2
+    # + max||A_i||^2 + max||B_j||^2) for m receive rows; the margin below
     # exceeds it by four orders of magnitude or more for m up to a few
-    # dozen.  So every candidate that can tie the float minimum stays, and
-    # the first minimum of the kept rows and columns, both ascending, is
-    # the full table's.  ``image_scale`` is 4 (max||A_i||^2 + max||B_j||^2).
-    w_lo, w_hi = _complement(h_lo), _complement(h_hi)
-    proj_a, proj_b = a @ w_lo, b @ w_hi
-    n_frames = ys.shape[1]
+    # dozen.  So every row that can hold a tie of the float minimum stays,
+    # and the first minimum of the kept rows, ascending and each over all
+    # columns, is the full table's.  The row that gives U holds a candidate
+    # at U and so stays too: every frame keeps a row.  ``image_scale`` is
+    # 4 (max||A_i||^2 + max||B_j||^2).
+    w = np.linalg.qr(h_lo, mode="complete")[0][:, h_lo.shape[1] :]
+    proj_a = a @ w
+    n_frames, n_cols = ys.shape[1], table.shape[1]
     chunk = block * max(1, _ML_CHUNK_FRAMES // block)
+    step = max(1, _ML_PIECE_ENTRIES // n_cols)
     best = np.empty(n_frames, dtype=np.intp)
     for start in range(0, n_frames, chunk):
         yt = ys[:, start : start + chunk].T
@@ -276,52 +278,36 @@ def _bounded_minima(table, a, b, h_hi, h_lo, image_scale, ys, block, ws) -> np.n
         # Buffers of a whole chunk, so that a shorter last chunk reuses them.
         u = _frame_products(yt, a, block, ws.take("ml_u", (chunk, len(a)))[:f])
         v = _frame_products(yt, b, block, ws.take("ml_v", (chunk, len(b)))[:f])
-        rows_lb = _projected_distances(yt, w_lo, proj_a, ws.take("ml_rows_lb", (chunk, len(a)))[:f])
-        cols_lb = _projected_distances(yt, w_hi, proj_b, ws.take("ml_cols_lb", (chunk, len(b)))[:f])
-        # U: the smallest table value along the row with the smallest row
-        # bound and along the column with the smallest column bound.
+        rows_lb = _projected_distances(yt, w, proj_a, ws.take("ml_rows_lb", (chunk, len(a)))[:f])
+        # U: the smallest table value along the row with the smallest bound.
         idx = np.arange(f)
-        r0, c0 = rows_lb.argmin(axis=1), cols_lb.argmin(axis=1)
+        r0 = rows_lb.argmin(axis=1)
         along = table[r0]
         along += u[idx, r0][:, None]
         along += v
         limit = along.min(axis=1)
-        along = table[:, c0].T
-        along += u
-        along += v[idx, c0][:, None]
-        np.minimum(limit, along.min(axis=1), out=limit)
         del along
         y_norms = (yt**2).sum(axis=1)
         limit += y_norms
         limit += 1e-9 * (y_norms + image_scale)
-        keep_rows = rows_lb <= limit[:, None]
-        keep_cols = cols_lb <= limit[:, None]
-        sizes = keep_rows.sum(axis=1) * keep_cols.sum(axis=1)
-        large = sizes > _ML_SUBGRID_ENTRIES
-        for g in np.flatnonzero(large):
-            best[start + g] = _search_alone(
-                table, u[g], v[g], np.flatnonzero(keep_rows[g]), np.flatnonzero(keep_cols[g])
-            )
-        small = np.flatnonzero(~large)
-        if len(small):
-            # Groups of consecutive frames, at most 2 * _ML_SUBGRID_ENTRIES
-            # candidates each.
-            ends = np.cumsum(sizes[small])
-            cuts = np.searchsorted(
-                ends, np.arange(_ML_SUBGRID_ENTRIES, ends[-1], _ML_SUBGRID_ENTRIES), side="right"
-            )
-            for group in np.split(small, cuts):
-                best[start + group] = _search_together(
-                    table, u, v, keep_rows[group], keep_cols[group], group
-                )
+        # Kept (frame, row) pairs, frame-major with rows ascending; each
+        # takes its first column minimum, evaluated a few pairs at a time.
+        fr, rows = np.nonzero(rows_lb <= limit[:, None])
+        vals = np.empty(len(fr))
+        cols = np.empty(len(fr), dtype=np.intp)
+        for p in range(0, len(fr), step):
+            pf, pr = fr[p : p + step], rows[p : p + step]
+            d = table[pr]
+            d += u[pf, pr][:, None]
+            d += v[pf]
+            cols[p : p + step] = k = d.argmin(axis=1)
+            vals[p : p + step] = d[np.arange(len(d)), k]
+        # The first pair of each frame that reaches the frame's minimum.
+        seg = np.searchsorted(fr, idx)
+        hits = np.flatnonzero(vals == np.minimum.reduceat(vals, seg)[fr])
+        first = hits[np.searchsorted(hits, seg)]
+        best[start : start + f] = rows[first] * n_cols + cols[first]
     return best
-
-
-def _complement(h) -> np.ndarray:
-    """Orthonormal basis, one vector per column, of range(h)^perp."""
-    if h.shape[1] == 0:
-        return np.eye(len(h))
-    return np.linalg.qr(h, mode="complete")[0][:, h.shape[1] :]
 
 
 def _frame_products(yt, images, block, out) -> np.ndarray:
@@ -351,54 +337,6 @@ def _projected_distances(yt, w, projected, out) -> np.ndarray:
     out += (py**2).sum(axis=1)[:, None]
     out += (projected**2).sum(axis=1)
     return out
-
-
-def _search_alone(table, u, v, rows, cols) -> int:
-    """Row-major index into ``table`` of one frame's first minimum over rows x cols.
-
-    Evaluated a few rows at a time, at most _ML_SUBGRID_ENTRIES values at once.
-    """
-    step = max(1, _ML_SUBGRID_ENTRIES // len(cols))
-    best_val, best_idx = np.inf, -1
-    for p in range(0, len(rows), step):
-        r = rows[p : p + step]
-        d = table[np.ix_(r, cols)]
-        d += u[r][:, None]
-        d += v[cols]
-        k = d.argmin()
-        if d.flat[k] < best_val:  # strict: earlier pieces win ties
-            best_val = d.flat[k]
-            best_idx = r[k // len(cols)] * table.shape[1] + cols[k % len(cols)]
-    return best_idx
-
-
-def _search_together(table, u, v, keep_rows, keep_cols, frames) -> np.ndarray:
-    """Each frame's first minimum over its kept rows x kept columns, flat-indexed.
-
-    ``keep_rows`` and ``keep_cols`` hold one mask row per entry of ``frames``,
-    the frames' rows in ``u`` and ``v``.  The candidates of all frames are
-    listed together, frame by frame in row-major order.
-    """
-    ncols = keep_cols.sum(axis=1)
-    fr, rows = np.nonzero(keep_rows)
-    cols = np.nonzero(keep_cols)[1]
-    reps = ncols[fr]
-    # Candidate k of kept row e takes kept column col_start[fr[e]] + k.
-    col_start = np.cumsum(ncols) - ncols
-    pair_start = np.cumsum(reps) - reps
-    at = np.repeat(col_start[fr] - pair_start, reps)
-    at += np.arange(len(at))
-    col = cols[at]
-    row = np.repeat(rows, reps)
-    frame = np.repeat(frames[fr], reps)
-    vals = table[row, col]
-    vals += u[frame, row]
-    vals += v[frame, col]
-    sizes = keep_rows.sum(axis=1) * ncols
-    seg = np.cumsum(sizes) - sizes
-    hits = np.flatnonzero(vals == np.repeat(np.minimum.reduceat(vals, seg), sizes))
-    first = hits[np.searchsorted(hits, seg)]
-    return row[first] * table.shape[1] + col[first]
 
 
 def _grid(points, k) -> np.ndarray:

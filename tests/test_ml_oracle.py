@@ -1,17 +1,19 @@
 """The bounded ML search against two references.
 
 ``sim._ml_detect_block`` forms the distance of every candidate from two
-half-grids and evaluates, per frame, only the rows and columns of that
-split table which per-half projection bounds cannot rule out.
+half-grids and evaluates, per frame, only the rows of that split table
+which a projection bound cannot rule out, each against every column.
 ``split_table_ml_block`` evaluates the whole split table for every frame;
 the bounded search must return its decisions exactly, on every case, frame
-count and noise level below.  ``reference_ml_block`` is the direct
-search: it builds every candidate, its image and the K x F distance
-matrix, and scans candidates in chunks.  All must agree on exact ties,
-where the lexicographically smallest candidate wins.
+count and noise level below, also when every kept row is a piece of its
+own.  ``reference_ml_block`` is the direct search: it builds every
+candidate, its image and the K x F distance matrix, and scans candidates
+in chunks.  All must agree on exact ties, where the lexicographically
+smallest candidate wins.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,15 +126,50 @@ def test_matches_reference_on_gaussian_draws(n, m, order):
         np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames")
 
 
-@pytest.mark.parametrize("n, m, order", CASES)
-def test_bit_identical_to_the_split_table(n, m, order):
-    """At std 30 the bounds rule out almost nothing, so large subgrids are searched alone."""
-    for frames in _frame_counts(n, order):
+def _one_row_per_piece(monkeypatch):
+    """Evaluate every kept (frame, row) pair as a piece of its own, so that each
+    frame's first minimum is always merged across pieces."""
+    monkeypatch.setattr(sim, "_ML_PIECE_ENTRIES", 1)
+
+
+def _assert_split_table(n, m, order, max_frames=None):
+    """At std 30 the bound rules out almost nothing, so most rows are kept."""
+    for frames in sorted({min(f, max_frames or f) for f in _frame_counts(n, order)}):
         for std in (0.0, 0.1, 0.6, 3.0, 30.0):
             h, ys, constellation = _draw(n, m, order, frames, seed=100 * n + m + frames, std=std)
             want = split_table_ml_block(h, ys, constellation)
             got = sim._ml_detect_block(h, ys, constellation)
             np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames, std {std}")
+
+
+@pytest.mark.parametrize("n, m, order", CASES)
+def test_bit_identical_to_the_split_table(n, m, order):
+    _assert_split_table(n, m, order)
+
+
+@pytest.mark.parametrize("n, m, order", CASES)
+def test_bit_identical_to_the_split_table_one_row_per_piece(n, m, order, monkeypatch):
+    """Frame counts are capped at 50 (three 16-frame chunks and a tail),
+    because each kept row is then a loop step of its own."""
+    _one_row_per_piece(monkeypatch)
+    _assert_split_table(n, m, order, max_frames=3 * sim._ML_CHUNK_FRAMES + 2)
+
+
+@pytest.mark.parametrize("one_row_per_piece", [False, True])
+@pytest.mark.parametrize("snr_db", [8.0, 12.0])
+def test_bit_identical_to_the_split_table_at_the_wide_oracle_shape(snr_db, one_row_per_piece, monkeypatch):
+    """8x8 complex BPSK (16 real streams) on 200 frames, 13 bounded chunks,
+    with the noise of the benchmark's wide-oracle sweep."""
+    if one_row_per_piece:
+        _one_row_per_piece(monkeypatch)
+    constellation = make_ask_constellation(2)
+    rng = sim.trial_rng(17, int(snr_db))
+    h = sim.draw_channel(rng, 8, 8).matrix
+    sent = rng.choice(constellation.points, size=(16, 200))
+    std = math.sqrt(constellation.variance * 8 / 10.0 ** (snr_db / 10.0))
+    ys = h @ sent + std * rng.standard_normal((16, 200))
+    want = split_table_ml_block(h, ys, constellation)
+    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
 
 
 @st.composite
@@ -200,15 +237,25 @@ def _assert_exact_ties(n, m, order, spread, seed):
         assert np.all(got[0] <= got[-1])
 
 
-@pytest.mark.parametrize("n, m, order", [(1, 2, 4), (2, 2, 2), (3, 4, 4), (5, 5, 2), (8, 8, 2), (12, 12, 2)])
+TIE_CASES = [(1, 2, 4), (2, 2, 2), (3, 4, 4), (5, 5, 2), (8, 8, 2), (12, 12, 2)]
+
+
+@pytest.mark.parametrize("n, m, order", TIE_CASES)
 def test_exact_ties_go_to_lexicographically_smallest(n, m, order):
     _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order)
 
 
 def test_exact_ties_across_the_pieces_of_a_large_subgrid():
-    """About half the frames keep more than ``_ML_SUBGRID_ENTRIES`` candidates
-    and are searched in pieces of rows; twin candidates lie in different pieces."""
+    """Wide noise keeps many rows per frame, so that some frames span two
+    pieces of ``_ML_PIECE_ENTRIES`` values; twin candidates lie in different rows."""
     _assert_exact_ties(12, 12, 2, spread=8, seed=94)
+
+
+@pytest.mark.parametrize("n, m, order", TIE_CASES)
+def test_exact_ties_with_one_row_per_piece(n, m, order, monkeypatch):
+    _one_row_per_piece(monkeypatch)
+    _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order)
+    _assert_exact_ties(n, m, order, spread=8, seed=94 + n)
 
 
 def _traced_peak(search, h, ys, constellation):
@@ -230,7 +277,7 @@ def test_memory_does_not_grow_with_frames():
 
 @pytest.mark.parametrize("std", [3.0, 0.3])
 def test_memory_stays_within_the_split_table(std):
-    """Mostly large subgrids (std 3) or mostly small ones (std 0.3), 16-stream BPSK."""
+    """Many kept rows per frame (std 3) or few (std 0.3), 16-stream BPSK."""
     h, ys, constellation = _draw(16, 16, 2, 200, seed=5, std=std)
     for search in (split_table_ml_block, sim._ml_detect_block):
         search(h, ys, constellation)  # first calls may import modules lazily
