@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import matrix_to_float, unimodular_inverse
+from .lattice import unimodular_inverse
 from .model import augment
 
 
@@ -119,8 +119,8 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     h = _tall(matrix)
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    zf = matrix_to_float(unimodular)
-    zi = matrix_to_float(unimodular_inverse(unimodular))
+    zf = np.asarray(unimodular, dtype=float)
+    zi = np.asarray(unimodular_inverse(unimodular), dtype=float)
     gram = h.T @ h + alpha * np.eye(h.shape[1])
     perm = _greedy_order(zf @ np.linalg.solve(gram, zf.T))
     basis = augment(h, alpha) @ zi

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import blast, estimate
 from .equalize import le_zf_matrix, lra_le_mmse_matrix
-from .lattice import _as_int_rows, lll_reduce, matrix_to_float
+from .lattice import _as_int_rows, lll_reduce
 from .model import augment
 
 FF_TOL = 1e-9
@@ -120,7 +120,7 @@ def _augmented_reduction(h: np.ndarray, zeta: float):
     """LLL reduction of B = [H; sqrt(zeta) I] and B Z^-1, the matrix -aug detectors factorize."""
     b = augment(h, zeta)
     rb = lll_reduce(b)
-    return rb, b @ matrix_to_float(rb.unimodular_inv)
+    return rb, b @ rb.unimodular_inv
 
 
 def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
@@ -284,8 +284,7 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
             zeta = 1e-3
         rb, stacked = _augmented_reduction(h, zeta)
         reduced_obs = stacked[: h.shape[0]]
-        zf = matrix_to_float(rb.unimodular)
-        zi = matrix_to_float(rb.unimodular_inv)
+        zf, zi = rb.unimodular, rb.unimodular_inv
 
         gram_direct = reduced_obs.T @ reduced_obs + zeta * (zi.T @ zi)
         form_direct = np.linalg.solve(gram_direct, reduced_obs.T)

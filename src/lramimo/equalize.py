@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blast
-from .lattice import ReducedBasis, lll_reduce, matrix_to_float
+from .lattice import ReducedBasis, lll_reduce
 from .lattice import unimodular_inverse  # unused here, but the benchmark tracer (perfbench/spans.py) wraps it
 from .model import ALPHABET_OFFSET, Constellation, MimoChannel, augment
 
@@ -133,7 +133,7 @@ class Detector:
     Every spec compiles to the same normal form: ``feedforward`` (the
     observation columns of the zero-forcing filters of B Z^-1), ``feedback``
     and ``perm`` (None for linear detectors), and, for reduction-aided
-    specs, the ``reduction`` that supplied Z, with Z^-1 in floating point.
+    specs, the ``reduction`` that supplied the int64 Z and Z^-1.
     ``z_offset`` is the translate onto which the estimates are sliced:
     ALPHABET_OFFSET * 1 without reduction, Z (ALPHABET_OFFSET * 1) with it.
     """
@@ -144,7 +144,6 @@ class Detector:
     feedback: np.ndarray = None
     perm: np.ndarray = None
     reduction: ReducedBasis = None
-    unimodular_inv_f: np.ndarray = None
 
 
 def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -172,9 +171,8 @@ def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: floa
     m = np.asarray(matrix, dtype=float)
     if not (inv_snr >= 0):
         raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    zf = matrix_to_float(unimodular)
     gram = m.T @ m + inv_snr * np.eye(m.shape[1])
-    return zf @ np.linalg.solve(gram, m.T)
+    return np.asarray(unimodular, dtype=float) @ np.linalg.solve(gram, m.T)
 
 
 def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
@@ -218,29 +216,29 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
         elif spec.reduction_target is ReductionTarget.AUGMENTED:
             changes = b_changes()
         else:
-            changes = [(None, None, offset)] * len(bases)
+            changes = [(None, offset)] * len(bases)
         built = _factorize(spec, bases, changes, h.shape[0])
         per_spec.append(built if mmse else built * len(inv_snrs))
     return [[column[j] for column in per_spec] for j in range(len(inv_snrs))]
 
 
 def _basis_change(rb: ReducedBasis, offset: np.ndarray):
-    """(rb, Z^-1 in floats, Z offset): the transformed symbols lie on Z offset + integers."""
-    return rb, matrix_to_float(rb.unimodular_inv), matrix_to_float(rb.unimodular) @ offset
+    """(rb, Z offset): the transformed symbols lie on Z offset + integers."""
+    return rb, rb.unimodular @ offset
 
 
 def _factorize(spec: EqualizerSpec, bases: list, changes: list, n_rx: int) -> list:
     """One detector per basis B, from one kernel call on the stack of B Z^-1."""
     n = len(bases)
-    stack = np.stack([b if zif is None else b @ zif for b, (_, zif, _) in zip(bases, changes)])
+    stack = np.stack([b if rb is None else b @ rb.unimodular_inv for b, (rb, _) in zip(bases, changes)])
     if spec.structure is Structure.LINEAR:
         feedforward, feedbacks, perms = le_zf_matrix(stack), [None] * n, [None] * n
     else:
         fs = blast.vblast_sorted_factorization(stack)
         feedforward, feedbacks, perms = fs.feedforward, fs.feedback, fs.perm
     return [
-        Detector(spec, feedforward[i, :, :n_rx], z_offset, feedbacks[i], perms[i], rb, zif)
-        for i, (rb, zif, z_offset) in enumerate(changes)
+        Detector(spec, feedforward[i, :, :n_rx], z_offset, feedbacks[i], perms[i], rb)
+        for i, (rb, z_offset) in enumerate(changes)
     ]
 
 
@@ -319,7 +317,7 @@ def detect_block(
         decided[detector.perm] = soft
     if not reduced:
         return decided, None, 0
-    a_hat = np.matmul(detector.unimodular_inv_f, decided, out=ws.take("a_hat", shape))
+    a_hat = np.matmul(detector.reduction.unimodular_inv, decided, out=ws.take("a_hat", shape))
     _slice(a_hat, ALPHABET_OFFSET, None)
     outside = ws.take("outside", shape, bool)
     clipped = int(np.count_nonzero(np.greater(a_hat, limit, out=outside)))

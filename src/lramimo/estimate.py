@@ -11,7 +11,7 @@ between augmented-matrix processing and optimum successive estimation.
 
 import numpy as np
 
-from .lattice import matrix_to_float, unimodular_inverse
+from .lattice import unimodular_inverse
 
 DUAL_FORM_TOL = 1e-10
 
@@ -87,8 +87,8 @@ def schur_gramian_identity(
     covariance of the open streams equals the Gramian of the trailing
     regularizer columns.  Returns ||lhs - rhs||_F / ||rhs||_F.
     """
-    zf = matrix_to_float(unimodular)
-    zi = matrix_to_float(unimodular_inverse(unimodular))
+    zf = np.asarray(unimodular, dtype=float)
+    zi = np.asarray(unimodular_inverse(unimodular), dtype=float)
     n = zf.shape[0]
     if not 0 <= n_known < n:
         raise ValueError(f"n_known {n_known} outside 0..{n - 1}")

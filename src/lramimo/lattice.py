@@ -5,10 +5,12 @@ is the textbook LLL on the triangular factor: one QR up front, size
 reduction on the columns of R, and one Givens rotation of two rows of R
 per column swap, so no loop visit re-orthogonalizes the basis.  All
 column operations are mirrored on the basis C and on an integer matrix Z
-(and its inverse) kept in arbitrary-precision Python integers, so the
-factorization H = C Z is exact up to the floating-point column arithmetic
-on C alone.  ``unimodular_inverse`` inverts, exactly and without
-fractions, a unimodular matrix that does not come from a reduction.
+(and its inverse), kept in Python integers in the loop and returned as
+int64 arrays, so the factorization H = C Z is exact up to the
+floating-point column arithmetic on C alone; an entry beyond int64 raises
+OverflowError.  ``unimodular_inverse`` inverts, exactly and without
+fractions, a unimodular matrix that does not come from a reduction; it
+keeps Python integers, as a reference at any size.
 """
 
 import math
@@ -35,8 +37,8 @@ class ReducedBasis:
     """Result of a reduction: original = reduced @ unimodular.
 
     ``reduced`` holds the near-orthogonal basis columns in floats;
-    ``unimodular`` and ``unimodular_inv`` are exact integer matrices
-    (object arrays of Python ints) with determinant +-1.
+    ``unimodular`` and ``unimodular_inv`` are exact int64 matrices with
+    determinant +-1, which multiply float arrays directly.
     """
 
     reduced: np.ndarray
@@ -48,13 +50,14 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     """Reduce the columns of ``basis`` with the Lovasz condition ``delta``.
 
     The returned factors satisfy reduced @ unimodular == basis up to
-    floating-point rounding, with the integer matrices exact.  The reduced
+    floating-point rounding, with the integer matrices exact; one whose
+    entries do not fit in int64 raises OverflowError.  The reduced
     basis is size reduced (all Gram-Schmidt coefficients at most 1/2 in
     magnitude) and satisfies the Lovasz condition for ``delta``.
 
     Parameters
     ----------
-    basis : array, shape (m, n) with m >= n, full column rank by the channel's rule.
+    basis : array, shape (m, n) with m >= n, finite and of full column rank by the channel's rule.
     delta : Lovasz parameter in (1/4, 1]; termination is guaranteed for
         delta < 1.
     """
@@ -111,8 +114,8 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
             rk[k] = 0.0
             k = max(k - 1, 1)
 
-    z_arr = np.array(z, dtype=object)
-    zinv_arr = np.array([list(row) for row in zip(*zinv_cols)], dtype=object)
+    z_arr = np.array(z, dtype=np.int64)
+    zinv_arr = np.array(list(zip(*zinv_cols)), dtype=np.int64)
     if not _is_identity(z_arr @ zinv_arr):
         raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
     return ReducedBasis(reduced=np.column_stack(cols), unimodular=z_arr, unimodular_inv=zinv_arr)
@@ -163,11 +166,6 @@ def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:
     return np.array(inv, dtype=object)
 
 
-def matrix_to_float(matrix: np.ndarray) -> np.ndarray:
-    """View an exact integer (object) matrix as float64."""
-    return np.asarray(matrix, dtype=object).astype(float)
-
-
 def _as_int_rows(matrix: np.ndarray):
     arr = np.asarray(matrix, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -176,7 +174,10 @@ def _as_int_rows(matrix: np.ndarray):
     for row in arr.tolist():
         out = []
         for v in row:
-            iv = int(v)
+            try:
+                iv = int(v)
+            except (OverflowError, ValueError):  # an infinite or NaN float
+                iv = None
             if iv != v:
                 raise ValueError(f"matrix entry {v!r} is not an integer")
             out.append(iv)
@@ -185,5 +186,4 @@ def _as_int_rows(matrix: np.ndarray):
 
 
 def _is_identity(arr: np.ndarray) -> bool:
-    n = arr.shape[0]
-    return all(arr[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    return np.array_equal(arr, np.eye(len(arr), dtype=np.int64))

@@ -57,7 +57,7 @@ def make_ask_constellation(order: int) -> Constellation:
 class MimoChannel:
     """Real-valued flat-fading relation y = H a + n.
 
-    ``matrix`` has at least as many rows as columns and full column rank.
+    ``matrix`` is finite, with at least as many rows as columns and full column rank.
     ``noise_var`` and ``symbol_var`` are per-component variances of the
     white noise and of the data symbols.  A zero ``noise_var`` describes
     noiseless operation, in which case MMSE processing degenerates to
@@ -90,12 +90,14 @@ class RankDeficientError(ValueError):
 
 
 def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
-    """ValueError unless 2-D and tall, RankDeficientError unless of full column rank.
+    """ValueError unless 2-D, tall and finite, RankDeficientError unless of full column rank.
 
     [H; sqrt(zeta) I] has singular values sqrt(s_i^2 + zeta): rank deficient only where H is.
     """
     if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1]:
         raise ValueError(f"{what} needs at least as many receive as transmit dimensions, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{what} has non-finite entries")
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.size == 0 or s[-1] <= _RANK_TOL_FACTOR * max(matrix.shape) * s[0]:
         raise RankDeficientError(f"{what} is rank deficient")

@@ -8,7 +8,7 @@ from lramimo.blast import (
     vblast_sorted_factorization,
 )
 from lramimo.checks import random_unimodular, sorted_factorization_oracle
-from lramimo.lattice import lll_reduce, matrix_to_float, unimodular_inverse
+from lramimo.lattice import lll_reduce, unimodular_inverse
 
 
 def naive_sorted_factorization(matrix):
@@ -163,7 +163,7 @@ class TestFastCorrelated:
             h = rng.normal(size=(n + int(rng.integers(0, 2)), n))
             zeta = 10.0 ** (-rng.uniform(0, 30) / 10.0)
             rb = lll_reduce(np.vstack([h, np.sqrt(zeta) * np.eye(n)]))
-            zi = matrix_to_float(rb.unimodular_inv)
+            zi = rb.unimodular_inv
             stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
             ref = sorted_factorization_oracle(stacked)
             fast = fast_vblast_correlated(h, rb.unimodular, zeta)
@@ -176,7 +176,7 @@ class TestFastCorrelated:
         z = random_unimodular(rng, 3)
         h = rng.normal(size=(4, 3))
         zeta = 0.05
-        zi = matrix_to_float(unimodular_inverse(z))
+        zi = np.asarray(unimodular_inverse(z), dtype=float)
         stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
         ref = sorted_factorization_oracle(stacked)
         fast = fast_vblast_correlated(h, z, zeta)

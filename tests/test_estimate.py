@@ -9,7 +9,7 @@ from lramimo.estimate import (
     schur_gramian_identity,
     sorting_metric,
 )
-from lramimo.lattice import matrix_to_float, unimodular_inverse
+from lramimo.lattice import unimodular_inverse
 
 
 # The linear MMSE estimator of z = Z a from y = H a + n, with zero-mean
@@ -40,7 +40,7 @@ class TestLinearMmseEstimate:
             m_rows = n + int(rng.integers(0, 2))
             h = rng.normal(size=(m_rows, n))
             z = random_unimodular(rng, n)
-            zf = matrix_to_float(z)
+            zf = np.asarray(z, dtype=float)
             symbol_var = rng.uniform(0.25, 2.0)
             noise_var = rng.uniform(0.2, 2.0)
             y = rng.normal(size=m_rows)
@@ -75,7 +75,7 @@ class TestCorrelatedFeedforward:
         for _ in range(30):
             n = int(rng.integers(2, 5))
             z = random_unimodular(rng, n)
-            zi = matrix_to_float(unimodular_inverse(z))
+            zi = np.asarray(unimodular_inverse(z), dtype=float)
             h = rng.normal(size=(n + 1, n))
             zeta = 10.0 ** (-rng.uniform(0, 25) / 10.0)
             l = int(rng.integers(0, n))
@@ -92,7 +92,7 @@ class TestCorrelatedFeedback:
         # route (shrink -1/2, prediction gain 1/2, cancellation -1/4) lands
         # on the same value.
         z = np.array([[1, 1], [0, 1]], dtype=object)
-        zi = matrix_to_float(unimodular_inverse(z))
+        zi = np.asarray(unimodular_inverse(z), dtype=float)
         fb = correlated_fb_matrix(np.eye(2) @ zi, 1.0 * zi, np.array([0, 1]), 1)
         np.testing.assert_allclose(fb, [[-0.5]], atol=1e-12)
 
@@ -121,7 +121,7 @@ class TestCorrelatedFeedback:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             z = random_unimodular(rng, n)
-            zi = matrix_to_float(unimodular_inverse(z))
+            zi = np.asarray(unimodular_inverse(z), dtype=float)
             h = rng.normal(size=(n + 1, n)) @ zi
             zeta = 10.0 ** (-rng.uniform(3, 20) / 10.0)
             reg = np.sqrt(zeta) * zi

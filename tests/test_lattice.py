@@ -3,12 +3,7 @@ import pytest
 
 from lramimo import lattice
 from lramimo.checks import integer_determinant, random_unimodular
-from lramimo.lattice import (
-    ReductionError,
-    lll_reduce,
-    matrix_to_float,
-    unimodular_inverse,
-)
+from lramimo.lattice import ReductionError, lll_reduce, unimodular_inverse
 from lramimo.model import RankDeficientError, augment
 
 
@@ -77,6 +72,11 @@ class TestTrivialBases:
     def test_rejects_rank_deficient(self):
         with pytest.raises(RankDeficientError, match="basis is rank deficient"):
             lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        # Non-finite entries are a plain ValueError, before the SVD or the sweeps.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="basis has non-finite entries") as info:
+                lll_reduce(np.array([[1.0, 0.0], [0.0, bad]]))
+            assert not isinstance(info.value, (ReductionError, RankDeficientError))
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_wrong_shape_is_a_value_error_not_a_reduction_error(self, shape):
@@ -106,16 +106,11 @@ class TestTrivialBases:
 
 def assert_reduced(h, rb, delta=0.75):
     """Postconditions of ``rb`` as an LLL reduction of ``h`` with ``delta``."""
-    zf = matrix_to_float(rb.unimodular)
-    resid = np.linalg.norm(rb.reduced @ zf - h) / np.linalg.norm(h)
+    resid = np.linalg.norm(rb.reduced @ rb.unimodular - h) / np.linalg.norm(h)
     assert resid <= 1e-12, f"reconstruction residual {resid}"
     assert integer_determinant(rb.unimodular) in (1, -1)
-    prod = rb.unimodular @ rb.unimodular_inv
-    assert all(
-        prod[i, j] == (1 if i == j else 0)
-        for i in range(prod.shape[0])
-        for j in range(prod.shape[1])
-    )
+    assert rb.unimodular.dtype == np.int64 and rb.unimodular_inv.dtype == np.int64
+    assert np.array_equal(rb.unimodular @ rb.unimodular_inv, np.eye(h.shape[1], dtype=np.int64))
     r = np.linalg.qr(rb.reduced, mode="r")
     n = r.shape[1]
     for i in range(n):
@@ -179,6 +174,11 @@ class TestIntegerDeterminant:
         a = np.array([[10**12, 1], [1, 10**12]], dtype=object)
         assert integer_determinant(a) == 10**24 - 1
 
+    def test_rejects_non_integer_entries(self):
+        for bad in (0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="is not an integer"):
+                integer_determinant(np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestRandomUnimodular:
     def test_entries_are_python_ints_with_unit_determinant(self):
@@ -213,6 +213,8 @@ class TestUnimodularInverse:
             np.array([[1, 2], [2, 4]]),  # singular
             np.array([[1, 0, 0], [0, 0, 0], [1, 0, 1]]),  # zero column
             np.array([[1.5, 0.0], [0.0, 1.0]]),  # non-integer entry
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),  # infinite entry
+            np.array([[1.0, 0.0], [0.0, np.nan]]),  # NaN entry
         ):
             with pytest.raises(ValueError):
                 unimodular_inverse(matrix)

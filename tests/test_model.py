@@ -3,6 +3,7 @@ import pytest
 
 from lramimo.model import (
     MimoChannel,
+    RankDeficientError,
     augment,
     complex_matrix_to_real,
     make_ask_constellation,
@@ -93,6 +94,10 @@ class TestChannelAndAugmentation:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
             MimoChannel(np.array([[1.0, 2.0], [2.0, 4.0]]), noise_var=0.1, symbol_var=1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="channel matrix has non-finite entries") as info:
+                MimoChannel(np.array([[1.0, 0.0], [0.0, bad]]), noise_var=0.1, symbol_var=1.0)
+            assert not isinstance(info.value, RankDeficientError)
 
     def test_rejects_wide_matrix(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import concurrent.futures
 import csv
 import functools
+import json
 import multiprocessing
 import os
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,6 +404,19 @@ class TestCompareReductionTargets:
             assert np.isfinite(d1.ci95)
         seen = {p.spec_id for p in c1.result.points}
         assert seen == {"dfe-mmse-lra-orig", "dfe-mmse-lra-aug"}
+
+    def test_cells_equal_those_of_the_full_spec_set(self):
+        # Common random numbers across spec sets: the pair and the ML oracle
+        # see the channels and noise of the run with all ten specs, so their
+        # cells equal that run's, count for count.
+        with open(Path(__file__).parent / "data" / "golden_config.json") as fh:
+            cfg = SimConfig.from_dict(json.load(fh))
+        assert set(cfg.specs) == set(ALL_SPECS) and cfg.oracle
+        ids = {"dfe-mmse-lra-orig", "dfe-mmse-lra-aug", ML_ORACLE_ID}
+        pair = compare_reduction_targets(cfg).result.points
+        full = run_monte_carlo(cfg).points
+        assert len(pair) == 3 * len(cfg.snr_db) and {p.spec_id for p in pair} == ids
+        assert pair == [p for p in full if p.spec_id in ids]
 
 
 def _reference_counts(config):
