@@ -1,12 +1,15 @@
 """Monte-Carlo symbol-error-rate simulation over random MIMO channels.
 
-Channels are drawn per trial, noise per frame.  Every trial consumes its
-own counter-based random stream keyed by (seed, trial index), so serial
-and parallel executions produce bit-identical results and trials can be
-merged in any order.  An exact ML search serves as the performance
-oracle: it tabulates ||H s||^2 over two half-grids and evaluates per
-frame only the rows of that table that a projection bound cannot rule
-out, each against every column.
+Every trial consumes its own counter-based random stream keyed by (seed,
+trial index), so serial and parallel executions produce bit-identical
+results and trials can be merged in any order.  The stream gives, in
+order, the trial's channel draw(s), one block of symbols and one block of
+unit-variance noise N; every SNR point j sees the same symbols under the
+noise sigma_j N (common random numbers), so a cell's counts do not depend
+on the other SNR points of the grid.  An exact ML search serves as the
+performance oracle: it tabulates ||H s||^2 over two half-grids and
+evaluates per frame only the rows of that table that a projection bound
+cannot rule out, each against every column.
 """
 
 import concurrent.futures
@@ -415,6 +418,11 @@ def _run_trial(config: SimConfig, trial: int):
     last) at each SNR.  ``causes`` counts redrawn draws by exception class
     name.  A draw's detectors come from one ``build_detectors`` call and all
     work in one :class:`Workspace`, so frame arrays are allocated once.
+
+    The trial's stream gives its channel draws (more than one only when a
+    draw is redrawn), then the symbol indices and then one standard-normal
+    block N.  SNR point j observes H s + sigma_j N, so its counts are those
+    of a grid holding that point alone.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
@@ -440,17 +448,16 @@ def _run_trial(config: SimConfig, trial: int):
     ws = Workspace()
     tx_shape, rx_shape = (2 * config.n_tx, frames), (2 * config.n_rx, frames)
     sent, wrong = ws.take("sent", tx_shape), ws.take("wrong", tx_shape, bool)
-    noise, received = ws.take("noise", rx_shape), ws.take("received", rx_shape)
+    # The indices are in range; mode="raise" would copy through a temporary.
+    np.take(constellation.points, rng.integers(0, config.order, size=tx_shape), out=sent, mode="clip")
+    unit_noise = rng.standard_normal(out=ws.take("unit_noise", rx_shape))
+    clean = np.matmul(h, sent, out=ws.take("clean", rx_shape))
+    received = ws.take("received", rx_shape)
     wrong_frame = ws.take("wrong_frame", (frames,), bool)
     for j, noise_var in enumerate(noise_vars):
-        idx = rng.integers(0, config.order, size=tx_shape)
-        # The indices are in range; mode="raise" would copy through a temporary.
-        np.take(constellation.points, idx, out=sent, mode="clip")
-        # Equal to rng.normal(0.0, sigma, rx_shape), drawing the same stream.
-        rng.standard_normal(out=noise)
-        noise *= np.sqrt(noise_var)
-        np.matmul(h, sent, out=received)
-        received += noise
+        # sigma_j N + H s, bit for bit what a grid of this one SNR point observes.
+        np.multiply(unit_noise, np.sqrt(noise_var), out=received)
+        received += clean
         decisions = _decisions(detectors[j], config.oracle, h, received, constellation, ws)
         for i, (a_hat, nclip) in enumerate(decisions):
             np.not_equal(a_hat, sent, out=wrong)

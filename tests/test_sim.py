@@ -425,10 +425,12 @@ def _reference_counts(config):
     Shaped like a trial's counts: (symbol errors, vector errors, clips) by
     detector (the ML oracle last) by SNR, summed over the trials.
 
-    Replays each trial's random stream exactly as ``run_monte_carlo`` does,
-    but reduces and factorizes anew for every detector at every SNR, so no
-    construction is shared between specs or SNRs.  Assumes no trial redraws
-    its channel.
+    Replays each trial's random stream in the order ``run_monte_carlo``
+    consumes it: the channel, then one block of symbol indices and one
+    standard-normal block N, which every SNR point scales by its own noise
+    standard deviation.  Reduces and factorizes anew for every detector at
+    every SNR, so no construction is shared between specs or SNRs.  Assumes
+    no trial redraws its channel.
     """
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
@@ -443,11 +445,10 @@ def _reference_counts(config):
             [build_detector(spec, replace(channel, noise_var=nv)) for spec in config.specs]
             for nv in noise_vars
         ]
+        sent = constellation.points[rng.integers(0, config.order, size=(2 * config.n_tx, frames))]
+        unit_noise = rng.standard_normal(size=(2 * config.n_rx, frames))
         for j, noise_var in enumerate(noise_vars):
-            idx = rng.integers(0, config.order, size=(2 * config.n_tx, frames))
-            sent = constellation.points[idx]
-            noise = rng.normal(0.0, np.sqrt(noise_var), size=(2 * config.n_rx, frames))
-            received = channel.matrix @ sent + noise
+            received = channel.matrix @ sent + np.sqrt(noise_var) * unit_noise
             decisions = [detect_block(det, received, constellation) for det in detectors[j]]
             if config.oracle:
                 a_ml = sim._ml_detect_block(channel.matrix, received, constellation)
@@ -456,6 +457,35 @@ def _reference_counts(config):
                 wrong = a_hat != sent
                 counts[:, i, j] += int(wrong.sum()), int(wrong.any(axis=0).sum()), nclip
     return counts
+
+
+def _grid_config(snr_db):
+    return _config(order=4, snr_db=snr_db, trials=6, frames_per_channel=100,
+                   specs=ALL_SPECS, oracle=True)
+
+
+class TestGridIndependence:
+    # One symbol block and one unit-noise block serve every SNR point of a
+    # trial, so a cell's counts are those of a grid holding that point alone.
+    GRIDS = [(20.0,), (18.0, 20.0), (20.0, 24.0, 30.0)]
+
+    def test_trial_counts_at_20_db_do_not_depend_on_the_grid(self):
+        cells = []
+        for grid in self.GRIDS:
+            cfg = _grid_config(grid)
+            counts = sum(sim._run_trial(cfg, trial)[0] for trial in range(cfg.trials))
+            cells.append(counts[:, :, grid.index(20.0)])
+        assert cells[0][0].any() and cells[0][2].any(), "no errors or no clips; they go unchecked"
+        for grid, got in zip(self.GRIDS[1:], cells[1:]):
+            np.testing.assert_array_equal(got, cells[0], err_msg=str(grid))
+
+    def test_cells_at_20_db_do_not_depend_on_the_grid_at_two_workers(self):
+        alone = run_monte_carlo(_grid_config((20.0,)))
+        for grid in self.GRIDS:
+            result = run_monte_carlo(_grid_config(grid), workers=2)
+            assert result.meta["workers"] == 2
+            assert [p for p in result.points if p.snr_db == 20.0] == alone.points, grid
+        assert run_monte_carlo(_grid_config((20.0,)), workers=2).clipped == alone.clipped
 
 
 class TestSharedConstruction:
