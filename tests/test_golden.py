@@ -14,12 +14,12 @@ from lramimo.cli import main
 DATA = Path(__file__).parent / "data"
 
 GOLDEN_CLIPPED = {
-    "le-zf-lra-orig": 2860,
-    "dfe-zf-lra-orig": 2858,
-    "le-mmse-lra-orig": 319,
-    "le-mmse-lra-aug": 255,
-    "dfe-mmse-lra-orig": 236,
-    "dfe-mmse-lra-aug": 232,
+    "le-zf-lra-orig": 2898,
+    "dfe-zf-lra-orig": 2900,
+    "le-mmse-lra-orig": 310,
+    "le-mmse-lra-aug": 262,
+    "dfe-mmse-lra-orig": 261,
+    "dfe-mmse-lra-aug": 258,
 }
 CLIP_PREFIX = "clipped decisions: "
 
