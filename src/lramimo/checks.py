@@ -8,8 +8,11 @@ per-step pseudo-inverse sorted factorization lives here as the oracle of
 the single-QR kernel in ``blast``, and ``integer_determinant`` the exact
 determinant oracle of reductions.  The sweep maxima are the
 certification artifact; thresholds live with the callers.
+``zf_error_probabilities`` gives the closed-form error rates that
+simulated zero-forcing cells are checked against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +104,36 @@ def sorted_factorization_oracle(matrix: np.ndarray) -> blast.DfeFilterSet:
     feedback = np.tril(feedforward @ m[:, perm])
     np.fill_diagonal(feedback, 1.0)
     return blast.DfeFilterSet(feedforward=feedforward, feedback=feedback, perm=perm)
+
+
+def zf_error_probabilities(matrix: np.ndarray, noise_var: float, constellation):
+    """Closed-form error probabilities of the unreduced ZF detectors on ``matrix``.
+
+    Returns ``(le, dfe)``: ``le[k]`` is the probability that LE-ZF decides
+    stream k wrongly, so ``le.sum()`` is its expected symbol errors per
+    frame, and ``dfe`` is the probability that sorted ZF-DFE decides a
+    frame wrongly.  ``noise_var`` (> 0) is the per-component noise variance.
+
+    One stream of the unit-spaced M-ASK alphabet under Gaussian noise of
+    standard deviation s errs with probability P(s) = 2 (1 - 1/M) Q(1/(2 s)),
+    Q(x) = erfc(x / sqrt(2)) / 2.  LE-ZF stream k sees sigma ||w_k||, with
+    w_k row k of the pseudo-inverse.  The sorted ZF-DFE feedforward rows f_k
+    are orthogonal, so its stream noises are independent, and given correct
+    feedback a frame is right only if every stream is: the frame errs with
+    probability 1 - prod_k (1 - P(sigma ||f_k||)), error propagation
+    included.  The filters come from numpy's pseudo-inverse and
+    :func:`sorted_factorization_oracle`, not from the production kernels.
+    """
+    h = np.asarray(matrix, dtype=float)
+    sigma = math.sqrt(noise_var)
+    scale = 1.0 - 1.0 / constellation.order
+
+    def stream_error(row):
+        return scale * math.erfc(1.0 / (2.0 * math.sqrt(2.0) * sigma * np.linalg.norm(row)))
+
+    le = np.array([stream_error(w) for w in np.linalg.pinv(h)])
+    dfe = 1.0 - math.prod(1.0 - stream_error(f) for f in sorted_factorization_oracle(h).feedforward)
+    return le, dfe
 
 
 def _draw_instance(rng, max_cond=None):

@@ -21,6 +21,7 @@ from lramimo.checks import (
     check_mmse_le_forms,
     check_schur_identity,
     integer_determinant,
+    zf_error_probabilities,
 )
 from lramimo.equalize import ALL_SPECS, EqualizerSpec, build_detector, detect_block
 from lramimo.lattice import lll_reduce
@@ -29,8 +30,10 @@ from lramimo.sim import (
     SimConfig,
     _ml_detect_block,
     compare_reduction_targets,
+    draw_channel,
     emit_results,
     run_monte_carlo,
+    trial_rng,
 )
 
 SEED = 20260823
@@ -279,4 +282,42 @@ def test_a11_worker_count_determinism(tmp_path):
         "A11 CSV output is bit-identical across worker counts",
         b1 == b3 and len(b1) > 0,
         f"{len(b1)} bytes, equal {b1 == b3}",
+    )
+
+
+def test_a12_zf_cells_match_closed_forms():
+    # Each trial's LE-ZF symbol errors and sorted ZF-DFE frame errors have a
+    # closed-form expectation given its channel.  The DFE z uses the exact
+    # variance of its per-frame Bernoulli errors; the LE z an upper bound on
+    # the variance of correlated per-stream errors, F (sum_k sqrt(P_k (1 - P_k)))^2
+    # per trial.  The noise variance is derived here from the SNR definition.
+    z_max = 4.0
+    snrs = (6.0, 14.0, 22.0)
+    trials, frames = 400, 200
+    specs = (_SPEC_TABLE["le-zf"], _SPEC_TABLE["dfe-zf"])
+    z_values, redraws = [], 0
+    for n_tx, n_rx, order in ((2, 2, 2), (4, 4, 2), (2, 3, 4)):
+        config = SimConfig(n_tx=n_tx, n_rx=n_rx, order=order, snr_db=snrs, trials=trials,
+                           frames_per_channel=frames, seed=SEED, specs=specs)
+        result = run_monte_carlo(config, workers=2)
+        # With no redraw, each trial's channel is the first draw of its stream.
+        redraws += result.meta["channel_redraws"]
+        channels = [draw_channel(trial_rng(SEED, t), n_rx, n_tx).matrix for t in range(trials)]
+        constellation = make_ask_constellation(order)
+        for snr in snrs:
+            noise_var = constellation.variance * n_tx / 10.0 ** (snr / 10.0)
+            probs = [zf_error_probabilities(h, noise_var, constellation) for h in channels]
+            le_mean = frames * sum(le.sum() for le, _ in probs)
+            le_var = frames * sum(np.sqrt(le * (1.0 - le)).sum() ** 2 for le, _ in probs)
+            dfe_mean = frames * sum(dfe for _, dfe in probs)
+            dfe_var = frames * sum(dfe * (1.0 - dfe) for _, dfe in probs)
+            le_errors = result.point("le-zf", snr).errors
+            dfe_errors = result.point("dfe-zf", snr).vector_errors
+            z_values.append((le_errors - le_mean) / np.sqrt(le_var))
+            z_values.append((dfe_errors - dfe_mean) / np.sqrt(dfe_var))
+    worst = max(abs(z) for z in z_values)
+    _report(
+        "A12 ZF cells match their closed-form error rates",
+        redraws == 0 and worst <= z_max,
+        f"max |z| {worst:.2f} <= {z_max} over {len(z_values)} cells, {redraws} redraws",
     )
