@@ -121,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--config", required=True, help="JSON config file")
     p_cmp.add_argument("--out", default=None, help="optional output CSV path")
+    p_cmp.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_cmp.add_argument("--workers", type=int, default=1)
     p_cmp.set_defaults(func=_cmd_compare_reduction)
     return parser

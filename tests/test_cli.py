@@ -64,6 +64,20 @@ def test_compare_reduction_writes_the_pair_and_one_delta_per_snr(tmp_path, capsy
     assert [float(l.split("snr=")[1].split("dB")[0]) for l in deltas] == [4.0, 10.0, 16.0]
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare-reduction"])
+def test_seed_flag_gives_the_cells_of_the_config_with_that_seed(tmp_path, command):
+    def run(name, seed, *flags):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**CONFIG, "seed": seed}))
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--config", str(config), "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    overridden = run("overridden", CONFIG["seed"], "--seed", "5")
+    assert overridden == run("seed-5", 5)
+    assert overridden != run("config-seed", CONFIG["seed"])
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_equiv_suite_without_instances_fails_and_writes_nothing(tmp_path, capsys, instances):
     path = tmp_path / "equiv.json"
@@ -143,10 +157,12 @@ def test_errors_of_the_run_propagate(tmp_path, monkeypatch, command, entry):
         (cli, "run_monte_carlo", ["simulate", "--config", "{config}", "--out", ""]),
         (cli, "compare_reduction_targets", ["compare-reduction", "--config", "{config}", "--out", ""]),
         (checks, "equivalence_suite", ["equiv-suite", "--instances", "3", "--json", ""]),
+        (cli, "run_monte_carlo", ["simulate", "--config", "{config}", "--seed", "-1"]),
+        (cli, "compare_reduction_targets", ["compare-reduction", "--config", "{config}", "--seed", "-1"]),
     ],
     ids=["simulate-missing-dir", "simulate-out-is-dir", "compare-missing-dir", "equiv-missing-dir",
          "equiv-no-instances", "equiv-negative-seed", "simulate-empty-out", "compare-empty-out",
-         "equiv-empty-json"],
+         "equiv-empty-json", "simulate-negative-seed", "compare-negative-seed"],
 )
 def test_bad_arguments_stop_before_the_run(tmp_path, monkeypatch, capsys, owner, entry, argv):
     runs = []
