@@ -245,12 +245,14 @@ def _factorize(spec: EqualizerSpec, bases: list, changes: list, n_rx: int) -> li
 class Workspace:
     """Named scratch arrays that successive detection calls reuse.
 
-    ``take`` hands out an array of the asked shape and dtype with undefined
-    contents: the array last taken under that name when shape and dtype
-    match, a fresh one otherwise.  An array taken under a name is
-    overwritten by the next call that takes the same name, so a result
-    computed in a workspace stays valid only until the next call that uses
-    the workspace.
+    ``take`` hands out a C-contiguous array of the asked shape and dtype
+    with undefined contents: the leading part of the storage last made
+    under that name when the dtype matches and it is large enough, fresh
+    storage otherwise.  So a shorter block (the last frame slice of a
+    trial) reuses the buffers of the longer ones.  An array taken under a
+    name is overwritten by the next call that takes the same name, so a
+    result computed in a workspace stays valid only until the next call
+    that uses the workspace.
 
     Every array starts on a cache line.  malloc aligns to 16 bytes only,
     and a vectorized pass that reads one array and writes another slows
@@ -263,13 +265,18 @@ class Workspace:
         self._arrays = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        arr = self._arrays.get(name)
+        # Keeps (storage, last array handed out), so a repeated request
+        # costs what a dict lookup and two comparisons cost.
+        flat, arr = self._arrays.get(name, (None, None))
         if arr is None or arr.shape != shape or arr.dtype != dtype:
-            dtype = np.dtype(dtype)
-            nbytes = math.prod(shape) * dtype.itemsize
-            raw = np.empty(nbytes + self.ALIGN, np.uint8)
-            start = -raw.ctypes.data % self.ALIGN
-            arr = self._arrays[name] = raw[start : start + nbytes].view(dtype).reshape(shape)
+            size = math.prod(shape)
+            if flat is None or flat.dtype != dtype or flat.size < size:
+                dtype = np.dtype(dtype)
+                raw = np.empty(size * dtype.itemsize + self.ALIGN, np.uint8)
+                start = -raw.ctypes.data % self.ALIGN
+                flat = raw[start : start + size * dtype.itemsize].view(dtype)
+            arr = flat[:size].reshape(shape)
+            self._arrays[name] = flat, arr
         return arr
 
 

@@ -6,10 +6,12 @@ results and trials can be merged in any order.  The stream gives, in
 order, the trial's channel draw(s), one block of symbols and one block of
 unit-variance noise N; every SNR point j sees the same symbols under the
 noise sigma_j N (common random numbers), so a cell's counts do not depend
-on the other SNR points of the grid.  An exact ML search serves as the
-performance oracle: it tabulates ||H s||^2 over two half-grids and
-evaluates per frame only the rows of that table that a projection bound
-cannot rule out, each against every column.
+on the other SNR points of the grid; the two blocks are a trial's only
+frame-length arrays, and the rest works on one cache-sized frame slice at
+a time.  An exact ML search serves as the performance oracle: it
+tabulates ||H s||^2 over two half-grids and evaluates per frame only the
+rows of that table that a projection bound cannot rule out, each against
+every column.
 """
 
 import concurrent.futures
@@ -52,6 +54,8 @@ _ML_SEARCH_LIMIT = 10**6
 _ML_BLOCK_ENTRIES = 1 << 16
 _ML_CHUNK_FRAMES = 16
 _ML_PIECE_ENTRIES = 1 << 14
+# A trial walks its frames in cache-sized slices of _SLICE_ENTRIES // (2 n_rx).
+_SLICE_ENTRIES = 1 << 15
 
 # A trial redraws its channel when the draw is rank deficient or detector
 # construction fails for one of these reasons; anything else is a bug and
@@ -66,7 +70,7 @@ _MAX_REDRAWS = 100
 # then snr * noise_var referred to one complex noise component.
 SNR_DEFINITION = "snr_db = 10*log10(symbol_var * n_tx / noise_var)"
 
-# SimConfig fields that a config file must give as integral numbers.
+# SimConfig fields that must be integral numbers, however the config is made.
 _INT_KEYS = ("n_tx", "n_rx", "order", "trials", "frames_per_channel", "seed")
 
 
@@ -85,6 +89,8 @@ class SimConfig:
     oracle: bool = False
 
     def __post_init__(self):
+        for key in _INT_KEYS:
+            object.__setattr__(self, key, _parse_int(getattr(self, key), key))
         if self.n_tx < 1 or self.n_rx < self.n_tx:
             raise ValueError(
                 f"need 1 <= n_tx <= n_rx, got n_tx={self.n_tx}, n_rx={self.n_rx}"
@@ -121,7 +127,7 @@ class SimConfig:
         if not isinstance(data["specs"], list):
             raise ValueError(f"specs must be a list of objects, got {data['specs']!r}")
         return cls(
-            **{key: _parse_int(data[key], key) for key in _INT_KEYS},
+            **{key: data[key] for key in _INT_KEYS},
             snr_db=_parse_snrs(data["snr_db"]),
             specs=tuple(EqualizerSpec.from_dict(d) for d in data["specs"]),
             oracle=_parse_bool(data.get("oracle", False), "oracle"),
@@ -416,13 +422,16 @@ def _run_trial(config: SimConfig, trial: int):
     ``counts`` is an int64 array of shape (3, detectors, SNRs): the symbol
     errors, vector errors and clipped decisions of each detector (ML oracle
     last) at each SNR.  ``causes`` counts redrawn draws by exception class
-    name.  A draw's detectors come from one ``build_detectors`` call and all
-    work in one :class:`Workspace`, so frame arrays are allocated once.
+    name.  A draw's detectors come from one ``build_detectors`` call.
 
     The trial's stream gives its channel draws (more than one only when a
     draw is redrawn), then the symbol indices and then one standard-normal
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
-    of a grid holding that point alone.
+    of a grid holding that point alone.  Only s and N are frame-length: H s,
+    the observations, every detector and the oracle work on one slice of
+    ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
+    of one :class:`Workspace` (views of them for a shorter last slice), and
+    the slices' counts add up to those of one pass.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
@@ -444,26 +453,41 @@ def _run_trial(config: SimConfig, trial: int):
         ) from cause
 
     counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
-    frames = config.frames_per_channel
+    part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
+    frames, step = config.frames_per_channel, _slice_frames(config)
     ws = Workspace()
-    tx_shape, rx_shape = (2 * config.n_tx, frames), (2 * config.n_rx, frames)
-    sent, wrong = ws.take("sent", tx_shape), ws.take("wrong", tx_shape, bool)
+    n_tx, n_rx = 2 * config.n_tx, 2 * config.n_rx
+    sent = ws.take("sent", (n_tx, frames))
     # The indices are in range; mode="raise" would copy through a temporary.
-    np.take(constellation.points, rng.integers(0, config.order, size=tx_shape), out=sent, mode="clip")
-    unit_noise = rng.standard_normal(out=ws.take("unit_noise", rx_shape))
-    clean = np.matmul(h, sent, out=ws.take("clean", rx_shape))
-    received = ws.take("received", rx_shape)
-    wrong_frame = ws.take("wrong_frame", (frames,), bool)
-    for j, noise_var in enumerate(noise_vars):
-        # sigma_j N + H s, bit for bit what a grid of this one SNR point observes.
-        np.multiply(unit_noise, np.sqrt(noise_var), out=received)
-        received += clean
-        decisions = _decisions(detectors[j], config.oracle, h, received, constellation, ws)
-        for i, (a_hat, nclip) in enumerate(decisions):
-            np.not_equal(a_hat, sent, out=wrong)
-            np.any(wrong, axis=0, out=wrong_frame)
-            counts[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
+    np.take(constellation.points, rng.integers(0, config.order, size=sent.shape), out=sent, mode="clip")
+    unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
+    for start in range(0, frames, step):
+        sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
+        f = sent_part.shape[1]
+        clean = np.matmul(h, sent_part, out=ws.take("clean", (n_rx, f)))
+        received = ws.take("received", (n_rx, f))
+        wrong, wrong_frame = ws.take("wrong", (n_tx, f), bool), ws.take("wrong_frame", (f,), bool)
+        for j, noise_var in enumerate(noise_vars):
+            # sigma_j N + H s, bit for bit what a grid of this one SNR point observes.
+            np.multiply(noise_part, np.sqrt(noise_var), out=received)
+            received += clean
+            decisions = _decisions(detectors[j], config.oracle, h, received, constellation, ws)
+            for i, (a_hat, nclip) in enumerate(decisions):
+                np.not_equal(a_hat, sent_part, out=wrong)
+                np.any(wrong, axis=0, out=wrong_frame)
+                part[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
+        counts += part
     return counts, causes
+
+
+def _slice_frames(config: SimConfig) -> int:
+    """Frames per trial slice, at most ``frames_per_channel``; with the oracle
+    on, whole oracle frame blocks, so its block-shaped matmuls match one pass."""
+    frames = _SLICE_ENTRIES // (2 * config.n_rx)
+    if config.oracle:
+        block = max(1, _ML_BLOCK_ENTRIES // config.order ** (2 * config.n_tx))
+        frames = max(block, frames // block * block)
+    return min(frames, config.frames_per_channel)
 
 
 def _decisions(detectors, oracle: bool, h, received, constellation, workspace):

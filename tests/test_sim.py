@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +153,18 @@ class TestSimConfig:
         cfg = SimConfig.from_dict(self._data(n_tx=2.0, n_rx=3, seed=np.int64(5), oracle=False))
         assert (cfg.n_tx, cfg.n_rx, cfg.seed, cfg.oracle) == (2, 3, 5, False)
         assert type(cfg.n_tx) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("frames_per_channel", 10.5), ("trials", 2.5), ("n_tx", 1.5), ("seed", 1.5),
+         ("frames_per_channel", True), ("order", "4")],
+    )
+    def test_direct_construction_rejects_non_integral_counts(self, key, value):
+        # The rule of from_dict, so the error comes before any trial runs.
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            _config(**{key: value})
+        cfg = _config(**{key: 2.0})
+        assert type(getattr(cfg, key)) is int and getattr(cfg, key) == 2
 
     def test_from_dict_names_missing_keys(self):
         data = self._data()
@@ -429,7 +442,8 @@ def _reference_counts(config):
     consumes it: the channel, then one block of symbol indices and one
     standard-normal block N, which every SNR point scales by its own noise
     standard deviation.  Reduces and factorizes anew for every detector at
-    every SNR, so no construction is shared between specs or SNRs.  Assumes
+    every SNR, so no construction is shared between specs or SNRs, and
+    detects each trial's frames in one pass, not in slices.  Assumes
     no trial redraws its channel.
     """
     constellation = make_ask_constellation(config.order)
@@ -457,6 +471,43 @@ def _reference_counts(config):
                 wrong = a_hat != sent
                 counts[:, i, j] += int(wrong.sum()), int(wrong.any(axis=0).sum()), nclip
     return counts
+
+
+class TestFrameSlices:
+    # A trial walks its frames in slices of L frames; its counts are those
+    # of one pass over the whole block.  BPSK at 2x2 gives L = 8192, two of
+    # the oracle's frame blocks; order 4 at 2x3 gives L = 5376, 21 blocks
+    # of 256 and no power of two.
+    @pytest.mark.parametrize(
+        "shape, step", [(dict(order=2), 8192), (dict(n_rx=3, order=4), 5376)], ids=["2x2-bpsk", "2x3-order-4"]
+    )
+    def test_counts_equal_one_full_length_pass(self, shape, step):
+        cfg = _config(specs=ALL_SPECS, oracle=True, trials=1, snr_db=(6.0, 14.0), seed=31, **shape)
+        assert sim._slice_frames(replace(cfg, frames_per_channel=1 << 30)) == step
+        for frames in (step - 1, step, step + 1, 2 * step + 3):
+            case = replace(cfg, frames_per_channel=frames)
+            assert sim._slice_frames(case) == min(step, frames)
+            want = _reference_counts(case)
+            assert want[0].any() and want[2].any(), "no errors or no clips; they go unchecked"
+            got = sum(sim._run_trial(case, trial)[0] for trial in range(case.trials))
+            np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames")
+
+    def test_trial_memory_does_not_grow_with_frames(self):
+        # Only the symbol block and the unit-noise block are frame-length, so
+        # going from 4L to 8L frames adds two (4, 4L) blocks of doubles.
+        cfg = _config(order=4, specs=ALL_SPECS, trials=1, snr_db=(18.0,), frames_per_channel=1 << 30)
+        step = sim._slice_frames(cfg)
+        peaks = []
+        for frames in (4 * step, 8 * step):
+            case = replace(cfg, frames_per_channel=frames)
+            tracemalloc.start()
+            try:
+                sim._run_trial(case, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = 2 * cfg.n_rx * 4 * step * 8
+        assert peaks[1] - peaks[0] <= 2.5 * block, f"grew by {(peaks[1] - peaks[0]) / block:.2f} blocks"
 
 
 def _grid_config(snr_db):

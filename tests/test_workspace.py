@@ -78,7 +78,7 @@ def test_result_is_overwritten_by_the_next_call():
 
 
 def test_arrays_start_on_a_cache_line_and_keep_their_storage():
-    """A name keeps its array while shape and dtype match, and gets a fresh one when they change."""
+    """A name keeps its storage while the dtype matches and it is large enough, and gets fresh storage otherwise."""
     ws = Workspace()
     for shape, dtype in [((4, 1001), float), ((3, 7), bool), ((5,), np.intp), ((0, 3), float)]:
         arr = ws.take("x", shape, dtype)
@@ -89,7 +89,12 @@ def test_arrays_start_on_a_cache_line_and_keep_their_storage():
     assert np.shares_memory(ws.take("x", (4, 1001)), first)
     retyped = ws.take("x", (4, 1001), np.int64)
     assert not np.shares_memory(retyped, first)
-    assert not np.shares_memory(ws.take("x", (4, 1000)), retyped)
+    floats = ws.take("x", (4, 1000))
+    assert not np.shares_memory(floats, retyped)
+    # A smaller block (a trial's last frame slice) is a contiguous view of the same storage.
+    shorter = ws.take("x", (4, 999))
+    assert shorter.flags.c_contiguous and shorter.ctypes.data == floats.ctypes.data
+    assert not np.shares_memory(ws.take("x", (4, 1001)), floats)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_id)
