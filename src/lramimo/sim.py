@@ -253,9 +253,13 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     for r in range(0, len(a), step):
         table[r : r + step] += norms_a[r : r + step, None] + norms_b
     image_scale = 4.0 * (norms_a.max() + norms_b.max())
-    block = max(1, _ML_BLOCK_ENTRIES // total)
-    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, block, ws)
+    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, _ml_block(total), ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
+
+
+def _ml_block(candidates: int) -> int:
+    """Frames per oracle correlation block for a table of ``candidates`` entries."""
+    return max(1, _ML_BLOCK_ENTRIES // candidates)
 
 
 def _bounded_minima(table, a, b, h_lo, image_scale, ys, block, ws) -> np.ndarray:
@@ -485,7 +489,7 @@ def _slice_frames(config: SimConfig) -> int:
     on, whole oracle frame blocks, so its block-shaped matmuls match one pass."""
     frames = _SLICE_ENTRIES // (2 * config.n_rx)
     if config.oracle:
-        block = max(1, _ML_BLOCK_ENTRIES // config.order ** (2 * config.n_tx))
+        block = _ml_block(config.order ** (2 * config.n_tx))
         frames = max(block, frames // block * block)
     return min(frames, config.frames_per_channel)
 
