@@ -11,7 +11,8 @@ frame-length arrays, and the rest works on one cache-sized frame slice at
 a time.  An exact ML search serves as the performance oracle: it
 tabulates ||H s||^2 over two half-grids and evaluates per frame only the
 rows of that table that a projection bound cannot rule out, each against
-every column.
+every column.  Each frame's products with the half-grids are a matmul of
+their own, so an oracle decision does not depend on the frames beside it.
 """
 
 import concurrent.futures
@@ -47,12 +48,10 @@ from .model import (
 
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
-# The oracle correlates frames with the half-grid images in blocks of
-# max(1, _ML_BLOCK_ENTRIES // M^n) frames, bounds _ML_CHUNK_FRAMES frames
-# (or one block) at a time, and evaluates table rows in pieces of at most
-# _ML_PIECE_ENTRIES values (or one row).
-_ML_BLOCK_ENTRIES = 1 << 16
-_ML_CHUNK_FRAMES = 16
+# The oracle bounds max(1, _ML_CHUNK_ENTRIES // M^(n // 2)) frames at a time,
+# M^(n // 2) being the rows of its table, and evaluates table rows in pieces
+# of at most _ML_PIECE_ENTRIES values (or one row).
+_ML_CHUNK_ENTRIES = 1 << 12
 _ML_PIECE_ENTRIES = 1 << 14
 # A trial walks its frames in cache-sized slices of _SLICE_ENTRIES // (2 n_rx).
 _SLICE_ENTRIES = 1 << 15
@@ -253,16 +252,11 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
     for r in range(0, len(a), step):
         table[r : r + step] += norms_a[r : r + step, None] + norms_b
     image_scale = 4.0 * (norms_a.max() + norms_b.max())
-    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, _ml_block(total), ws)
+    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _ml_block(candidates: int) -> int:
-    """Frames per oracle correlation block for a table of ``candidates`` entries."""
-    return max(1, _ML_BLOCK_ENTRIES // candidates)
-
-
-def _bounded_minima(table, a, b, h_lo, image_scale, ys, block, ws) -> np.ndarray:
+def _bounded_minima(table, a, b, h_lo, image_scale, ys, ws) -> np.ndarray:
     """Each frame's first minimum over every column of the rows its bound keeps."""
     # Every candidate in row i lies at least ||W^T (y - A_i)||^2 from y, with
     # W an orthonormal basis of range(H_lo)^perp, since B_j lies in
@@ -282,16 +276,15 @@ def _bounded_minima(table, a, b, h_lo, image_scale, ys, block, ws) -> np.ndarray
     w = np.linalg.qr(h_lo, mode="complete")[0][:, h_lo.shape[1] :]
     proj_a = a @ w
     n_frames, n_cols = ys.shape[1], table.shape[1]
-    chunk = block * max(1, _ML_CHUNK_FRAMES // block)
+    chunk = max(1, _ML_CHUNK_ENTRIES // len(a))
     step = max(1, _ML_PIECE_ENTRIES // n_cols)
     best = np.empty(n_frames, dtype=np.intp)
     for start in range(0, n_frames, chunk):
         yt = ys[:, start : start + chunk].T
         f = len(yt)
-        # Buffers of a whole chunk, so that a shorter last chunk reuses them.
-        u = _frame_products(yt, a, block, ws.take("ml_u", (chunk, len(a)))[:f])
-        v = _frame_products(yt, b, block, ws.take("ml_v", (chunk, len(b)))[:f])
-        rows_lb = _projected_distances(yt, w, proj_a, ws.take("ml_rows_lb", (chunk, len(a)))[:f])
+        u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
+        v = _frame_products(yt, b, ws.take("ml_v", (f, len(b))))
+        rows_lb = _projected_distances(yt, w, proj_a, ws.take("ml_rows_lb", (f, len(a))))
         # U: the smallest table value along the row with the smallest bound.
         idx = np.arange(f)
         r0 = rows_lb.argmin(axis=1)
@@ -323,21 +316,14 @@ def _bounded_minima(table, a, b, h_lo, image_scale, ys, block, ws) -> np.ndarray
     return best
 
 
-def _frame_products(yt, images, block, out) -> np.ndarray:
+def _frame_products(yt, images, out) -> np.ndarray:
     """-2 y^T x for each frame y (row of ``yt``) and image x (row of ``images``).
 
-    The products are formed in frame blocks of ``block`` rows, one matmul
-    of that shape per block (the last block may be partial), because a
-    matmul's bits depend on its shape.
+    Each frame's products are a (1, m) by (m, K) matmul of their own, so
+    their bits, and the oracle's decisions, do not depend on which frames
+    share the call; a single (F, m) by (m, K) matmul's bits depend on F.
     """
-    full = len(yt) // block * block
-    np.matmul(
-        yt[:full].reshape(-1, block, yt.shape[1]),
-        images.T,
-        out=out[:full].reshape(-1, block, len(images)),
-    )
-    if full < len(yt):
-        np.matmul(yt[full:], images.T, out=out[full:])
+    np.matmul(yt[:, None, :], images.T, out=out[:, None, :])
     out *= -2.0
     return out
 
@@ -435,7 +421,8 @@ def _run_trial(config: SimConfig, trial: int):
     the observations, every detector and the oracle work on one slice of
     ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
     of one :class:`Workspace` (views of them for a shorter last slice), and
-    the slices' counts add up to those of one pass.
+    the slices' counts add up to those of one pass.  The oracle decides
+    each frame alone, so the slice rule has no oracle case.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
@@ -485,13 +472,8 @@ def _run_trial(config: SimConfig, trial: int):
 
 
 def _slice_frames(config: SimConfig) -> int:
-    """Frames per trial slice, at most ``frames_per_channel``; with the oracle
-    on, whole oracle frame blocks, so its block-shaped matmuls match one pass."""
-    frames = _SLICE_ENTRIES // (2 * config.n_rx)
-    if config.oracle:
-        block = _ml_block(config.order ** (2 * config.n_tx))
-        frames = max(block, frames // block * block)
-    return min(frames, config.frames_per_channel)
+    """Frames per trial slice, at most ``frames_per_channel``."""
+    return min(_SLICE_ENTRIES // (2 * config.n_rx), config.frames_per_channel)
 
 
 def _decisions(detectors, oracle: bool, h, received, constellation, workspace):

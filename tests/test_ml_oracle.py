@@ -26,6 +26,9 @@ from lramimo.equalize import Workspace
 from lramimo.model import make_ask_constellation
 
 _REFERENCE_CHUNK = 1 << 17
+# The split-table reference evaluates max(1, _SPLIT_TABLE_ENTRIES // M^n)
+# frames at a time.
+_SPLIT_TABLE_ENTRIES = 1 << 16
 
 
 def reference_ml_block(matrix, observations, constellation) -> np.ndarray:
@@ -55,8 +58,9 @@ def reference_ml_block(matrix, observations, constellation) -> np.ndarray:
 def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
     """Full split-table search: T + u + v over all M^n entries for every frame.
 
-    u and v are formed in the same frame blocks as in ``sim``, and the
-    first argmin in row-major order gives ties to the smallest candidate.
+    u and v are formed per frame, each frame's products a matmul of their
+    own as in ``sim``, and the first argmin in row-major order gives ties
+    to the smallest candidate.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -69,7 +73,7 @@ def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
     b = sim._grid(constellation.points, n - n_hi) @ h[:, n_hi:].T
     ws = Workspace()
     n_frames = ys.shape[1]
-    block = max(1, sim._ML_BLOCK_ENTRIES // total)
+    block = max(1, _SPLIT_TABLE_ENTRIES // total)
     dist = ws.take("ml_dist", (max(1, min(block, n_frames)), len(a), len(b)))
     # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, with 2 A B^T formed in dist[0].
     cross = np.matmul(a, b.T, out=dist[0])
@@ -81,19 +85,20 @@ def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
     for start in range(0, n_frames, block):
         y = ys[:, start : start + block]
         d = dist[: y.shape[1]]
-        np.add(table, (-2.0 * (y.T @ a.T))[:, :, None], out=d)
-        d += (-2.0 * (y.T @ b.T))[:, None, :]
+        np.add(table, (-2.0 * np.matmul(y.T[:, None, :], a.T))[:, 0, :, None], out=d)
+        d += -2.0 * np.matmul(y.T[:, None, :], b.T)
         best[start : start + block] = d.reshape(len(d), -1).argmin(axis=1)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _block(n, order):
-    return max(1, sim._ML_BLOCK_ENTRIES // order**n)
+def _chunk(n, order):
+    """Frames the oracle bounds at a time, for a table of M^(n // 2) rows."""
+    return max(1, sim._ML_CHUNK_ENTRIES // order ** (n // 2))
 
 
 def _frame_counts(n, order):
-    block = _block(n, order)
-    return sorted({1, max(1, block - 1), block + 1, 3 * block + 2})
+    chunk = _chunk(n, order)
+    return sorted({1, max(1, chunk - 1), chunk + 1, 3 * chunk + 2})
 
 
 # (real streams, receive rows, order): square and tall, within the 10^6 limit.
@@ -149,10 +154,10 @@ def test_bit_identical_to_the_split_table(n, m, order):
 
 @pytest.mark.parametrize("n, m, order", CASES)
 def test_bit_identical_to_the_split_table_one_row_per_piece(n, m, order, monkeypatch):
-    """Frame counts are capped at 50 (three 16-frame chunks and a tail),
-    because each kept row is then a loop step of its own."""
+    """Frame counts are capped at 50 (at 16 streams, three 16-frame chunks
+    and a tail), because each kept row is then a loop step of its own."""
     _one_row_per_piece(monkeypatch)
-    _assert_split_table(n, m, order, max_frames=3 * sim._ML_CHUNK_FRAMES + 2)
+    _assert_split_table(n, m, order, max_frames=50)
 
 
 @pytest.mark.parametrize("one_row_per_piece", [False, True])
@@ -170,6 +175,37 @@ def test_bit_identical_to_the_split_table_at_the_wide_oracle_shape(snr_db, one_r
     ys = h @ sent + std * rng.standard_normal((16, 200))
     want = split_table_ml_block(h, ys, constellation)
     np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_frame_products_do_not_depend_on_neighbouring_frames(seed):
+    """Split at points that are no multiple of a chunk, on a strided view like
+    a slice of a trial's observations, every frame keeps its products' bits;
+    one (F, m) by (m, K) matmul over all frames would not."""
+    rng = np.random.default_rng(seed)
+    m, k, frames = int(rng.integers(1, 21)), int(rng.integers(1, 1025)), int(rng.integers(2, 300))
+    images = rng.normal(size=(k, m))
+    yt = rng.normal(size=(m + 3, frames + 5))[1 : m + 1, 2 : frames + 2].T
+    whole = sim._frame_products(yt, images, np.empty((frames, k)))
+    chunk = max(1, sim._ML_CHUNK_ENTRIES // k)
+    splits = {1, frames - 1, *rng.integers(1, frames, size=4).tolist()}
+    for split in sorted(s for s in splits if s % chunk):
+        parts = [sim._frame_products(p, images, np.empty((len(p), k))) for p in (yt[:split], yt[split:])]
+        np.testing.assert_array_equal(
+            np.concatenate(parts).view(np.uint64), whole.view(np.uint64), err_msg=f"split at {split}"
+        )
+
+
+@pytest.mark.parametrize("n, m, order", CASES)
+def test_decisions_do_not_depend_on_neighbouring_frames(n, m, order):
+    """Split calls, sharing one workspace, decide each frame as one call does."""
+    frames = 37
+    h, ys, constellation = _draw(n, m, order, frames, seed=10 * n + m + order, std=0.6)
+    ws = Workspace()
+    whole = sim._ml_detect_block(h, ys, constellation, ws)
+    for split in (1, 13, 36):
+        parts = [sim._ml_detect_block(h, y, constellation, ws) for y in (ys[:, :split], ys[:, split:])]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole, err_msg=f"split at {split}")
 
 
 @st.composite
@@ -220,7 +256,7 @@ def _assert_exact_ties(n, m, order, spread, seed):
     """Integer channel with twin columns, half-integer noise in [-spread/2, spread/2]."""
     constellation = make_ask_constellation(order)
     rng = np.random.default_rng(seed)
-    frames = _block(n, order) + 1
+    frames = _chunk(n, order) + 1
     h = rng.integers(-1, 2, size=(m, n)).astype(float)
     h[:, -1] = h[:, 0]  # twin columns: swapping their symbols never changes H s
     sent = rng.choice(constellation.points, size=(n, frames))

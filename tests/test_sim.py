@@ -475,11 +475,10 @@ def _reference_counts(config):
 
 class TestFrameSlices:
     # A trial walks its frames in slices of L frames; its counts are those
-    # of one pass over the whole block.  BPSK at 2x2 gives L = 8192, two of
-    # the oracle's frame blocks; order 4 at 2x3 gives L = 5376, 21 blocks
-    # of 256 and no power of two.
+    # of one pass over the whole block.  BPSK at 2x2 gives L = 8192; order 4
+    # at 2x3 gives L = 5461, no power of two.
     @pytest.mark.parametrize(
-        "shape, step", [(dict(order=2), 8192), (dict(n_rx=3, order=4), 5376)], ids=["2x2-bpsk", "2x3-order-4"]
+        "shape, step", [(dict(order=2), 8192), (dict(n_rx=3, order=4), 5461)], ids=["2x2-bpsk", "2x3-order-4"]
     )
     def test_counts_equal_one_full_length_pass(self, shape, step):
         cfg = _config(specs=ALL_SPECS, oracle=True, trials=1, snr_db=(6.0, 14.0), seed=31, **shape)
