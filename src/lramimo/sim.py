@@ -69,7 +69,8 @@ _MAX_REDRAWS = 100
 # then snr * noise_var referred to one complex noise component.
 SNR_DEFINITION = "snr_db = 10*log10(symbol_var * n_tx / noise_var)"
 
-# SimConfig fields that must be integral numbers, however the config is made.
+# SimConfig fields that must be integral numbers, however the config is made;
+# snr_db and oracle are checked as strictly, by _parse_snrs and _parse_bool.
 _INT_KEYS = ("n_tx", "n_rx", "order", "trials", "frames_per_channel", "seed")
 
 
@@ -94,7 +95,7 @@ class SimConfig:
             raise ValueError(
                 f"need 1 <= n_tx <= n_rx, got n_tx={self.n_tx}, n_rx={self.n_rx}"
             )
-        snrs = tuple(float(s) for s in self.snr_db)
+        snrs = tuple(float(s) for s in _parse_snrs(self.snr_db))
         if len(snrs) == 0 or any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr_db must be a non-empty strictly ascending sequence")
         if self.seed < 0:
@@ -115,7 +116,7 @@ class SimConfig:
                 noise_var = math.nan
             if not (0.0 < noise_var < math.inf or snr == math.inf):
                 raise ValueError(f"snr_db {snr} gives no finite noise variance > 0 (+inf is noiseless)")
-        if self.oracle and self.order ** (2 * self.n_tx) > _ML_SEARCH_LIMIT:
+        if _parse_bool(self.oracle, "oracle") and self.order ** (2 * self.n_tx) > _ML_SEARCH_LIMIT:
             raise ValueError(f"oracle: {self.order}^{2 * self.n_tx} ML candidates exceed {_ML_SEARCH_LIMIT}")
         object.__setattr__(self, "snr_db", snrs)
         object.__setattr__(self, "specs", specs)
@@ -126,10 +127,9 @@ class SimConfig:
         if not isinstance(data["specs"], list):
             raise ValueError(f"specs must be a list of objects, got {data['specs']!r}")
         return cls(
-            **{key: data[key] for key in _INT_KEYS},
-            snr_db=_parse_snrs(data["snr_db"]),
+            **{key: data[key] for key in (*_INT_KEYS, "snr_db")},
             specs=tuple(EqualizerSpec.from_dict(d) for d in data["specs"]),
-            oracle=_parse_bool(data.get("oracle", False), "oracle"),
+            oracle=data.get("oracle", False),
         )
 
 

@@ -166,6 +166,16 @@ class TestSimConfig:
         cfg = _config(**{key: 2.0})
         assert type(getattr(cfg, key)) is int and getattr(cfg, key) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("snr_db", "15"), ("snr_db", [True, 5]), ("snr_db", ("10", 20)),
+         ("oracle", "false"), ("oracle", 0.0), ("oracle", 1), ("oracle", None)],
+    )
+    def test_direct_construction_rejects_coerced_snrs_and_oracle(self, key, value):
+        # "15" would run at (1.0, 5.0) dB and "false" would run the oracle.
+        with pytest.raises(ValueError, match=key):
+            _config(**{key: value})
+
     def test_from_dict_names_missing_keys(self):
         data = self._data()
         del data["specs"], data["seed"]
