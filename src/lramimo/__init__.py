@@ -1,10 +1,12 @@
-"""Lattice-reduction-aided MIMO equalization and simulation toolkit."""
+"""Lattice-reduction-aided MIMO equalization and simulation toolkit.
+
+Exports the program only; its oracles are in ``checks`` and ``estimate``.
+"""
 
 from .blast import (
     DfeFilterSet,
     FactorizationError,
-    classic_dfe_filters,
-    fast_vblast_correlated,
+    le_zf_matrix,
     vblast_sorted_factorization,
 )
 from .equalize import (
@@ -15,24 +17,10 @@ from .equalize import (
     ReductionTarget,
     Structure,
     Workspace,
-    build_detector,
     build_detectors,
     detect_block,
-    le_zf_matrix,
-    lra_le_mmse_matrix,
 )
-from .estimate import (
-    correlated_fb_matrix,
-    correlated_ff_matrix,
-    schur_gramian_identity,
-    sorting_metric,
-)
-from .lattice import (
-    ReducedBasis,
-    ReductionError,
-    lll_reduce,
-    unimodular_inverse,
-)
+from .lattice import ReducedBasis, ReductionError, lll_reduce
 from .model import (
     Constellation,
     MimoChannel,

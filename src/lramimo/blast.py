@@ -1,15 +1,17 @@
-"""Sorted successive-cancellation (V-BLAST) matrix factorizations.
+"""Zero-forcing factorizations: the pseudo-inverse and sorted V-BLAST.
 
-One kernel serves every caller.  The detection order is picked greedily
-from the diagonal of an inverse Gram matrix, removing each detected
-stream by a rank-one downdate; the filters of all steps then come from
-one QL factorization of the matrix with its columns in detection order.
-``vblast_sorted_factorization`` takes the inverse Gram matrix from one QR
-of the matrix, ``fast_vblast_correlated`` from the channel and the basis
-change of a correlated problem.  The kernel takes a stack of equal-shaped
-matrices as well as one matrix and factorizes every slice exactly as it
-would factorize that slice alone.  The per-step pseudo-inverse route is
-kept in ``checks`` as the oracle.
+``le_zf_matrix`` is the left pseudo-inverse of linear detectors.  The
+sorted successive-cancellation (V-BLAST) factorization has one kernel:
+the detection order is picked greedily from the diagonal of an inverse
+Gram matrix, removing each detected stream by a rank-one downdate; the
+filters of all steps then come from one QL factorization of the matrix
+with its columns in detection order.  ``vblast_sorted_factorization``
+takes the inverse Gram matrix from one QR of the matrix,
+``fast_vblast_correlated`` from the channel and the basis change of a
+correlated problem.  ``le_zf_matrix`` and ``vblast_sorted_factorization``
+take a stack of equal-shaped matrices as well as one matrix and treat
+every slice exactly as that slice alone.  The per-step pseudo-inverse
+route is kept in ``checks`` as the oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -82,6 +84,19 @@ def vblast_sorted_factorization(matrix: np.ndarray) -> DfeFilterSet:
     _require_full_rank(_diagonal(r), m.shape[-2:])
     rinv = np.linalg.inv(r)
     return _sorted_ql_filters(m, _greedy_order(rinv @ _transpose(rinv)))
+
+
+def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Left pseudo-inverse (zero-forcing receive matrix).
+
+    Takes one tall matrix or a stack (..., m, n) of them, inverting each
+    slice as it would alone.  Raises ValueError on a wrong shape and
+    FactorizationError when a slice is rank deficient.
+    """
+    m = _tall(matrix)
+    q, r = np.linalg.qr(m, mode="reduced")
+    _require_full_rank(_diagonal(r), m.shape[-2:])
+    return np.linalg.solve(r, _transpose(q))
 
 
 def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0) -> DfeFilterSet:

@@ -5,9 +5,11 @@ computed routes to the same mathematical object: the successive
 pseudo-inverse filters of the augmented reduced matrix on one side and
 the closed-form correlated-estimation matrices on the other.  The
 per-step pseudo-inverse sorted factorization lives here as the oracle of
-the single-QR kernel in ``blast``, and ``integer_determinant`` the exact
-determinant oracle of reductions.  The sweep maxima are the
-certification artifact; thresholds live with the callers.
+the single-QR kernel in ``blast``, ``lra_le_mmse_matrix`` as the MMSE
+closed form that the detectors' receive filters are compared with, and
+``integer_determinant`` as the exact determinant oracle of reductions.
+The sweep maxima are the certification artifact; thresholds live with
+the callers.
 ``zf_error_probabilities`` gives the closed-form error rates that
 simulated zero-forcing cells are checked against.
 """
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blast, estimate
-from .equalize import le_zf_matrix, lra_le_mmse_matrix
 from .lattice import _as_int_rows, lll_reduce
 from .model import augment
 
@@ -182,7 +183,7 @@ def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
         reg_sorted = reg[:, perm]
         for level in range(n_tx):
             sub = stacked[:, perm[level:]]
-            step_pinv = le_zf_matrix(sub)
+            step_pinv = blast.le_zf_matrix(sub)
             ff_blast = step_pinv[:, :n_rx]
             ff_est = estimate.correlated_ff_matrix(obs_sorted, reg_sorted, level)
             worst_ff = max(worst_ff, _rel(ff_est, ff_blast))
@@ -299,6 +300,22 @@ def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
     return worst, mismatches
 
 
+def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: float) -> np.ndarray:
+    """Reduction-aided MMSE receive matrix Z (H^T H + inv_snr I)^-1 H^T.
+
+    Estimates the transformed symbols from the physical observation; valid
+    for any unimodular basis change, whichever matrix it was derived from.
+    Detectors use the equal pseudo-inverse of [H; sqrt(inv_snr) I] Z^-1,
+    restricted to the observation columns; this closed form is the oracle
+    ``check_mmse_le_forms`` compares them against.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if not (inv_snr >= 0):
+        raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
+    gram = m.T @ m + inv_snr * np.eye(m.shape[1])
+    return np.asarray(unimodular, dtype=float) @ np.linalg.solve(gram, m.T)
+
+
 def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
     """Max pairwise residual among the four receive-matrix forms.
 
@@ -322,7 +339,7 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
         gram_direct = reduced_obs.T @ reduced_obs + zeta * (zi.T @ zi)
         form_direct = np.linalg.solve(gram_direct, reduced_obs.T)
         form_closed = lra_le_mmse_matrix(h, rb.unimodular, zeta)
-        form_pinv = le_zf_matrix(stacked)[:, : h.shape[0]]
+        form_pinv = blast.le_zf_matrix(stacked)[:, : h.shape[0]]
 
         symbol_var = 1.0
         noise_var = zeta * symbol_var

@@ -8,6 +8,8 @@ filters of one channel draw, for every spec and SNR point, doing each
 piece of work the specs and SNRs share once; :func:`build_detector` is its
 one-spec, one-SNR case, and :func:`detect_block` applies the filters to
 blocks of observations, in place in the buffers of a :class:`Workspace`.
+The filters come from the factorizations in ``blast``; the closed-form
+receive matrices they are certified against live in ``checks``.
 """
 
 import enum
@@ -146,35 +148,6 @@ class Detector:
     reduction: ReducedBasis = None
 
 
-def le_zf_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Left pseudo-inverse (zero-forcing receive matrix).
-
-    Takes one tall matrix or a stack (..., m, n) of them, inverting each
-    slice as it would alone.  Raises ValueError on a wrong shape and
-    FactorizationError when a slice is rank deficient.
-    """
-    m = blast._tall(matrix)
-    q, r = np.linalg.qr(m, mode="reduced")
-    blast._require_full_rank(np.diagonal(r, axis1=-2, axis2=-1), m.shape[-2:])
-    return np.linalg.solve(r, np.swapaxes(q, -1, -2))
-
-
-def lra_le_mmse_matrix(matrix: np.ndarray, unimodular: np.ndarray, inv_snr: float) -> np.ndarray:
-    """Reduction-aided MMSE receive matrix Z (H^T H + inv_snr I)^-1 H^T.
-
-    Estimates the transformed symbols from the physical observation; valid
-    for any unimodular basis change, whichever matrix it was derived from.
-    Detectors use the equal pseudo-inverse of [H; sqrt(inv_snr) I] Z^-1,
-    restricted to the observation columns; this closed form is the oracle
-    the equivalence checks compare against.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if not (inv_snr >= 0):
-        raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    gram = m.T @ m + inv_snr * np.eye(m.shape[1])
-    return np.asarray(unimodular, dtype=float) @ np.linalg.solve(gram, m.T)
-
-
 def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
@@ -232,7 +205,7 @@ def _factorize(spec: EqualizerSpec, bases: list, changes: list, n_rx: int) -> li
     n = len(bases)
     stack = np.stack([b if rb is None else b @ rb.unimodular_inv for b, (rb, _) in zip(bases, changes)])
     if spec.structure is Structure.LINEAR:
-        feedforward, feedbacks, perms = le_zf_matrix(stack), [None] * n, [None] * n
+        feedforward, feedbacks, perms = blast.le_zf_matrix(stack), [None] * n, [None] * n
     else:
         fs = blast.vblast_sorted_factorization(stack)
         feedforward, feedbacks, perms = fs.feedforward, fs.feedback, fs.perm

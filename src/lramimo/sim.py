@@ -53,7 +53,7 @@ _ML_SEARCH_LIMIT = 10**6
 # of at most _ML_PIECE_ENTRIES values (or one row).
 _ML_CHUNK_ENTRIES = 1 << 12
 _ML_PIECE_ENTRIES = 1 << 14
-# A trial walks its frames in cache-sized slices of _SLICE_ENTRIES // (2 n_rx).
+# A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx)).
 _SLICE_ENTRIES = 1 << 15
 
 # A trial redraws its channel when the draw is rank deficient or detector
@@ -70,7 +70,7 @@ _MAX_REDRAWS = 100
 SNR_DEFINITION = "snr_db = 10*log10(symbol_var * n_tx / noise_var)"
 
 # SimConfig fields that must be integral numbers, however the config is made;
-# snr_db and oracle are checked as strictly, by _parse_snrs and _parse_bool.
+# snr_db, oracle and specs are checked as strictly.
 _INT_KEYS = ("n_tx", "n_rx", "order", "trials", "frames_per_channel", "seed")
 
 
@@ -102,7 +102,10 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1 or self.frames_per_channel < 1:
             raise ValueError("trials and frames_per_channel must be >= 1")
-        specs = tuple(self.specs)
+        specs = self.specs
+        if not isinstance(specs, (list, tuple)) or not all(isinstance(s, EqualizerSpec) for s in specs):
+            raise ValueError(f"specs must be a list of EqualizerSpec, got {specs!r}")
+        specs = tuple(specs)
         if not specs:
             raise ValueError("at least one equalizer spec is required")
         ids = [s.spec_id for s in specs]
@@ -358,6 +361,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     name; ``meta["channel_redraws"]`` is their total.
     """
     start = time.perf_counter()
+    workers = _parse_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, config.trials)
@@ -420,9 +424,11 @@ def _run_trial(config: SimConfig, trial: int):
     of a grid holding that point alone.  Only s and N are frame-length: H s,
     the observations, every detector and the oracle work on one slice of
     ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
-    of one :class:`Workspace` (views of them for a shorter last slice), and
-    the slices' counts add up to those of one pass.  The oracle decides
-    each frame alone, so the slice rule has no oracle case.
+    of one :class:`Workspace` (views of them for a shorter last slice).
+    A slice's feedforward product is one matmul whose bits can depend on
+    the slice width, so the counts are those of this fixed slicing: equal
+    to one full-length pass unless a soft value lies within rounding of a
+    decision boundary.  The oracle's decisions do not depend on grouping.
     """
     rng = trial_rng(config.seed, trial)
     constellation = make_ask_constellation(config.order)
@@ -473,7 +479,7 @@ def _run_trial(config: SimConfig, trial: int):
 
 def _slice_frames(config: SimConfig) -> int:
     """Frames per trial slice, at most ``frames_per_channel``."""
-    return min(_SLICE_ENTRIES // (2 * config.n_rx), config.frames_per_channel)
+    return min(max(1, _SLICE_ENTRIES // (2 * config.n_rx)), config.frames_per_channel)
 
 
 def _decisions(detectors, oracle: bool, h, received, constellation, workspace):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lramimo import blast
-from lramimo.checks import FB_TOL, FF_TOL
+from lramimo.blast import le_zf_matrix
+from lramimo.checks import FB_TOL, FF_TOL, lra_le_mmse_matrix
 from lramimo.equalize import (
     ALL_SPECS,
     Criterion,
@@ -12,8 +13,6 @@ from lramimo.equalize import (
     build_detector,
     build_detectors,
     detect_block,
-    le_zf_matrix,
-    lra_le_mmse_matrix,
 )
 from lramimo.lattice import lll_reduce
 from lramimo.model import MimoChannel, augment, complex_matrix_to_real, make_ask_constellation

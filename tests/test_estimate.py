@@ -1,8 +1,7 @@
 import numpy as np
 
 from lramimo.blast import vblast_sorted_factorization
-from lramimo.checks import SCHUR_TOL, equivalence_suite, random_unimodular
-from lramimo.equalize import lra_le_mmse_matrix
+from lramimo.checks import SCHUR_TOL, equivalence_suite, lra_le_mmse_matrix, random_unimodular
 from lramimo.estimate import (
     correlated_fb_matrix,
     correlated_ff_matrix,

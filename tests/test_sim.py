@@ -4,6 +4,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -176,6 +178,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=key):
             _config(**{key: value})
 
+    @pytest.mark.parametrize(
+        "specs",
+        [({"structure": "le", "criterion": "zf"},), ("le-zf",), (None,), "le-zf", None],
+        ids=["dict-entry", "id-entry", "none-entry", "id-string", "none"],
+    )
+    def test_direct_construction_rejects_specs_that_are_not_equalizer_specs(self, specs):
+        with pytest.raises(ValueError, match="specs"):
+            _config(specs=specs)
+
     def test_from_dict_names_missing_keys(self):
         data = self._data()
         del data["specs"], data["seed"]
@@ -275,6 +286,16 @@ class TestRunMonteCarlo:
         ]
         assert serial.clipped == parallel.clipped
         assert parallel.meta["workers"] == 2
+
+    @pytest.mark.parametrize("workers, recorded", [(2.5, None), ("2", None), (True, None), (2.0, 2)])
+    def test_workers_must_be_an_integer(self, workers, recorded):
+        cfg = _config(specs=_specs("le-zf"))
+        if recorded is None:
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                run_monte_carlo(cfg, workers=workers)
+        else:
+            got = run_monte_carlo(cfg, workers=workers).meta["workers"]
+            assert type(got) is int and got == recorded
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_NEEDS_FORK)])
     def test_result_is_the_sum_of_the_trials(self, monkeypatch, workers):
@@ -517,6 +538,14 @@ class TestFrameSlices:
                 tracemalloc.stop()
         block = 2 * cfg.n_rx * 4 * step * 8
         assert peaks[1] - peaks[0] <= 2.5 * block, f"grew by {(peaks[1] - peaks[0]) / block:.2f} blocks"
+
+    def test_a_receive_side_wider_than_one_slice_takes_one_frame_at_a_time(self):
+        # 2 n_rx > 2^15 real rows: the slice rule would round down to 0 frames.
+        cfg = _config(n_tx=1, n_rx=16385, snr_db=(10.0,), trials=1, frames_per_channel=3,
+                      specs=_specs("le-zf", "dfe-mmse-lra-aug"))
+        assert sim._slice_frames(replace(cfg, frames_per_channel=1 << 30)) == 1
+        result = run_monte_carlo(cfg)
+        assert [(p.spec_id, p.frames) for p in result.points] == [("le-zf", 3), ("dfe-mmse-lra-aug", 3)]
 
 
 def _grid_config(snr_db):
@@ -809,3 +838,15 @@ class TestRedrawCauses:
         assert set(causes) == {"FactorizationError", "ReductionError"}
         assert parallel.meta["redraw_causes"] == causes
         assert serial.meta["channel_redraws"] == parallel.meta["channel_redraws"] == sum(causes.values())
+
+
+class TestImportBoundary:
+    def test_importing_the_simulator_loads_no_oracle_module(self):
+        # The oracles in checks and estimate certify the program; running it
+        # must not need them.  A fresh interpreter sees only this import.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, lramimo.sim; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert "lramimo.sim" in out
+        assert "lramimo.checks" not in out and "lramimo.estimate" not in out

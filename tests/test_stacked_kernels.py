@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lramimo.blast import FactorizationError, vblast_sorted_factorization
-from lramimo.equalize import le_zf_matrix
+from lramimo.blast import FactorizationError, le_zf_matrix, vblast_sorted_factorization
 from lramimo.model import augment, complex_matrix_to_real
 
 
