@@ -230,12 +230,17 @@ class Workspace:
     Every array starts on a cache line.  malloc aligns to 16 bytes only,
     and a vectorized pass that reads one array and writes another slows
     down when the two start at different offsets within a cache line.
+
+    ``kept`` holds, by name, values that one call derived from its inputs
+    and a later call may reuse; the caller that keeps a value checks that
+    its inputs still match before reusing it.
     """
 
     ALIGN = 64
 
     def __init__(self):
         self._arrays = {}
+        self.kept = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         # Keeps (storage, last array handed out), so a repeated request

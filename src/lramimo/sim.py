@@ -9,10 +9,12 @@ noise sigma_j N (common random numbers), so a cell's counts do not depend
 on the other SNR points of the grid; the two blocks are a trial's only
 frame-length arrays, and the rest works on one cache-sized frame slice at
 a time.  An exact ML search serves as the performance oracle: it
-tabulates ||H s||^2 over two half-grids and evaluates per frame only the
-rows of that table that a projection bound cannot rule out, each against
-every column.  Each frame's products with the half-grids are a matmul of
-their own, so an oracle decision does not depend on the frames beside it.
+tabulates ||H s||^2 over two half-grids once per channel draw and
+evaluates per frame only the rows of that table that a projection bound
+cannot rule out, each against every column; the bound starts from the
+table value of the last detector's decision.  Each frame's products with
+the half-grids are a matmul of their own, so an oracle decision does not
+depend on the frames beside it, nor on the detector that gave the hint.
 """
 
 import concurrent.futures
@@ -20,7 +22,7 @@ import csv
 import math
 import numbers
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,10 +51,14 @@ from .model import (
 ML_ORACLE_ID = "ml"
 _ML_SEARCH_LIMIT = 10**6
 # The oracle bounds max(1, _ML_CHUNK_ENTRIES // M^(n // 2)) frames at a time,
-# M^(n // 2) being the rows of its table, and evaluates table rows in pieces
-# of at most _ML_PIECE_ENTRIES values (or one row).
-_ML_CHUNK_ENTRIES = 1 << 12
+# M^(n // 2) being the rows of its table (64 frames at 256 rows).  A chunk's
+# products are a matmul per frame, so the chunk size changes no decision; it
+# sizes the chunk's four (frames, rows or columns) buffers.  Kept rows are
+# listed at most _ML_PAIR_ENTRIES at a time (or one frame's) and evaluated in
+# pieces of at most _ML_PIECE_ENTRIES values (or one row).
+_ML_CHUNK_ENTRIES = 1 << 14
 _ML_PIECE_ENTRIES = 1 << 14
+_ML_PAIR_ENTRIES = 1 << 10
 # A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx)).
 _SLICE_ENTRIES = 1 << 15
 
@@ -212,23 +218,31 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
-def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.ndarray:
+def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None) -> np.ndarray:
     """Exact ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
     rest s_lo, so that H s = A_i + B_j with A = grid(n // 2) H_hi^T and
     B = grid(n - n // 2) H_lo^T.  Up to the frame-constant ||y||^2 the
-    distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 is formed once
-    per call, u = -2 A y and v = -2 B y per frame.  Row-major (i, j) is the
-    lexicographic candidate index; ties go to the smallest candidate
+    distance is T[i, j] + u[i] + v[j]: T = ||A_i + B_j||^2 depends on H
+    alone, u = -2 A y and v = -2 B y are formed per frame.  Row-major (i, j)
+    is the lexicographic candidate index; ties go to the smallest candidate
     (points ascending, first component most significant).
 
     Each frame evaluates only the rows of T that a projection bound cannot
     rule out, each against every column (see ``_bounded_minima``); the
     decisions equal those of an argmin over the whole table bit for bit.
-    Observations and the channel must be finite.  Memory is M^n floats for
-    T plus buffers of bounded size, whatever the frame count; all are taken
-    from ``workspace`` when one is given.
+    ``hint``, an (n, frames) array such as a detector's decisions, names one
+    candidate per frame: each component goes to the nearest alphabet point,
+    clipped into the alphabet, so any finite array names candidates.  The
+    hint's table value tightens the frame's bound; it changes no decision.
+    Observations, hint and channel must be finite.
+
+    A, B, T and the bound's basis are built once per channel and kept in
+    ``workspace``, which reuses them while calls pass the same order and a
+    bit-identical H.  Memory is M^n floats for T plus buffers of bounded
+    size, whatever the frame count; all are taken from ``workspace`` when
+    one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -239,27 +253,59 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None) -> np.
         raise ValueError(
             f"ML search space {order}^{n} = {total} exceeds {_ML_SEARCH_LIMIT}"
         )
-    if not (np.isfinite(h).all() and np.isfinite(ys).all()):
-        raise ValueError("ML search needs a finite channel and finite observations")
-    n_hi = n // 2
-    a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
-    b = _grid(constellation.points, n - n_hi) @ h[:, n_hi:].T
+    if hint is not None:
+        hint = np.asarray(hint, dtype=float)
+        if hint.shape != (n, ys.shape[1]):
+            raise ValueError(f"hint must have shape {(n, ys.shape[1])}, got {hint.shape}")
+    if not (np.isfinite(h).all() and np.isfinite(ys).all() and (hint is None or np.isfinite(hint).all())):
+        raise ValueError("ML search needs a finite channel, finite observations and a finite hint")
     ws = Workspace() if workspace is None else workspace
-    norms_a, norms_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
-    # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, added a few rows at a time
-    # so that no second M^n array is needed.
-    table = ws.take("ml_table", (len(a), len(b)))
-    np.matmul(a, b.T, out=table)
-    table *= 2.0
-    step = max(1, _ML_PIECE_ENTRIES // len(b))
-    for r in range(0, len(a), step):
-        table[r : r + step] += norms_a[r : r + step, None] + norms_b
-    image_scale = 4.0 * (norms_a.max() + norms_b.max())
-    best = _bounded_minima(table, a, b, h[:, n_hi:], image_scale, ys, ws)
+    setup = _ml_setup(h, constellation, ws)
+    if hint is not None:
+        # Alphabet indices (the points are one apart), then each frame's
+        # candidate index, split into its table row and column.
+        k = np.clip(np.rint(hint - constellation.points[0]), 0, order - 1).astype(np.intp)
+        hint = np.divmod(order ** np.arange(n - 1, -1, -1) @ k, setup.table.shape[1])
+    best = _bounded_minima(setup, ys, hint, ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _bounded_minima(table, a, b, h_lo, image_scale, ys, ws) -> np.ndarray:
+# The part of the ML search that depends only on H and the order.  ``key``
+# is (order, H's shape, H's bytes); ``table`` is T, ``w`` an orthonormal
+# basis of range(H_lo)^perp, ``proj_a`` the images A projected onto it and
+# ``image_scale`` 4 (max||A_i||^2 + max||B_j||^2).
+_MlSetup = namedtuple("_MlSetup", "key a b table image_scale w proj_a")
+
+
+def _ml_setup(h, constellation, ws) -> _MlSetup:
+    """The setup kept in ``ws`` if its key matches bit for bit, else a new one kept in its place.
+
+    The kept setup is dropped before a new one is built, because the new
+    table overwrites the old one's storage: a build that fails leaves none.
+    """
+    key = (constellation.order, h.shape, h.tobytes())
+    setup = ws.kept.pop("ml_setup", None)
+    if setup is None or setup.key != key:
+        n_hi = h.shape[1] // 2
+        a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
+        b = _grid(constellation.points, h.shape[1] - n_hi) @ h[:, n_hi:].T
+        norms_a, norms_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
+        # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, added a few rows at a time
+        # so that no second M^n array is needed.
+        table = ws.take("ml_table", (len(a), len(b)))
+        np.matmul(a, b.T, out=table)
+        table *= 2.0
+        step = max(1, _ML_PIECE_ENTRIES // len(b))
+        for r in range(0, len(a), step):
+            table[r : r + step] += norms_a[r : r + step, None] + norms_b
+        w = np.linalg.qr(h[:, n_hi:], mode="complete")[0][:, h.shape[1] - n_hi :]
+        image_scale = 4.0 * (norms_a.max() + norms_b.max())
+        setup = _MlSetup(key, a, b, table, image_scale, w, a @ w)
+    ws.kept["ml_setup"] = setup
+    return setup
+
+
+def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
     """Each frame's first minimum over every column of the rows its bound keeps."""
     # Every candidate in row i lies at least ||W^T (y - A_i)||^2 from y, with
     # W an orthonormal basis of range(H_lo)^perp, since B_j lies in
@@ -274,49 +320,90 @@ def _bounded_minima(table, a, b, h_lo, image_scale, ys, ws) -> np.ndarray:
     # dozen.  So every row that can hold a tie of the float minimum stays,
     # and the first minimum of the kept rows, ascending and each over all
     # columns, is the full table's.  The row that gives U holds a candidate
-    # at U and so stays too: every frame keeps a row.  ``image_scale`` is
-    # 4 (max||A_i||^2 + max||B_j||^2).
-    w = np.linalg.qr(h_lo, mode="complete")[0][:, h_lo.shape[1] :]
-    proj_a = a @ w
-    n_frames, n_cols = ys.shape[1], table.shape[1]
-    chunk = max(1, _ML_CHUNK_ENTRIES // len(a))
-    step = max(1, _ML_PIECE_ENTRIES // n_cols)
-    best = np.empty(n_frames, dtype=np.intp)
-    for start in range(0, n_frames, chunk):
-        yt = ys[:, start : start + chunk].T
-        f = len(yt)
-        u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
-        v = _frame_products(yt, b, ws.take("ml_v", (f, len(b))))
-        rows_lb = _projected_distances(yt, w, proj_a, ws.take("ml_rows_lb", (f, len(a))))
-        # U: the smallest table value along the row with the smallest bound.
-        idx = np.arange(f)
-        r0 = rows_lb.argmin(axis=1)
-        along = table[r0]
-        along += u[idx, r0][:, None]
-        along += v
-        limit = along.min(axis=1)
-        del along
-        y_norms = (yt**2).sum(axis=1)
-        limit += y_norms
-        limit += 1e-9 * (y_norms + image_scale)
-        # Kept (frame, row) pairs, frame-major with rows ascending; each
-        # takes its first column minimum, evaluated a few pairs at a time.
-        fr, rows = np.nonzero(rows_lb <= limit[:, None])
-        vals = np.empty(len(fr))
-        cols = np.empty(len(fr), dtype=np.intp)
-        for p in range(0, len(fr), step):
-            pf, pr = fr[p : p + step], rows[p : p + step]
-            d = table[pr]
-            d += u[pf, pr][:, None]
-            d += v[pf]
-            cols[p : p + step] = k = d.argmin(axis=1)
-            vals[p : p + step] = d[np.arange(len(d)), k]
-        # The first pair of each frame that reaches the frame's minimum.
-        seg = np.searchsorted(fr, idx)
-        hits = np.flatnonzero(vals == np.minimum.reduceat(vals, seg)[fr])
-        first = hits[np.searchsorted(hits, seg)]
-        best[start : start + f] = rows[first] * n_cols + cols[first]
+    # at U and so stays too: every frame keeps a row.  U is the smallest
+    # value along the row with the smallest bound or, if smaller, the value
+    # at the hint's (row, column), formed in the kept rows' float order.
+    chunk = max(1, _ML_CHUNK_ENTRIES // len(setup.a))
+    best = np.empty(ys.shape[1], dtype=np.intp)
+    for start in range(0, ys.shape[1], chunk):
+        part = slice(start, start + chunk)
+        hint_part = None if hint is None else (hint[0][part], hint[1][part])
+        best[part] = _chunk_minima(setup, ys[:, part].T, hint_part, ws)
     return best
+
+
+def _chunk_minima(setup, yt, hint, ws) -> np.ndarray:
+    """``_bounded_minima`` for the frames in the rows of ``yt``.
+
+    Its (frames, rows) and (frames, columns) arrays live in four buffers of
+    ``ws``: u, v, the row bounds and a work buffer, which holds U's row.
+    Once the bounds are compared, the last two serve ``_kept_minima``, so
+    a call's peak memory stays below that of a full split-table search.
+    """
+    table, a, b = setup.table, setup.a, setup.b
+    f, n_cols = len(yt), table.shape[1]
+    u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
+    v = _frame_products(yt, b, ws.take("ml_v", (f, n_cols)))
+    rows_lb = _projected_distances(
+        yt, setup.w, setup.proj_a, ws.take("ml_rows_lb", (f, len(a))), ws.take("ml_work", (f, len(a)))
+    )
+    idx = np.arange(f)
+    r0 = rows_lb.argmin(axis=1)
+    along = np.take(table, r0, axis=0, out=ws.take("ml_work", (f, n_cols)), mode="clip")
+    along += u[idx, r0][:, None]
+    along += v
+    limit = along.min(axis=1)
+    if hint is not None:
+        hr, hc = hint
+        np.minimum(limit, (table[hr, hc] + u[idx, hr]) + v[idx, hc], out=limit)
+    y_norms = (yt**2).sum(axis=1)
+    limit += y_norms
+    limit += 1e-9 * (y_norms + setup.image_scale)
+    keep = rows_lb <= _spread(limit[:, None], ws.take("ml_work", rows_lb.shape))
+    return _kept_minima(table, u, v, keep, ws)
+
+
+def _kept_minima(table, u, v, keep, ws) -> np.ndarray:
+    """Each frame's first minimum over every column of its rows in ``keep``.
+
+    Every frame keeps a row.  The kept (frame, row) pairs, frame-major with
+    rows ascending, each take their first column minimum, evaluated a few
+    pairs at a time as (T + u) + v in the buffers of the bounds and U's row.
+    Frames with more than _ML_PAIR_ENTRIES pairs are halved until each part
+    has fewer or a single frame, so the pair lists stay small.
+    """
+    if len(keep) > 1 and np.count_nonzero(keep) > _ML_PAIR_ENTRIES:
+        half = len(keep) // 2
+        return np.concatenate(
+            [_kept_minima(table, u[part], v[part], keep[part], ws) for part in (slice(half), slice(half, None))]
+        )
+    n_cols = table.shape[1]
+    step = max(1, _ML_PIECE_ENTRIES // n_cols)
+    fr, rows = np.nonzero(keep)
+    vals = np.empty(len(fr))
+    cols = np.empty(len(fr), dtype=np.intp)
+    for p in range(0, len(fr), step):
+        pf, pr = fr[p : p + step], rows[p : p + step]
+        d = np.take(table, pr, axis=0, out=ws.take("ml_rows_lb", (len(pr), n_cols)), mode="clip")
+        d += _spread(u[pf, pr][:, None], ws.take("ml_work", d.shape))
+        d += np.take(v, pf, axis=0, out=ws.take("ml_work", d.shape), mode="clip")
+        cols[p : p + step] = k = d.argmin(axis=1)
+        vals[p : p + step] = d[np.arange(len(d)), k]
+    # The first pair of each frame that reaches the frame's minimum.
+    seg = np.searchsorted(fr, np.arange(len(keep)))
+    hits = np.flatnonzero(vals == np.minimum.reduceat(vals, seg)[fr])
+    first = hits[np.searchsorted(hits, seg)]
+    return rows[first] * n_cols + cols[first]
+
+
+def _spread(values, out) -> np.ndarray:
+    """``out`` filled with ``values`` broadcast to its shape.
+
+    An operation with the result costs what the broadcasting one costs,
+    without the ufunc buffer of up to 64 KB that broadcasting allocates.
+    """
+    out[...] = values
+    return out
 
 
 def _frame_products(yt, images, out) -> np.ndarray:
@@ -331,13 +418,16 @@ def _frame_products(yt, images, out) -> np.ndarray:
     return out
 
 
-def _projected_distances(yt, w, projected, out) -> np.ndarray:
-    """||W^T y - p||^2 for each frame y (row of ``yt``) and row p of ``projected``."""
+def _projected_distances(yt, w, projected, out, work) -> np.ndarray:
+    """||W^T y - p||^2 for each frame y (row of ``yt``) and row p of ``projected``.
+
+    ``work``, of the shape of ``out``, is overwritten.
+    """
     py = yt @ w
     np.matmul(py, projected.T, out=out)
     out *= -2.0
-    out += (py**2).sum(axis=1)[:, None]
-    out += (projected**2).sum(axis=1)
+    out += _spread((py**2).sum(axis=1)[:, None], work)
+    out += _spread((projected**2).sum(axis=1), work)
     return out
 
 
@@ -486,13 +576,14 @@ def _decisions(detectors, oracle: bool, h, received, constellation, workspace):
     """(decisions, clip count) of each detector, then of the ML oracle.
 
     A generator, so each detector's decisions are counted before the next
-    one runs and overwrites them in ``workspace``.
+    one runs and overwrites them in ``workspace``.  The last detector's
+    decisions, still in ``workspace``, are the oracle's hint.
     """
     for det in detectors:
         a_hat, _, nclip = detect_block(det, received, constellation, workspace)
         yield a_hat, nclip
     if oracle:
-        yield _ml_detect_block(h, received, constellation, workspace), 0
+        yield _ml_detect_block(h, received, constellation, workspace, hint=a_hat), 0
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

@@ -9,7 +9,9 @@ count and noise level below, also when every kept row is a piece of its
 own.  ``reference_ml_block`` is the direct search: it builds every
 candidate, its image and the K x F distance matrix, and scans candidates
 in chunks.  All must agree on exact ties, where the lexicographically
-smallest candidate wins.
+smallest candidate wins.  A hint (any candidate, or any finite array the
+search rounds and clips onto one) only tightens the bound, so every hint
+must leave the decisions unchanged.
 """
 
 import itertools
@@ -55,12 +57,13 @@ def reference_ml_block(matrix, observations, constellation) -> np.ndarray:
     return cands[best_idx].T.copy()
 
 
-def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
+def split_table_ml_block(matrix, observations, constellation, farthest=False) -> np.ndarray:
     """Full split-table search: T + u + v over all M^n entries for every frame.
 
     u and v are formed per frame, each frame's products a matmul of their
     own as in ``sim``, and the first argmin in row-major order gives ties
-    to the smallest candidate.
+    to the smallest candidate.  ``farthest`` takes the argmax instead: the
+    candidate whose image lies farthest from the frame.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -87,7 +90,8 @@ def split_table_ml_block(matrix, observations, constellation) -> np.ndarray:
         d = dist[: y.shape[1]]
         np.add(table, (-2.0 * np.matmul(y.T[:, None, :], a.T))[:, 0, :, None], out=d)
         d += -2.0 * np.matmul(y.T[:, None, :], b.T)
-        best[start : start + block] = d.reshape(len(d), -1).argmin(axis=1)
+        flat = d.reshape(len(d), -1)
+        best[start : start + block] = flat.argmax(axis=1) if farthest else flat.argmin(axis=1)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
@@ -113,12 +117,18 @@ CASES = [
 
 
 def _draw(n, m, order, frames, seed, std=0.6):
+    h, _, ys, constellation = _draw_sent(n, m, order, frames, seed, std)
+    return h, ys, constellation
+
+
+def _draw_sent(n, m, order, frames, seed, std=0.6):
+    """A Gaussian channel, the sent symbols, the observations and the alphabet."""
     constellation = make_ask_constellation(order)
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(m, n))
     sent = rng.choice(constellation.points, size=(n, frames))
     ys = h @ sent + std * rng.normal(size=(m, frames))
-    return h, ys, constellation
+    return h, sent, ys, constellation
 
 
 @pytest.mark.parametrize("n, m, order", CASES)
@@ -252,8 +262,11 @@ def _exact_first_minimum(h, ys, constellation):
     return (cands2[dist.argmin(axis=1)] / 2).T
 
 
-def _assert_exact_ties(n, m, order, spread, seed):
-    """Integer channel with twin columns, half-integer noise in [-spread/2, spread/2]."""
+def _tie_draw(n, m, order, spread, seed):
+    """Integer channel with twin columns, half-integer noise in [-spread/2, spread/2].
+
+    Returns the channel, the sent symbols, the observations and the alphabet.
+    """
     constellation = make_ask_constellation(order)
     rng = np.random.default_rng(seed)
     frames = _chunk(n, order) + 1
@@ -261,6 +274,11 @@ def _assert_exact_ties(n, m, order, spread, seed):
     h[:, -1] = h[:, 0]  # twin columns: swapping their symbols never changes H s
     sent = rng.choice(constellation.points, size=(n, frames))
     ys = h @ sent + rng.integers(-spread, spread + 1, size=(m, frames)) / 2.0
+    return h, sent, ys, constellation
+
+
+def _assert_exact_ties(n, m, order, spread, seed):
+    h, sent, ys, constellation = _tie_draw(n, m, order, spread, seed)
     got = sim._ml_detect_block(h, ys, constellation)
     want = _exact_first_minimum(h, ys, constellation)
     np.testing.assert_array_equal(got, want)
@@ -292,6 +310,60 @@ def test_exact_ties_with_one_row_per_piece(n, m, order, monkeypatch):
     _one_row_per_piece(monkeypatch)
     _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order)
     _assert_exact_ties(n, m, order, spread=8, seed=94 + n)
+
+
+def _hints(h, sent, ys, constellation, seed):
+    """Hints by name: the sent symbols, a random candidate, the candidate
+    whose image lies farthest from the frame, and floats off the alphabet,
+    many beyond its ends, which the search rounds and clips onto candidates."""
+    rng = np.random.default_rng(seed)
+    limit = 2.0 * constellation.order
+    return {
+        "sent": sent,
+        "random": rng.choice(constellation.points, size=sent.shape),
+        "farthest": split_table_ml_block(h, ys, constellation, farthest=True),
+        "off-alphabet": rng.uniform(-limit, limit, size=sent.shape),
+    }
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("n, m, order", CASES)
+def test_hints_change_no_decision(n, m, order, small_chunks, monkeypatch):
+    """Under every hint the decisions are the split table's, with no, low and
+    high noise; with chunks of three frames each hint is cut across 33 chunks."""
+    if small_chunks:
+        monkeypatch.setattr(sim, "_ML_CHUNK_ENTRIES", 3 * order ** (n // 2))
+    for std in (0.0, 0.3, 3.0):
+        h, sent, ys, constellation = _draw_sent(n, m, order, 97, seed=10 * n + m + order, std=std)
+        want = split_table_ml_block(h, ys, constellation)
+        for name, hint in _hints(h, sent, ys, constellation, seed=n).items():
+            got = sim._ml_detect_block(h, ys, constellation, hint=hint)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} hint, std {std}")
+
+
+@pytest.mark.parametrize("n, m, order", TIE_CASES)
+def test_hints_change_no_decision_on_exact_ties(n, m, order):
+    """Exact ties under every hint, and under the tied twin of the winner, the
+    candidate at the very minimum that must lose the tie."""
+    for spread in (1, 8):
+        h, sent, ys, constellation = _tie_draw(n, m, order, spread, seed=7 * n + order + spread)
+        want = _exact_first_minimum(h, ys, constellation)
+        hints = _hints(h, sent, ys, constellation, seed=n)
+        if n > 1:
+            hints["tied twin"] = want[[-1, *range(1, n - 1), 0]]
+        for name, hint in hints.items():
+            got = sim._ml_detect_block(h, ys, constellation, hint=hint)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} hint, spread {spread}")
+
+
+def test_rejects_a_hint_of_another_shape_or_not_finite():
+    h, ys, constellation = _draw(3, 3, 2, 4, seed=2)
+    with pytest.raises(ValueError, match="hint must have shape"):
+        sim._ml_detect_block(h, ys, constellation, hint=np.zeros((3, 5)))
+    hint = np.zeros((3, 4))
+    hint[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sim._ml_detect_block(h, ys, constellation, hint=hint)
 
 
 def _traced_peak(search, h, ys, constellation):

@@ -65,6 +65,49 @@ def test_shared_workspace_equals_fresh_calls():
     assert clipped_total > 0, "no call exercised the clip count"
 
 
+def _retained_by_workspace(calls, ys):
+    """Bytes a workspace still holds after the oracle ``calls`` (channel, alphabet)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = Workspace()
+        for h, constellation in calls:
+            sim._ml_detect_block(h, ys, constellation, ws)
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_ml_setup_follows_the_channel_bit_for_bit():
+    """One workspace alternates H, H with one entry moved by one ulp, and H at
+    another order (8 real streams, orders 4 and 2).  Every call equals a fresh
+    call, the table it keeps is that of the call's channel and order, and it
+    keeps one table (512 KB at order 4) in one storage, not one per channel."""
+    channel, order4, rng = _channel(4, 4, seed=8)
+    order2 = make_ask_constellation(2)
+    h = channel.matrix
+    h_ulp = h.copy()
+    h_ulp[1, 2] = np.nextafter(h_ulp[1, 2], np.inf)
+    ys = _observations(channel, order4, rng, 300)
+    calls = [(h, order4), (h_ulp, order4), (h, order2), (h, order4), (h, order4), (h_ulp, order4), (h_ulp, order2)]
+    tables, storage = {}, set()
+    ws = Workspace()
+    for k, (hk, constellation) in enumerate(calls):
+        got = sim._ml_detect_block(hk, ys, constellation, ws)
+        assert np.array_equal(got, sim._ml_detect_block(hk, ys, constellation)), f"call {k}"
+        table = ws.kept["ml_setup"].table
+        fresh = sim._ml_setup(hk, constellation, Workspace()).table
+        assert np.array_equal(table.view(np.uint64), fresh.view(np.uint64)), f"call {k}"
+        tables[hk is h, constellation.order] = fresh
+        storage.add(table.ctypes.data)
+    # The ulp moves the table, so a setup kept across the two would be seen above.
+    assert not np.array_equal(tables[True, 4], tables[False, 4])
+    assert len(storage) == 1, "every rebuilt table reuses the workspace's storage"
+    alone = _retained_by_workspace(calls[:1], ys)
+    alternating = _retained_by_workspace(calls, ys)
+    assert alternating < alone + 64 * 2**10, f"{alternating} B against {alone} B for one channel"
+
+
 def test_result_is_overwritten_by_the_next_call():
     """The aliasing rule: a workspace result lives until the workspace is used again."""
     channel, constellation, rng = _channel(2, 4, seed=3)
