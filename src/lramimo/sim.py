@@ -10,11 +10,12 @@ on the other SNR points of the grid; the two blocks are a trial's only
 frame-length arrays, and the rest works on one cache-sized frame slice at
 a time.  An exact ML search serves as the performance oracle: it
 tabulates ||H s||^2 over two half-grids once per channel draw and
-evaluates per frame only the rows of that table that a projection bound
-cannot rule out, each against every column; the bound starts from the
-table value of the last detector's decision.  Each frame's products with
-the half-grids are a matmul of their own, so an oracle decision does not
-depend on the frames beside it, nor on the detector that gave the hint.
+evaluates per frame only the rows of that table that a projection bound,
+from the reduced QR of the second half's columns, cannot rule out, each
+against every column; the bound starts from the table value of the last
+detector's decision.  Each frame's products with the half-grids are a
+matmul of their own, so an oracle decision does not depend on the frames
+beside it, nor on the detector that gave the hint.
 """
 
 import concurrent.futures
@@ -230,7 +231,9 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     (points ascending, first component most significant).
 
     Each frame evaluates only the rows of T that a projection bound cannot
-    rule out, each against every column (see ``_bounded_minima``); the
+    rule out, each against every column (see ``_bounded_minima``): row i's
+    bound is the distance from y - A_i to range(Q), Q the reduced QR factor
+    of H_lo, formed from u and the products Q^T y and Q^T A_i.  The
     decisions equal those of an argmin over the whole table bit for bit.
     ``hint``, an (n, frames) array such as a detector's decisions, names one
     candidate per frame: each component goes to the nearest alphabet point,
@@ -238,11 +241,11 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     hint's table value tightens the frame's bound; it changes no decision.
     Observations, hint and channel must be finite.
 
-    A, B, T and the bound's basis are built once per channel and kept in
-    ``workspace``, which reuses them while calls pass the same order and a
-    bit-identical H.  Memory is M^n floats for T plus buffers of bounded
-    size, whatever the frame count; all are taken from ``workspace`` when
-    one is given.
+    A, B, T, Q and the products Q^T A_i are built once per channel and kept
+    in ``workspace``, which reuses them while calls pass the same order and
+    a bit-identical H.  Memory is M^n floats for T plus buffers linear in
+    the receive rows, whatever the frame count; the frame-sized ones are
+    taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -271,10 +274,11 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
 
 
 # The part of the ML search that depends only on H and the order.  ``key``
-# is (order, H's shape, H's bytes); ``table`` is T, ``w`` an orthonormal
-# basis of range(H_lo)^perp, ``proj_a`` the images A projected onto it and
-# ``image_scale`` 4 (max||A_i||^2 + max||B_j||^2).
-_MlSetup = namedtuple("_MlSetup", "key a b table image_scale w proj_a")
+# is (order, H's shape, H's bytes); ``table`` is T, ``image_scale`` 4
+# (max||A_i||^2 + max||B_j||^2), ``q`` the reduced QR factor Q of H_lo,
+# ``proj_a`` the products Q^T A_i, one per row, and ``c`` the
+# ||A_i||^2 - ||Q^T A_i||^2 of the row bounds.
+_MlSetup = namedtuple("_MlSetup", "key a b table image_scale q proj_a c")
 
 
 def _ml_setup(h, constellation, ws) -> _MlSetup:
@@ -298,69 +302,74 @@ def _ml_setup(h, constellation, ws) -> _MlSetup:
         step = max(1, _ML_PIECE_ENTRIES // len(b))
         for r in range(0, len(a), step):
             table[r : r + step] += norms_a[r : r + step, None] + norms_b
-        w = np.linalg.qr(h[:, n_hi:], mode="complete")[0][:, h.shape[1] - n_hi :]
+        q = np.linalg.qr(h[:, n_hi:])[0]
+        proj_a = a @ q
         image_scale = 4.0 * (norms_a.max() + norms_b.max())
-        setup = _MlSetup(key, a, b, table, image_scale, w, a @ w)
+        setup = _MlSetup(key, a, b, table, image_scale, q, proj_a, norms_a - (proj_a**2).sum(axis=1))
     ws.kept["ml_setup"] = setup
     return setup
 
 
 def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
-    """Each frame's first minimum over every column of the rows its bound keeps."""
-    # Every candidate in row i lies at least ||W^T (y - A_i)||^2 from y, with
-    # W an orthonormal basis of range(H_lo)^perp, since B_j lies in
-    # range(H_lo).  Let U be any table value (T + u) + v of the frame, so
-    # the float minimum is <= U.  A candidate whose float value is that
-    # minimum has exact distance at most U + ||y||^2 plus rounding, so its
-    # row bound is at most U + ||y||^2 plus rounding.  The rounding of T,
-    # u, v, the bound and W, and that of the images A_i and B_j, which the
-    # bound takes as exact, stays within a small multiple of m eps (||y||^2
-    # + max||A_i||^2 + max||B_j||^2) for m receive rows; the margin below
-    # exceeds it by four orders of magnitude or more for m up to a few
-    # dozen.  So every row that can hold a tie of the float minimum stays,
-    # and the first minimum of the kept rows, ascending and each over all
-    # columns, is the full table's.  The row that gives U holds a candidate
-    # at U and so stays too: every frame keeps a row.  U is the smallest
-    # value along the row with the smallest bound or, if smaller, the value
-    # at the hint's (row, column), formed in the kept rows' float order.
-    chunk = max(1, _ML_CHUNK_ENTRIES // len(setup.a))
+    """Each frame's first minimum over every column of the rows its bound keeps.
+
+    A chunk's (frames, rows) and (frames, columns) arrays live in four
+    buffers of ``ws``: u, v, the row bounds and a work buffer, which holds
+    c for each frame and then U's row.  Once the bounds are compared, the
+    last two serve ``_kept_minima``, so a call's peak memory stays below
+    that of a full split-table search.
+    """
+    # Every candidate in row i lies at least ||y - A_i||^2 - ||Q^T (y - A_i)||^2
+    # from y, its squared distance to range(Q) for Q the reduced QR factor of
+    # H_lo, since range(Q) holds range(H_lo) and so every B_j, also when H_lo
+    # is rank deficient.  Less the frame constant ||y||^2 - ||Q^T y||^2 this
+    # is the row bound 2 (Q^T y)^T (Q^T A_i) + u[i] + c[i]; the projection
+    # ||W^T (y - A_i)||^2, W an orthonormal basis of range(Q)^perp, differs
+    # from it by that constant alone, so the row r0 with the smallest bound
+    # is that projection's smallest up to rounding.  Let U be any table value
+    # (T + u) + v of the frame, so the float minimum is <= U.  A candidate
+    # whose float value is that minimum has exact distance at most U +
+    # ||y||^2 plus rounding, so its row bound is at most U + ||Q^T y||^2 plus
+    # rounding.  The rounding of T, u, v and the bound, and that of the images
+    # A_i and B_j, which the bound takes as exact, stays within a small
+    # multiple of m eps (||y||^2 + max||A_i||^2 + max||B_j||^2) for m receive
+    # rows, the cancellation of the frame constant included.  The margin
+    # below exceeds it by four orders of magnitude or more for m up to a few
+    # dozen, and about tenfold at 10^5.  So every row that can hold a tie of
+    # the float minimum stays, and the first minimum of the kept rows,
+    # ascending and each over all columns, is the full table's.  U is the
+    # smallest T + v along row r0 plus u[r0] or, if smaller, the value at the
+    # hint's (row, column), formed in the kept rows' float order; either lies
+    # within rounding of a candidate's value, whose row therefore stays:
+    # every frame keeps a row.
+    table, a, b = setup.table, setup.a, setup.b
+    chunk = max(1, _ML_CHUNK_ENTRIES // len(a))
     best = np.empty(ys.shape[1], dtype=np.intp)
     for start in range(0, ys.shape[1], chunk):
         part = slice(start, start + chunk)
-        hint_part = None if hint is None else (hint[0][part], hint[1][part])
-        best[part] = _chunk_minima(setup, ys[:, part].T, hint_part, ws)
+        yt = ys[:, part].T
+        f = len(yt)
+        idx = np.arange(f)
+        u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
+        v = _frame_products(yt, b, ws.take("ml_v", (f, len(b))))
+        py = yt @ setup.q
+        rows_lb = np.matmul(py, setup.proj_a.T, out=ws.take("ml_rows_lb", u.shape))
+        rows_lb *= 2.0
+        rows_lb += u
+        rows_lb += _spread(setup.c, ws.take("ml_work", rows_lb.shape))
+        r0 = rows_lb.argmin(axis=1)
+        along = np.take(table, r0, axis=0, out=ws.take("ml_work", v.shape), mode="clip")
+        along += v
+        limit = along.min(axis=1)
+        limit += u[idx, r0]
+        if hint is not None:
+            hr, hc = hint[0][part], hint[1][part]
+            np.minimum(limit, (table[hr, hc] + u[idx, hr]) + v[idx, hc], out=limit)
+        limit += (py**2).sum(axis=1)
+        limit += 1e-9 * ((yt**2).sum(axis=1) + setup.image_scale)
+        keep = rows_lb <= _spread(limit[:, None], ws.take("ml_work", rows_lb.shape))
+        best[part] = _kept_minima(table, u, v, keep, ws)
     return best
-
-
-def _chunk_minima(setup, yt, hint, ws) -> np.ndarray:
-    """``_bounded_minima`` for the frames in the rows of ``yt``.
-
-    Its (frames, rows) and (frames, columns) arrays live in four buffers of
-    ``ws``: u, v, the row bounds and a work buffer, which holds U's row.
-    Once the bounds are compared, the last two serve ``_kept_minima``, so
-    a call's peak memory stays below that of a full split-table search.
-    """
-    table, a, b = setup.table, setup.a, setup.b
-    f, n_cols = len(yt), table.shape[1]
-    u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
-    v = _frame_products(yt, b, ws.take("ml_v", (f, n_cols)))
-    rows_lb = _projected_distances(
-        yt, setup.w, setup.proj_a, ws.take("ml_rows_lb", (f, len(a))), ws.take("ml_work", (f, len(a)))
-    )
-    idx = np.arange(f)
-    r0 = rows_lb.argmin(axis=1)
-    along = np.take(table, r0, axis=0, out=ws.take("ml_work", (f, n_cols)), mode="clip")
-    along += u[idx, r0][:, None]
-    along += v
-    limit = along.min(axis=1)
-    if hint is not None:
-        hr, hc = hint
-        np.minimum(limit, (table[hr, hc] + u[idx, hr]) + v[idx, hc], out=limit)
-    y_norms = (yt**2).sum(axis=1)
-    limit += y_norms
-    limit += 1e-9 * (y_norms + setup.image_scale)
-    keep = rows_lb <= _spread(limit[:, None], ws.take("ml_work", rows_lb.shape))
-    return _kept_minima(table, u, v, keep, ws)
 
 
 def _kept_minima(table, u, v, keep, ws) -> np.ndarray:
@@ -415,19 +424,6 @@ def _frame_products(yt, images, out) -> np.ndarray:
     """
     np.matmul(yt[:, None, :], images.T, out=out[:, None, :])
     out *= -2.0
-    return out
-
-
-def _projected_distances(yt, w, projected, out, work) -> np.ndarray:
-    """||W^T y - p||^2 for each frame y (row of ``yt``) and row p of ``projected``.
-
-    ``work``, of the shape of ``out``, is overwritten.
-    """
-    py = yt @ w
-    np.matmul(py, projected.T, out=out)
-    out *= -2.0
-    out += _spread((py**2).sum(axis=1)[:, None], work)
-    out += _spread((projected**2).sum(axis=1), work)
     return out
 
 

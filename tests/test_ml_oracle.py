@@ -95,20 +95,22 @@ def split_table_ml_block(matrix, observations, constellation, farthest=False) ->
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-def _chunk(n, order):
-    """Frames the oracle bounds at a time, for a table of M^(n // 2) rows."""
-    return max(1, sim._ML_CHUNK_ENTRIES // order ** (n // 2))
+# The tests that straddle chunk boundaries pin the oracle's chunk at
+# _CHUNK_FRAMES frames, so that their frame counts do not grow with
+# sim._ML_CHUNK_ENTRIES.
+_CHUNK_FRAMES = 16
+_FRAME_COUNTS = (1, _CHUNK_FRAMES - 1, _CHUNK_FRAMES + 1, 3 * _CHUNK_FRAMES + 2)
 
 
-def _frame_counts(n, order):
-    chunk = _chunk(n, order)
-    return sorted({1, max(1, chunk - 1), chunk + 1, 3 * chunk + 2})
+def _pin_chunk(monkeypatch, n, order):
+    """Make the oracle bound _CHUNK_FRAMES frames at a time on a table of M^(n // 2) rows."""
+    monkeypatch.setattr(sim, "_ML_CHUNK_ENTRIES", _CHUNK_FRAMES * order ** (n // 2))
 
 
 # (real streams, receive rows, order): square and tall, within the 10^6 limit.
 CASES = [
     (1, 1, 2), (1, 3, 4), (1, 2, 8),
-    (2, 2, 2), (2, 4, 4), (2, 2, 8),
+    (2, 2, 2), (2, 4, 4), (2, 2, 8), (2, 64, 4),
     (3, 3, 2), (3, 5, 4), (3, 4, 8),
     (5, 5, 2), (5, 7, 4), (5, 5, 8),
     (8, 8, 2), (8, 10, 2), (8, 8, 4),
@@ -132,8 +134,9 @@ def _draw_sent(n, m, order, frames, seed, std=0.6):
 
 
 @pytest.mark.parametrize("n, m, order", CASES)
-def test_matches_reference_on_gaussian_draws(n, m, order):
-    for frames in _frame_counts(n, order):
+def test_matches_reference_on_gaussian_draws(n, m, order, monkeypatch):
+    _pin_chunk(monkeypatch, n, order)
+    for frames in _FRAME_COUNTS:
         h, ys, constellation = _draw(n, m, order, frames, seed=1000 * n + 10 * m + order + frames)
         got = sim._ml_detect_block(h, ys, constellation)
         want = reference_ml_block(h, ys, constellation)
@@ -147,9 +150,10 @@ def _one_row_per_piece(monkeypatch):
     monkeypatch.setattr(sim, "_ML_PIECE_ENTRIES", 1)
 
 
-def _assert_split_table(n, m, order, max_frames=None):
+def _assert_split_table(n, m, order, monkeypatch):
     """At std 30 the bound rules out almost nothing, so most rows are kept."""
-    for frames in sorted({min(f, max_frames or f) for f in _frame_counts(n, order)}):
+    _pin_chunk(monkeypatch, n, order)
+    for frames in _FRAME_COUNTS:
         for std in (0.0, 0.1, 0.6, 3.0, 30.0):
             h, ys, constellation = _draw(n, m, order, frames, seed=100 * n + m + frames, std=std)
             want = split_table_ml_block(h, ys, constellation)
@@ -158,16 +162,16 @@ def _assert_split_table(n, m, order, max_frames=None):
 
 
 @pytest.mark.parametrize("n, m, order", CASES)
-def test_bit_identical_to_the_split_table(n, m, order):
-    _assert_split_table(n, m, order)
+def test_bit_identical_to_the_split_table(n, m, order, monkeypatch):
+    _assert_split_table(n, m, order, monkeypatch)
 
 
 @pytest.mark.parametrize("n, m, order", CASES)
 def test_bit_identical_to_the_split_table_one_row_per_piece(n, m, order, monkeypatch):
-    """Frame counts are capped at 50 (at 16 streams, three 16-frame chunks
-    and a tail), because each kept row is then a loop step of its own."""
+    """Each kept row is a loop step of its own; the largest frame count is
+    three 16-frame chunks and a tail."""
     _one_row_per_piece(monkeypatch)
-    _assert_split_table(n, m, order, max_frames=50)
+    _assert_split_table(n, m, order, monkeypatch)
 
 
 @pytest.mark.parametrize("one_row_per_piece", [False, True])
@@ -269,7 +273,7 @@ def _tie_draw(n, m, order, spread, seed):
     """
     constellation = make_ask_constellation(order)
     rng = np.random.default_rng(seed)
-    frames = _chunk(n, order) + 1
+    frames = _CHUNK_FRAMES + 1
     h = rng.integers(-1, 2, size=(m, n)).astype(float)
     h[:, -1] = h[:, 0]  # twin columns: swapping their symbols never changes H s
     sent = rng.choice(constellation.points, size=(n, frames))
@@ -277,7 +281,8 @@ def _tie_draw(n, m, order, spread, seed):
     return h, sent, ys, constellation
 
 
-def _assert_exact_ties(n, m, order, spread, seed):
+def _assert_exact_ties(n, m, order, spread, seed, monkeypatch):
+    _pin_chunk(monkeypatch, n, order)
     h, sent, ys, constellation = _tie_draw(n, m, order, spread, seed)
     got = sim._ml_detect_block(h, ys, constellation)
     want = _exact_first_minimum(h, ys, constellation)
@@ -295,21 +300,21 @@ TIE_CASES = [(1, 2, 4), (2, 2, 2), (3, 4, 4), (5, 5, 2), (8, 8, 2), (12, 12, 2)]
 
 
 @pytest.mark.parametrize("n, m, order", TIE_CASES)
-def test_exact_ties_go_to_lexicographically_smallest(n, m, order):
-    _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order)
+def test_exact_ties_go_to_lexicographically_smallest(n, m, order, monkeypatch):
+    _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order, monkeypatch=monkeypatch)
 
 
-def test_exact_ties_across_the_pieces_of_a_large_subgrid():
+def test_exact_ties_across_the_pieces_of_a_large_subgrid(monkeypatch):
     """Wide noise keeps many rows per frame, so that some frames span two
     pieces of ``_ML_PIECE_ENTRIES`` values; twin candidates lie in different rows."""
-    _assert_exact_ties(12, 12, 2, spread=8, seed=94)
+    _assert_exact_ties(12, 12, 2, spread=8, seed=94, monkeypatch=monkeypatch)
 
 
 @pytest.mark.parametrize("n, m, order", TIE_CASES)
 def test_exact_ties_with_one_row_per_piece(n, m, order, monkeypatch):
     _one_row_per_piece(monkeypatch)
-    _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order)
-    _assert_exact_ties(n, m, order, spread=8, seed=94 + n)
+    _assert_exact_ties(n, m, order, spread=1, seed=7 * n + order, monkeypatch=monkeypatch)
+    _assert_exact_ties(n, m, order, spread=8, seed=94 + n, monkeypatch=monkeypatch)
 
 
 def _hints(h, sent, ys, constellation, seed):
@@ -342,9 +347,10 @@ def test_hints_change_no_decision(n, m, order, small_chunks, monkeypatch):
 
 
 @pytest.mark.parametrize("n, m, order", TIE_CASES)
-def test_hints_change_no_decision_on_exact_ties(n, m, order):
+def test_hints_change_no_decision_on_exact_ties(n, m, order, monkeypatch):
     """Exact ties under every hint, and under the tied twin of the winner, the
     candidate at the very minimum that must lose the tie."""
+    _pin_chunk(monkeypatch, n, order)
     for spread in (1, 8):
         h, sent, ys, constellation = _tie_draw(n, m, order, spread, seed=7 * n + order + spread)
         want = _exact_first_minimum(h, ys, constellation)
@@ -392,3 +398,13 @@ def test_memory_stays_within_the_split_table(std):
     want = _traced_peak(split_table_ml_block, h, ys, constellation)
     got = _traced_peak(sim._ml_detect_block, h, ys, constellation)
     assert got <= want, f"peak {got / 2**10:.0f} KB > split table {want / 2**10:.0f} KB"
+
+
+def test_memory_does_not_grow_with_receive_rows():
+    """A (4096, 2) channel, 3 frames at order 4: the search keeps no m x m
+    array, so the call peaks far below one (128 MB)."""
+    h, ys, constellation = _draw(2, 4096, 4, 3, seed=11)
+    want = split_table_ml_block(h, ys, constellation)
+    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
+    peak = _traced_peak(sim._ml_detect_block, h, ys, constellation)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
