@@ -181,6 +181,8 @@ def _greedy_order(gram_inv: np.ndarray) -> np.ndarray:
     for step in range(n):
         k = pick_stream(metric)
         order[:, step] = k
+        if step == n - 1:
+            break  # nothing reads the downdate after the last pick
         v = p[rows, k] / np.sqrt(metric[rows, k])[:, None]
         p -= v[:, :, None] * v[:, None, :]
         metric -= v * v

@@ -168,42 +168,51 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
 
     ``matrix`` is H and ``inv_snrs`` holds zeta per SNR point.  Only B of
     an MMSE spec depends on zeta, so a ZF detector is built once and
-    repeated at every SNR; H, each [H; sqrt(zeta) I] and their reductions
-    are made at most once, on first use.  Each spec factorizes its bases
-    in one kernel call on their stack, slice by slice as each alone.
+    repeated at every SNR; H, the stack of every [H; sqrt(zeta) I] and
+    their reductions are made at most once, on first use, so a draw takes
+    at most two ``lll_reduce`` calls: one on H, one on the stack.  Each
+    spec forms its stack of B Z^-1 in one matmul and factorizes it in one
+    kernel call, slice by slice as each alone.
     """
     inv_snrs = list(inv_snrs)
     if not inv_snrs or not all(r >= 0 for r in inv_snrs):
         raise ValueError(f"inv_snrs must be a non-empty list of values >= 0, got {inv_snrs}")
     h = np.asarray(matrix, dtype=float)
     offset = np.full(h.shape[1], ALPHABET_OFFSET)
-    augmented = functools.cache(lambda: [augment(h, r) for r in inv_snrs])
-    h_change = functools.cache(lambda: [_basis_change(lll_reduce(h), offset)])
-    b_changes = functools.cache(lambda: [_basis_change(lll_reduce(b), offset) for b in augmented()])
+    augmented = functools.cache(lambda: np.stack([augment(h, r) for r in inv_snrs]))
+    h_change = functools.cache(lambda: _basis_change(lll_reduce(h), offset))
+    b_change = functools.cache(lambda: _basis_change(lll_reduce(augmented()), offset))
     per_spec = []
     for spec in specs:
         mmse = spec.criterion is Criterion.MMSE
-        bases = augmented() if mmse else [h]
+        bases = augmented() if mmse else h[None]
         if spec.reduction_target is ReductionTarget.ORIGINAL:
-            changes = h_change() * len(bases)
+            zinv, changes = h_change()
+            changes = changes * len(bases)
         elif spec.reduction_target is ReductionTarget.AUGMENTED:
-            changes = b_changes()
+            zinv, changes = b_change()
         else:
-            changes = [(None, offset)] * len(bases)
-        built = _factorize(spec, bases, changes, h.shape[0])
+            zinv, changes = None, [(None, offset)] * len(bases)
+        stack = bases if zinv is None else np.matmul(bases, zinv)
+        built = _factorize(spec, stack, changes, h.shape[0])
         per_spec.append(built if mmse else built * len(inv_snrs))
     return [[column[j] for column in per_spec] for j in range(len(inv_snrs))]
 
 
 def _basis_change(rb: ReducedBasis, offset: np.ndarray):
-    """(rb, Z offset): the transformed symbols lie on Z offset + integers."""
-    return rb, rb.unimodular @ offset
+    """(Z^-1, [(rb, Z offset)] per slice) of a reduction or a stack of them.
+
+    The transformed symbols of a slice lie on Z offset + integers.
+    """
+    z_offsets = rb.unimodular @ offset
+    if z_offsets.ndim == 1:
+        return rb.unimodular_inv, [(rb, z_offsets)]
+    return rb.unimodular_inv, [(rb[i], z) for i, z in enumerate(z_offsets)]
 
 
-def _factorize(spec: EqualizerSpec, bases: list, changes: list, n_rx: int) -> list:
-    """One detector per basis B, from one kernel call on the stack of B Z^-1."""
-    n = len(bases)
-    stack = np.stack([b if rb is None else b @ rb.unimodular_inv for b, (rb, _) in zip(bases, changes)])
+def _factorize(spec: EqualizerSpec, stack: np.ndarray, changes: list, n_rx: int) -> list:
+    """One detector per slice of the stack of B Z^-1, from one kernel call."""
+    n = len(stack)
     if spec.structure is Structure.LINEAR:
         feedforward, feedbacks, perms = blast.le_zf_matrix(stack), [None] * n, [None] * n
     else:
@@ -294,7 +303,8 @@ def detect_block(
         # the decisions of the rows above it are cancelled from it.
         offsets = detector.z_offset[detector.perm]
         cancel = ws.take("cancel", shape[1:])
-        for l in range(shape[0]):
+        _slice(soft[0], offsets[0], loop_limit)
+        for l in range(1, shape[0]):
             np.matmul(detector.feedback[l, :l], soft[:l], out=cancel)
             np.subtract(soft[l], cancel, out=soft[l])
             _slice(soft[l], offsets[l], loop_limit)

@@ -1,20 +1,25 @@
 """Lattice basis reduction with exact integer change-of-basis bookkeeping.
 
-The reduction operates on the columns of a real matrix.  ``lll_reduce``
-is the textbook LLL on the triangular factor: one QR up front, size
-reduction on the columns of R, and one Givens rotation of two rows of R
-per column swap, so no loop visit re-orthogonalizes the basis.  All
-column operations are mirrored on the basis C and on an integer matrix Z
-(and its inverse), kept in Python integers in the loop and returned as
-int64 arrays, so the factorization H = C Z is exact up to the
-floating-point column arithmetic on C alone; an entry beyond int64 raises
-OverflowError.  ``unimodular_inverse`` inverts, exactly and without
+The reduction operates on the columns of a real matrix, or of every matrix
+of a stack (..., m, n).  ``lll_reduce`` is the textbook LLL on the
+triangular factor: one QR up front, size reduction on the columns of R,
+and one Givens rotation of two rows of R per column swap, so no loop visit
+re-orthogonalizes the basis.  A stack takes one rank check, one QR and one
+bookkeeping check for all its slices, then one loop per slice.  All
+column operations are mirrored on an integer matrix Z (and its inverse),
+kept in Python integers in the loop and returned as int64 arrays; an
+entry beyond int64 raises OverflowError.  The loop records its column
+steps instead of applying them to the basis C, and the reduced basis is
+formed by replaying them on the input when it is first read, so the
+factorization H = C Z is exact up to the floating-point column arithmetic
+on C alone.  ``unimodular_inverse`` inverts, exactly and without
 fractions, a unimodular matrix that does not come from a reduction; it
 keeps Python integers, as a reference at any size.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +41,46 @@ class ReductionError(ValueError):
 class ReducedBasis:
     """Result of a reduction: original = reduced @ unimodular.
 
-    ``reduced`` holds the near-orthogonal basis columns in floats;
     ``unimodular`` and ``unimodular_inv`` are exact int64 matrices with
-    determinant +-1, which multiply float arrays directly.
+    determinant +-1, which multiply float arrays directly.  ``reduced``
+    holds the near-orthogonal basis columns in floats, read-only; it is
+    formed on first read by replaying the reduction's column steps on the
+    original basis.  The reduction of a stack holds every field stacked
+    the same way, and indexing it on the leading axes gives the reduction
+    of the indexed slices.
     """
 
-    reduced: np.ndarray
     unimodular: np.ndarray
     unimodular_inv: np.ndarray
+    # The input and, per slice in C order, its column steps: (k, j, q) for
+    # c_k -= q c_j, and k for the swap of c_{k-1} and c_k.
+    _original: np.ndarray = field(repr=False)
+    _steps: list = field(repr=False)
+
+    @functools.cached_property
+    def reduced(self) -> np.ndarray:
+        m, n = self._original.shape[-2:]
+        out = np.empty(self._original.shape)
+        for basis, steps, c in zip(self._original.reshape(-1, m, n), self._steps, out.reshape(-1, m, n)):
+            cols = [basis[:, j].copy() for j in range(n)]
+            for step in steps:
+                if type(step) is int:
+                    cols[step - 1], cols[step] = cols[step], cols[step - 1]
+                else:
+                    k, j, q = step
+                    cols[k] -= q * cols[j]
+            c[...] = np.column_stack(cols)
+        out.setflags(write=False)
+        return out
+
+    def __getitem__(self, index) -> "ReducedBasis":
+        picked = np.arange(len(self._steps)).reshape(self._original.shape[:-2])[index]
+        return ReducedBasis(
+            self.unimodular[index],
+            self.unimodular_inv[index],
+            self._original[index],
+            [self._steps[i] for i in np.ravel(picked)],
+        )
 
 
 def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
@@ -53,31 +90,49 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     floating-point rounding, with the integer matrices exact; one whose
     entries do not fit in int64 raises OverflowError.  The reduced
     basis is size reduced (all Gram-Schmidt coefficients at most 1/2 in
-    magnitude) and satisfies the Lovasz condition for ``delta``.
+    magnitude) and satisfies the Lovasz condition for ``delta``; it is
+    formed only when first read.  A stack (..., m, n) is reduced slice by
+    slice in one call, each slice bit for bit as it would be alone, and
+    the result's fields are stacked the same way; any slice that is rank
+    deficient or does not converge fails the call.
 
     Parameters
     ----------
-    basis : array, shape (m, n) with m >= n, finite and of full column rank by the channel's rule.
+    basis : array, shape (m, n) or (..., m, n) with m >= n, finite and of
+        full column rank (every slice) by the channel's rule.
     delta : Lovasz parameter in (1/4, 1]; termination is guaranteed for
         delta < 1.
     """
-    h = np.asarray(basis, dtype=float)
+    # A copy, so that replaying the steps later sees the basis as reduced.
+    h = np.array(basis, dtype=float)
     _require_full_column_rank(h, "basis")
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
-    n = h.shape[1]
+    n = h.shape[-1]
+    r = np.swapaxes(np.linalg.qr(h, mode="r"), -1, -2).reshape(-1, n, n)
+    z, zinv_cols, steps = zip(*(_reduce_columns(cols, delta) for cols in r.tolist()))
+    shape = h.shape[:-2] + (n, n)
+    z_arr = np.array(z, dtype=np.int64).reshape(shape)
+    zinv_arr = np.ascontiguousarray(np.swapaxes(np.array(zinv_cols, dtype=np.int64), -1, -2)).reshape(shape)
+    if not _is_identity(z_arr @ zinv_arr):
+        raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
+    return ReducedBasis(z_arr, zinv_arr, h, list(steps))
 
-    # Column operations act on the basis columns, on the columns of the
-    # triangular factor R, on the rows of z and on the columns of zinv
-    # alike; R and zinv are stored column by column as Python lists.  R
-    # comes from a single QR; a swap breaks its triangularity in one entry,
-    # which one Givens rotation of rows k-1 and k restores.  r[i] holds
-    # column i of R, so mu_{i,j} = r[i][j] / r[j][j] and |c*_i| = |r[i][i]|.
-    cols = [h[:, j].copy() for j in range(n)]
-    r = np.linalg.qr(h, mode="r").T.tolist()
+
+def _reduce_columns(r: list, delta: float):
+    """(Z rows, Z^-1 columns, column steps) of the reduction of one triangular factor.
+
+    ``r[i]`` holds column i of R as a list, changed in place.  Column
+    operations act on the columns of R, on the rows of z and on the
+    columns of zinv alike, and are recorded as steps for the basis.  A swap
+    breaks the triangularity of R in one entry, which one Givens rotation
+    of rows k-1 and k restores.  mu_{i,j} = r[i][j] / r[j][j] and
+    |c*_i| = |r[i][i]|.
+    """
+    n = len(r)
     z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     zinv_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
+    steps = []
     sweeps = 0
     limit = _MAX_SWEEPS_PER_DIM * n * n
     k = 1
@@ -92,7 +147,7 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
             if abs(mu) > 0.5:
                 q = int(round(mu))
                 rk[: j + 1] = [a - q * b for a, b in zip(rk, rj[: j + 1])]
-                cols[k] -= q * cols[j]
+                steps.append((k, j, q))
                 z[j] = [a + q * b for a, b in zip(z[j], z[k])]
                 zinv_cols[k] = [a - q * b for a, b in zip(zinv_cols[k], zinv_cols[j])]
         r_prev = r[k - 1][k - 1]
@@ -100,7 +155,7 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
         if rk[k] ** 2 >= (delta - mu_adj**2) * r_prev**2:
             k += 1
         else:
-            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            steps.append(k)
             r[k - 1], r[k] = rk, r[k - 1]
             z[k - 1], z[k] = z[k], z[k - 1]
             zinv_cols[k - 1], zinv_cols[k] = zinv_cols[k], zinv_cols[k - 1]
@@ -113,12 +168,7 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
                 col[k] = cs * y - sn * x
             rk[k] = 0.0
             k = max(k - 1, 1)
-
-    z_arr = np.array(z, dtype=np.int64)
-    zinv_arr = np.array(list(zip(*zinv_cols)), dtype=np.int64)
-    if not _is_identity(z_arr @ zinv_arr):
-        raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
-    return ReducedBasis(reduced=np.column_stack(cols), unimodular=z_arr, unimodular_inv=zinv_arr)
+    return z, zinv_cols, steps
 
 
 def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -186,4 +236,5 @@ def _as_int_rows(matrix: np.ndarray):
 
 
 def _is_identity(arr: np.ndarray) -> bool:
-    return np.array_equal(arr, np.eye(len(arr), dtype=np.int64))
+    """True when every matrix of the stack ``arr`` is the identity."""
+    return bool((arr == np.eye(arr.shape[-1], dtype=np.int64)).all())

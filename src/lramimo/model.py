@@ -75,6 +75,8 @@ class MimoChannel:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
         if not (self.symbol_var > 0.0):
             raise ValueError(f"symbol_var must be > 0, got {self.symbol_var}")
+        if h.ndim != 2:
+            raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
         _require_full_column_rank(h, "channel matrix")
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
@@ -90,16 +92,18 @@ class RankDeficientError(ValueError):
 
 
 def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
-    """ValueError unless 2-D, tall and finite, RankDeficientError unless of full column rank.
+    """ValueError unless tall and finite, RankDeficientError unless of full column rank.
 
-    [H; sqrt(zeta) I] has singular values sqrt(s_i^2 + zeta): rank deficient only where H is.
+    A stack (..., m, n) passes when every slice does, each by its own
+    singular values.  [H; sqrt(zeta) I] has singular values
+    sqrt(s_i^2 + zeta): rank deficient only where H is.
     """
-    if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-2] < matrix.shape[-1]:
         raise ValueError(f"{what} needs at least as many receive as transmit dimensions, got {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError(f"{what} has non-finite entries")
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[-1] <= _RANK_TOL_FACTOR * max(matrix.shape) * s[0]:
+    if s.size == 0 or (s[..., -1] <= _RANK_TOL_FACTOR * max(matrix.shape[-2:]) * s[..., 0]).any():
         raise RankDeficientError(f"{what} is rank deficient")
 
 

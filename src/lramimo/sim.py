@@ -219,7 +219,7 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
-def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None) -> np.ndarray:
+def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None, setup=None) -> np.ndarray:
     """Exact ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
@@ -243,9 +243,11 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
 
     A, B, T, Q and the products Q^T A_i are built once per channel and kept
     in ``workspace``, which reuses them while calls pass the same order and
-    a bit-identical H.  Memory is M^n floats for T plus buffers linear in
-    the receive rows, whatever the frame count; the frame-sized ones are
-    taken from ``workspace`` when one is given.
+    a bit-identical H.  A caller that holds them, from ``_ml_setup`` on this
+    H and order, passes them as ``setup``: the call then neither checks H
+    nor compares it with the kept key.  Memory is M^n floats for T plus
+    buffers linear in the receive rows, whatever the frame count; the
+    frame-sized ones are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -260,10 +262,15 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
         hint = np.asarray(hint, dtype=float)
         if hint.shape != (n, ys.shape[1]):
             raise ValueError(f"hint must have shape {(n, ys.shape[1])}, got {hint.shape}")
-    if not (np.isfinite(h).all() and np.isfinite(ys).all() and (hint is None or np.isfinite(hint).all())):
+    if not (
+        (setup is not None or np.isfinite(h).all())
+        and np.isfinite(ys).all()
+        and (hint is None or np.isfinite(hint).all())
+    ):
         raise ValueError("ML search needs a finite channel, finite observations and a finite hint")
     ws = Workspace() if workspace is None else workspace
-    setup = _ml_setup(h, constellation, ws)
+    if setup is None:
+        setup = _ml_setup(h, constellation, ws)
     if hint is not None:
         # Alphabet indices (the points are one apart), then each frame's
         # candidate index, split into its table row and column.
@@ -502,7 +509,8 @@ def _run_trial(config: SimConfig, trial: int):
     ``counts`` is an int64 array of shape (3, detectors, SNRs): the symbol
     errors, vector errors and clipped decisions of each detector (ML oracle
     last) at each SNR.  ``causes`` counts redrawn draws by exception class
-    name.  A draw's detectors come from one ``build_detectors`` call.
+    name.  A draw's detectors come from one ``build_detectors`` call, and
+    with the oracle on, its ML table from one ``_ml_setup`` call.
 
     The trial's stream gives its channel draws (more than one only when a
     draw is redrawn), then the symbol indices and then one standard-normal
@@ -544,6 +552,7 @@ def _run_trial(config: SimConfig, trial: int):
     # The indices are in range; mode="raise" would copy through a temporary.
     np.take(constellation.points, rng.integers(0, config.order, size=sent.shape), out=sent, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
+    ml_setup = _ml_setup(h, constellation, ws) if config.oracle else None
     for start in range(0, frames, step):
         sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
         f = sent_part.shape[1]
@@ -554,7 +563,7 @@ def _run_trial(config: SimConfig, trial: int):
             # sigma_j N + H s, bit for bit what a grid of this one SNR point observes.
             np.multiply(noise_part, np.sqrt(noise_var), out=received)
             received += clean
-            decisions = _decisions(detectors[j], config.oracle, h, received, constellation, ws)
+            decisions = _decisions(detectors[j], ml_setup, h, received, constellation, ws)
             for i, (a_hat, nclip) in enumerate(decisions):
                 np.not_equal(a_hat, sent_part, out=wrong)
                 np.any(wrong, axis=0, out=wrong_frame)
@@ -568,18 +577,19 @@ def _slice_frames(config: SimConfig) -> int:
     return min(max(1, _SLICE_ENTRIES // (2 * config.n_rx)), config.frames_per_channel)
 
 
-def _decisions(detectors, oracle: bool, h, received, constellation, workspace):
+def _decisions(detectors, ml_setup, h, received, constellation, workspace):
     """(decisions, clip count) of each detector, then of the ML oracle.
 
     A generator, so each detector's decisions are counted before the next
-    one runs and overwrites them in ``workspace``.  The last detector's
-    decisions, still in ``workspace``, are the oracle's hint.
+    one runs and overwrites them in ``workspace``.  The oracle runs when
+    ``ml_setup``, the draw's ``_ml_setup``, is not None; the last
+    detector's decisions, still in ``workspace``, are its hint.
     """
     for det in detectors:
         a_hat, _, nclip = detect_block(det, received, constellation, workspace)
         yield a_hat, nclip
-    if oracle:
-        yield _ml_detect_block(h, received, constellation, workspace, hint=a_hat), 0
+    if ml_setup is not None:
+        yield _ml_detect_block(h, received, constellation, workspace, hint=a_hat, setup=ml_setup), 0
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lramimo import blast
+from lramimo import blast, equalize
 from lramimo.blast import le_zf_matrix
 from lramimo.checks import FB_TOL, FF_TOL, lra_le_mmse_matrix
 from lramimo.equalize import (
@@ -340,6 +340,27 @@ class TestBuildDetectors:
     def test_needs_at_least_one_snr(self):
         with pytest.raises(ValueError, match="inv_snrs"):
             build_detectors(ALL_SPECS, np.eye(2), [])
+
+    def test_two_reductions_and_no_reduced_basis_formed(self, monkeypatch):
+        # One lll_reduce call on H, one on the stack of every [H; sqrt(zeta) I].
+        calls = []
+
+        def counted(basis, *args):
+            calls.append(np.shape(basis))
+            return lll_reduce(basis, *args)
+
+        monkeypatch.setattr(equalize, "lll_reduce", counted)
+        h, grid = self._grid()
+        assert sorted(calls) == sorted([h.shape, (len(self.ZETAS), 2 * h.shape[1], h.shape[1])])
+        reduced = [(det, zeta) for row, zeta in zip(grid, self.ZETAS) for det in row
+                   if det.reduction is not None]
+        assert len(reduced) == len(self.ZETAS) * sum(s.reduction_target is not None for s in ALL_SPECS)
+        assert all("reduced" not in vars(det.reduction) for det, _ in reduced)
+        for det, zeta in reduced:
+            first = det.reduction.reduced
+            assert det.reduction.reduced is first
+            basis = h if det.spec.reduction_target is ReductionTarget.ORIGINAL else augment(h, zeta)
+            np.testing.assert_allclose(first @ det.reduction.unimodular, basis, rtol=0, atol=1e-12)
 
 
 def assert_same_detector(got, want):

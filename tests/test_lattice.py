@@ -78,7 +78,8 @@ class TestTrivialBases:
                 lll_reduce(np.array([[1.0, 0.0], [0.0, bad]]))
             assert not isinstance(info.value, (ReductionError, RankDeficientError))
 
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    # (3, 2, 3) is a stack of wide matrices; a stack of tall ones is reduced.
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (3, 2, 3)])
     def test_wrong_shape_is_a_value_error_not_a_reduction_error(self, shape):
         with pytest.raises(ValueError, match="receive") as info:
             lll_reduce(np.ones(shape))
@@ -146,6 +147,57 @@ class TestPostconditions:
         h = np.array([[1.0, 1000.001], [0.0, 0.001]])
         rb = lll_reduce(h)
         assert_reduced(h, rb)
+
+
+def stacked_draws(shape, seed):
+    """Gaussian bases of ``shape`` (..., m, n), each slice augmented by its own zeta."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=shape[:-2] + (shape[-2] - shape[-1], shape[-1]))
+    zetas = 10.0 ** -rng.uniform(0, 3, size=shape[:-2])
+    return np.stack([augment(hk, z) for hk, z in zip(h.reshape(-1, *h.shape[-2:]), zetas.ravel())]).reshape(shape)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStacks:
+    @pytest.mark.parametrize("shape", [(10, 16, 8), (2, 3, 8, 4)])
+    def test_each_slice_equals_its_own_reduction_bit_for_bit(self, shape):
+        stack = stacked_draws(shape, seed=sum(shape))
+        rb = lll_reduce(stack)
+        assert rb.unimodular.shape == rb.unimodular_inv.shape == shape[:-2] + (shape[-1],) * 2
+        assert rb.reduced.shape == shape
+        for index in np.ndindex(shape[:-2]):
+            alone = lll_reduce(stack[index])
+            assert_reduced(stack[index], alone)
+            for name in ("unimodular", "unimodular_inv", "reduced"):
+                want = getattr(alone, name)
+                assert same_bits(getattr(rb, name)[index], want), (index, name)
+                assert same_bits(getattr(rb[index], name), want), (index, name)
+
+    def test_one_rank_deficient_slice_fails_the_stack(self):
+        stack = stacked_draws((5, 6, 3), seed=3)
+        stack[2, :, 2] = stack[2, :, 0] - 2.0 * stack[2, :, 1]
+        with pytest.raises(RankDeficientError, match="basis is rank deficient"):
+            lll_reduce(stack)
+
+    def test_a_non_finite_entry_fails_the_stack(self):
+        stack = stacked_draws((2, 2, 6, 3), seed=4)
+        stack[1, 0, 4, 2] = np.nan
+        with pytest.raises(ValueError, match="basis has non-finite entries") as info:
+            lll_reduce(stack)
+        assert not isinstance(info.value, (ReductionError, RankDeficientError))
+
+    def test_reduced_is_formed_from_the_input_as_reduced_on_first_read(self):
+        h = np.random.default_rng(6).normal(size=(6, 6))
+        want = lll_reduce(h).reduced
+        rb = lll_reduce(h)
+        h[:] = 0.0
+        assert "reduced" not in vars(rb)
+        first = rb.reduced
+        assert rb.reduced is first and not first.flags.writeable
+        assert same_bits(first, want)
 
 
 class TestIntegerDeterminant:

@@ -103,6 +103,12 @@ class TestChannelAndAugmentation:
         with pytest.raises(ValueError):
             MimoChannel(np.ones((1, 2)), noise_var=0.1, symbol_var=1.0)
 
+    def test_rejects_a_stack_of_matrices(self):
+        # The rank check takes stacks of bases; a channel is one matrix.
+        with pytest.raises(ValueError, match="2-D") as info:
+            MimoChannel(np.stack([np.eye(2)] * 3), noise_var=0.1, symbol_var=1.0)
+        assert not isinstance(info.value, RankDeficientError)
+
     def test_rejects_bad_variances(self):
         for noise_var in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="noise_var"):

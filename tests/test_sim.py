@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import functools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -603,12 +604,13 @@ class TestSharedConstruction:
 
     def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
         # Per draw, H is reduced once, and each [H; sqrt(zeta) I] is built
-        # once and reduced once, however many specs use it.
+        # once and reduced once, however many specs use it.  An lll_reduce
+        # call counts the bases it reduces: the depth of its stack.
         counts, grids = Counter(), []
         for name in ("lll_reduce", "augment"):
 
             def counted(*args, _name=name, _real=getattr(equalize, name), **kwargs):
-                counts[_name] += 1
+                counts[_name] += math.prod(np.shape(args[0])[:-2]) if _name == "lll_reduce" else 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(equalize, name, counted)
@@ -620,17 +622,17 @@ class TestSharedConstruction:
 
         monkeypatch.setattr(sim, "build_detectors", build)
         a9 = _specs("le-zf", "le-mmse", "dfe-zf-lra-orig", "dfe-mmse-lra-orig", "dfe-mmse-lra-aug")
-        cases = [  # config, then LLL and augment calls per draw
+        cases = [  # config, then reduced bases and augment calls per draw
             # Shaped like the detect-long and the a9-build benchmark workloads.
             (_config(specs=ALL_SPECS, order=4, snr_db=(18.0, 26.0)), 3, 2),
             (_config(specs=a9, n_tx=4, n_rx=4, snr_db=tuple(range(10, 30, 2))), 11, 10),
         ]
-        for cfg, lll_calls, augment_calls in cases:
+        for cfg, reduced_bases, augment_calls in cases:
             counts.clear()
             grids.clear()
             assert run_monte_carlo(cfg).meta["channel_redraws"] == 0
             assert len(grids) == cfg.trials
-            want = {"lll_reduce": lll_calls * cfg.trials, "augment": augment_calls * cfg.trials}
+            want = {"lll_reduce": reduced_bases * cfg.trials, "augment": augment_calls * cfg.trials}
             assert counts == want
             for grid in grids:
                 for k, spec in enumerate(cfg.specs):
