@@ -128,7 +128,7 @@ ALL_SPECS = tuple(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detector:
     """Frozen filters for one (spec, channel) pair; treat fields read-only.
 
@@ -138,6 +138,7 @@ class Detector:
     specs, the ``reduction`` that supplied the int64 Z and Z^-1.
     ``z_offset`` is the translate onto which the estimates are sliced:
     ALPHABET_OFFSET * 1 without reduction, Z (ALPHABET_OFFSET * 1) with it.
+    Detectors compare by identity: ``==`` of two is ``is``.
     """
 
     spec: EqualizerSpec
@@ -166,48 +167,56 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
     B Z^-1, DFE filters its sorted successive factorization; either way
     only the columns acting on the observation are kept.
 
-    ``matrix`` is H and ``inv_snrs`` holds zeta per SNR point.  Only B of
-    an MMSE spec depends on zeta, so a ZF detector is built once and
-    repeated at every SNR; H, the stack of every [H; sqrt(zeta) I] and
-    their reductions are made at most once, on first use, so a draw takes
-    at most two ``lll_reduce`` calls: one on H, one on the stack.  Each
-    spec forms its stack of B Z^-1 in one matmul and factorizes it in one
-    kernel call, slice by slice as each alone.
+    ``matrix`` is H, or a stack (draws, m, n) of channel draws, which
+    gives one such list per draw; ``inv_snrs`` holds zeta per SNR point.
+    Only B of an MMSE spec depends on zeta, so a ZF detector is built once
+    per draw and repeated at every SNR.  The stack of every draw's H, the
+    stack of every [H; sqrt(zeta) I] and their reductions are made at most
+    once, on first use, so a call takes at most two ``lll_reduce`` calls,
+    however many draws it holds: one on the H stack, one on the other.
+    Each spec forms its stack of B Z^-1 in one matmul and factorizes it in
+    one kernel call, slice by slice as each alone, so every detector of a
+    stacked call equals that of its draw built alone bit for bit.  Any
+    draw that fails construction fails the whole call.
     """
     inv_snrs = list(inv_snrs)
     if not inv_snrs or not all(r >= 0 for r in inv_snrs):
         raise ValueError(f"inv_snrs must be a non-empty list of values >= 0, got {inv_snrs}")
     h = np.asarray(matrix, dtype=float)
-    offset = np.full(h.shape[1], ALPHABET_OFFSET)
-    augmented = functools.cache(lambda: np.stack([augment(h, r) for r in inv_snrs]))
-    h_change = functools.cache(lambda: _basis_change(lll_reduce(h), offset))
+    if h.ndim not in (2, 3):
+        raise ValueError(f"matrix must be one channel (m, n) or a stack (draws, m, n), got shape {h.shape}")
+    hs = h if h.ndim == 3 else h[None]
+    n_draws, n_snrs = len(hs), len(inv_snrs)
+    offset = np.full(h.shape[-1], ALPHABET_OFFSET)
+    # Bases are (draws, SNRs or 1, rows, n): every [H; sqrt(zeta) I], or H.
+    augmented = functools.cache(lambda: np.array([[augment(x, r) for r in inv_snrs] for x in hs]))
+    h_change = functools.cache(lambda: _basis_change(lll_reduce(hs), offset))
     b_change = functools.cache(lambda: _basis_change(lll_reduce(augmented()), offset))
     per_spec = []
     for spec in specs:
-        mmse = spec.criterion is Criterion.MMSE
-        bases = augmented() if mmse else h[None]
+        bases = augmented() if spec.criterion is Criterion.MMSE else hs[:, None]
+        reps = bases.shape[1]
         if spec.reduction_target is ReductionTarget.ORIGINAL:
             zinv, changes = h_change()
-            changes = changes * len(bases)
+            zinv, changes = zinv[:, None], [c for c in changes for _ in range(reps)]
         elif spec.reduction_target is ReductionTarget.AUGMENTED:
             zinv, changes = b_change()
         else:
-            zinv, changes = None, [(None, offset)] * len(bases)
+            zinv, changes = None, [(None, offset)] * (n_draws * reps)
         stack = bases if zinv is None else np.matmul(bases, zinv)
-        built = _factorize(spec, stack, changes, h.shape[0])
-        per_spec.append(built if mmse else built * len(inv_snrs))
-    return [[column[j] for column in per_spec] for j in range(len(inv_snrs))]
+        built = _factorize(spec, stack.reshape(-1, *stack.shape[-2:]), changes, h.shape[-2])
+        per_spec.append([built[d * reps : (d + 1) * reps] * (n_snrs // reps) for d in range(n_draws)])
+    grids = [[[column[d][j] for column in per_spec] for j in range(n_snrs)] for d in range(n_draws)]
+    return grids if h.ndim == 3 else grids[0]
 
 
 def _basis_change(rb: ReducedBasis, offset: np.ndarray):
-    """(Z^-1, [(rb, Z offset)] per slice) of a reduction or a stack of them.
+    """(Z^-1, [(rb, Z offset)] per slice in C order) of a stack of reductions.
 
     The transformed symbols of a slice lie on Z offset + integers.
     """
     z_offsets = rb.unimodular @ offset
-    if z_offsets.ndim == 1:
-        return rb.unimodular_inv, [(rb, z_offsets)]
-    return rb.unimodular_inv, [(rb[i], z) for i, z in enumerate(z_offsets)]
+    return rb.unimodular_inv, [(rb[i], z_offsets[i]) for i in np.ndindex(z_offsets.shape[:-1])]
 
 
 def _factorize(spec: EqualizerSpec, stack: np.ndarray, changes: list, n_rx: int) -> list:
@@ -239,17 +248,12 @@ class Workspace:
     Every array starts on a cache line.  malloc aligns to 16 bytes only,
     and a vectorized pass that reads one array and writes another slows
     down when the two start at different offsets within a cache line.
-
-    ``kept`` holds, by name, values that one call derived from its inputs
-    and a later call may reuse; the caller that keeps a value checks that
-    its inputs still match before reusing it.
     """
 
     ALIGN = 64
 
     def __init__(self):
         self._arrays = {}
-        self.kept = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         # Keeps (storage, last array handed out), so a repeated request
@@ -317,7 +321,7 @@ def detect_block(
     outside = ws.take("outside", shape, bool)
     clipped = int(np.count_nonzero(np.greater(a_hat, limit, out=outside)))
     clipped += int(np.count_nonzero(np.less(a_hat, -limit, out=outside)))
-    return np.clip(a_hat, -limit, limit, out=a_hat), decided, clipped
+    return _clip(a_hat, limit), decided, clipped
 
 
 def _slice(soft: np.ndarray, offset, limit):
@@ -325,4 +329,10 @@ def _slice(soft: np.ndarray, offset, limit):
     soft -= offset
     np.rint(soft, out=soft)
     soft += offset
-    return soft if limit is None else np.clip(soft, -limit, limit, out=soft)
+    return soft if limit is None else _clip(soft, limit)
+
+
+def _clip(values: np.ndarray, limit: float) -> np.ndarray:
+    """``values`` clipped to +-limit in place; ``np.clip``'s bits without its Python wrapper."""
+    np.maximum(values, -limit, out=values)
+    return np.minimum(values, limit, out=values)

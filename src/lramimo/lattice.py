@@ -37,7 +37,7 @@ class ReductionError(ValueError):
     """Raised when the reduction does not converge within its sweep cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedBasis:
     """Result of a reduction: original = reduced @ unimodular.
 
@@ -47,7 +47,7 @@ class ReducedBasis:
     formed on first read by replaying the reduction's column steps on the
     original basis.  The reduction of a stack holds every field stacked
     the same way, and indexing it on the leading axes gives the reduction
-    of the indexed slices.
+    of the indexed slices.  Reductions compare by identity.
     """
 
     unimodular: np.ndarray

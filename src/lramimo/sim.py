@@ -2,13 +2,18 @@
 
 Every trial consumes its own counter-based random stream keyed by (seed,
 trial index), so serial and parallel executions produce bit-identical
-results and trials can be merged in any order.  The stream gives, in
-order, the trial's channel draw(s), one block of symbols and one block of
-unit-variance noise N; every SNR point j sees the same symbols under the
-noise sigma_j N (common random numbers), so a cell's counts do not depend
-on the other SNR points of the grid; the two blocks are a trial's only
-frame-length arrays, and the rest works on one cache-sized frame slice at
-a time.  An exact ML search serves as the performance oracle: it
+results and trials can be merged in any order.  Trials run in chunks of
+consecutive trials, one or more per worker process: a chunk draws each
+trial's channel from the trial's stream, builds all their detectors in
+one stacked call, and then runs each trial's detection in one shared
+workspace; a redraw inside a chunk starts each of its trials over from
+its own stream, so no draw, cause or count depends on the chunking.  The
+stream gives, in order, the trial's channel draw(s), one block of symbols
+and one block of unit-variance noise N; every SNR point j sees the same
+symbols under the noise sigma_j N (common random numbers), so a cell's
+counts do not depend on the other SNR points of the grid; the two blocks
+are a trial's only frame-length arrays, and the rest works on one
+cache-sized frame slice at a time.  An exact ML search serves as the performance oracle: it
 tabulates ||H s||^2 over two half-grids once per channel draw and
 evaluates per frame only the rows of that table that a projection bound,
 from the reduced QR of the second half's columns, cannot rule out, each
@@ -62,6 +67,17 @@ _ML_PIECE_ENTRIES = 1 << 14
 _ML_PAIR_ENTRIES = 1 << 10
 # A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx)).
 _SLICE_ENTRIES = 1 << 15
+# A chunk of trials builds its detectors in one stacked call, whose per-call
+# overhead shrinks as the stack deepens; it holds at most _CHUNK_TRIALS
+# trials and at most _CHUNK_ENTRIES entries in its stack of augmented
+# matrices, so that a wide receive side keeps a small stack.  Neither
+# changes a count.  On the A9 shape (4x4, ten SNRs) construction per trial
+# stops falling at about eight trials a chunk, while the memory a chunk
+# holds grows with its trials.  On a 1x16385 channel with ten SNRs and
+# eight trials, the entry cap's one trial a chunk peaks at 71 MB RSS, where
+# one chunk of all eight peaks at 287 MB.
+_CHUNK_TRIALS = 8
+_CHUNK_ENTRIES = 1 << 20
 
 # A trial redraws its channel when the draw is rank deficient or detector
 # construction fails for one of these reasons; anything else is a bug and
@@ -241,13 +257,12 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     hint's table value tightens the frame's bound; it changes no decision.
     Observations, hint and channel must be finite.
 
-    A, B, T, Q and the products Q^T A_i are built once per channel and kept
-    in ``workspace``, which reuses them while calls pass the same order and
-    a bit-identical H.  A caller that holds them, from ``_ml_setup`` on this
-    H and order, passes them as ``setup``: the call then neither checks H
-    nor compares it with the kept key.  Memory is M^n floats for T plus
-    buffers linear in the receive rows, whatever the frame count; the
-    frame-sized ones are taken from ``workspace`` when one is given.
+    A, B, T, Q and the products Q^T A_i depend on H and the order alone.  A
+    caller that holds them, from ``_ml_setup`` on this H and order, passes
+    them as ``setup``, and the call does not check H; otherwise the call
+    builds them.  Memory is M^n floats for T plus buffers linear in the
+    receive rows, whatever the frame count; T and the frame-sized buffers
+    are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -280,41 +295,34 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-# The part of the ML search that depends only on H and the order.  ``key``
-# is (order, H's shape, H's bytes); ``table`` is T, ``image_scale`` 4
-# (max||A_i||^2 + max||B_j||^2), ``q`` the reduced QR factor Q of H_lo,
-# ``proj_a`` the products Q^T A_i, one per row, and ``c`` the
-# ||A_i||^2 - ||Q^T A_i||^2 of the row bounds.
-_MlSetup = namedtuple("_MlSetup", "key a b table image_scale q proj_a c")
+# The part of the ML search that depends only on H and the order.
+# ``table`` is T, ``image_scale`` 4 (max||A_i||^2 + max||B_j||^2), ``q`` the
+# reduced QR factor Q of H_lo, ``proj_a`` the products Q^T A_i, one per row,
+# and ``c`` the ||A_i||^2 - ||Q^T A_i||^2 of the row bounds.
+_MlSetup = namedtuple("_MlSetup", "a b table image_scale q proj_a c")
 
 
 def _ml_setup(h, constellation, ws) -> _MlSetup:
-    """The setup kept in ``ws`` if its key matches bit for bit, else a new one kept in its place.
+    """The ML search's setup for H and the order, its table T in ``ws``'s storage.
 
-    The kept setup is dropped before a new one is built, because the new
-    table overwrites the old one's storage: a build that fails leaves none.
+    T overwrites the table of the previous setup built in ``ws``.
     """
-    key = (constellation.order, h.shape, h.tobytes())
-    setup = ws.kept.pop("ml_setup", None)
-    if setup is None or setup.key != key:
-        n_hi = h.shape[1] // 2
-        a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
-        b = _grid(constellation.points, h.shape[1] - n_hi) @ h[:, n_hi:].T
-        norms_a, norms_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
-        # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, added a few rows at a time
-        # so that no second M^n array is needed.
-        table = ws.take("ml_table", (len(a), len(b)))
-        np.matmul(a, b.T, out=table)
-        table *= 2.0
-        step = max(1, _ML_PIECE_ENTRIES // len(b))
-        for r in range(0, len(a), step):
-            table[r : r + step] += norms_a[r : r + step, None] + norms_b
-        q = np.linalg.qr(h[:, n_hi:])[0]
-        proj_a = a @ q
-        image_scale = 4.0 * (norms_a.max() + norms_b.max())
-        setup = _MlSetup(key, a, b, table, image_scale, q, proj_a, norms_a - (proj_a**2).sum(axis=1))
-    ws.kept["ml_setup"] = setup
-    return setup
+    n_hi = h.shape[1] // 2
+    a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
+    b = _grid(constellation.points, h.shape[1] - n_hi) @ h[:, n_hi:].T
+    norms_a, norms_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
+    # T = (||A_i||^2 + ||B_j||^2) + 2 A_i^T B_j, added a few rows at a time
+    # so that no second M^n array is needed.
+    table = ws.take("ml_table", (len(a), len(b)))
+    np.matmul(a, b.T, out=table)
+    table *= 2.0
+    step = max(1, _ML_PIECE_ENTRIES // len(b))
+    for r in range(0, len(a), step):
+        table[r : r + step] += norms_a[r : r + step, None] + norms_b
+    q = np.linalg.qr(h[:, n_hi:])[0]
+    proj_a = a @ q
+    image_scale = 4.0 * (norms_a.max() + norms_b.max())
+    return _MlSetup(a, b, table, image_scale, q, proj_a, norms_a - (proj_a**2).sum(axis=1))
 
 
 def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
@@ -446,12 +454,14 @@ def _grid(points, k) -> np.ndarray:
 def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
     """Run the full trial grid and add up the trials' count arrays.
 
-    Trials run on ``meta["workers"] = min(workers, trials)`` processes, one
-    trial per task; every trial owns a (seed, trial)-keyed stream and counts
-    add up commutatively, so the result is bit-identical for any worker count.
-    ``meta["redraw_causes"]`` counts the channel draws that were rank
-    deficient or on which detector construction failed, by exception class
-    name; ``meta["channel_redraws"]`` is their total.
+    Trials run on ``meta["workers"] = min(workers, trials)`` processes, in
+    balanced chunks of consecutive trials, a multiple of the process count
+    of them (see ``_chunks``); every trial owns a (seed, trial)-keyed stream
+    and counts add up commutatively, so the result is bit-identical for any
+    worker count and any chunking.  ``meta["redraw_causes"]`` counts the
+    channel draws that were rank deficient or on which detector
+    construction failed, by exception class name; ``meta["channel_redraws"]``
+    is their total.
     """
     start = time.perf_counter()
     workers = _parse_int(workers, "workers")
@@ -459,15 +469,16 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, config.trials)
     ids = _result_ids(config)
-    args = ([config] * config.trials, range(config.trials))
+    chunks = _chunks(config, workers)
+    args = ([config] * len(chunks), chunks)
     if workers == 1:
-        outcomes = list(map(_run_trial, *args))
+        outcomes = list(map(_run_chunk, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, *args))
-    trial_counts, trial_causes = zip(*outcomes)
-    errors, vec_errors, clips = np.sum(trial_counts, axis=0)
-    causes = sum(trial_causes, Counter())
+            outcomes = list(pool.map(_run_chunk, *args))
+    chunk_counts, chunk_causes = zip(*outcomes)
+    errors, vec_errors, clips = np.sum(chunk_counts, axis=0)
+    causes = sum(chunk_causes, Counter())
     frames = config.trials * config.frames_per_channel
     points = [
         SimPoint(
@@ -503,7 +514,45 @@ def _result_ids(config: SimConfig):
     return ids
 
 
-def _run_trial(config: SimConfig, trial: int):
+def _chunks(config: SimConfig, workers: int) -> list:
+    """Consecutive trial ranges, as equal as can be, a multiple of ``workers`` of them.
+
+    The fewest such chunks within the caps: at most ``_CHUNK_TRIALS``
+    trials, and at most ``_CHUNK_ENTRIES`` entries in the stack of every
+    trial's [H; sqrt(zeta) I] at every SNR point (one trial at least).
+    Never more chunks than trials.
+    """
+    bases = len(config.snr_db) * 2 * (config.n_rx + config.n_tx) * 2 * config.n_tx
+    cap = max(1, min(_CHUNK_TRIALS, _CHUNK_ENTRIES // bases))
+    n = min(config.trials, workers * -(-config.trials // (workers * cap)))
+    bounds = [config.trials * k // n for k in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(config: SimConfig, trials: range):
+    """The summed ``(counts, causes)`` of ``_run_trial`` over ``trials``.
+
+    Draws each trial's first channel from the trial's own stream, builds
+    the detectors of all of them in one stacked ``build_detectors`` call,
+    then runs each trial through ``_run_trial`` (looked up at call time) in
+    one :class:`Workspace`.  A stacked call fails whole, so when a draw or
+    the stacked build raises a redraw cause, each trial starts over from
+    the beginning of its stream, which gives the draws, causes and
+    detectors it would give alone.
+    """
+    rngs = [trial_rng(config.seed, trial) for trial in trials]
+    try:
+        hs = np.stack([draw_channel(rng, config.n_rx, config.n_tx).matrix for rng in rngs])
+        drawn = list(zip(rngs, hs, build_detectors(config.specs, hs, _inv_snrs(config))))
+    except _REDRAW_CAUSES:
+        drawn = [None] * len(rngs)
+    ws = Workspace()
+    outcomes = [_run_trial(config, trial, d, ws) for trial, d in zip(trials, drawn)]
+    counts, causes = zip(*outcomes)
+    return np.sum(counts, axis=0), sum(causes, Counter())
+
+
+def _run_trial(config: SimConfig, trial: int, drawn=None, workspace=None):
     """One trial's ``(counts, causes)``.
 
     ``counts`` is an int64 array of shape (3, detectors, SNRs): the symbol
@@ -523,34 +572,46 @@ def _run_trial(config: SimConfig, trial: int):
     the slice width, so the counts are those of this fixed slicing: equal
     to one full-length pass unless a soft value lies within rounding of a
     decision boundary.  The oracle's decisions do not depend on grouping.
+
+    ``drawn``, from ``_run_chunk``, is (stream, H, detectors) of a trial
+    whose first draw the chunk made and built on; None starts the stream
+    here.  ``workspace`` is the chunk's (a fresh one when None).
     """
-    rng = trial_rng(config.seed, trial)
+    causes = Counter()
+    if drawn is None:
+        rng = trial_rng(config.seed, trial)
+        inv_snrs = _inv_snrs(config)
+        for _ in range(_MAX_REDRAWS):
+            try:
+                h = draw_channel(rng, config.n_rx, config.n_tx).matrix
+                detectors = build_detectors(config.specs, h, inv_snrs)
+                break
+            except _REDRAW_CAUSES as exc:
+                causes[type(exc).__name__] += 1
+                cause = exc
+        else:
+            raise RedrawLimitError(
+                f"trial {trial}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
+            ) from cause
+    else:
+        rng, h, detectors = drawn
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
     noise_vars = [_noise_var(config, sv, snr) for snr in config.snr_db]
-    inv_snrs = [noise_var / sv for noise_var in noise_vars]
-    causes = Counter()
-    for _ in range(_MAX_REDRAWS):
-        try:
-            h = draw_channel(rng, config.n_rx, config.n_tx).matrix
-            detectors = build_detectors(config.specs, h, inv_snrs)
-            break
-        except _REDRAW_CAUSES as exc:
-            causes[type(exc).__name__] += 1
-            cause = exc
-    else:
-        raise RedrawLimitError(
-            f"trial {trial}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
-        ) from cause
-
     counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
     part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
     frames, step = config.frames_per_channel, _slice_frames(config)
-    ws = Workspace()
+    ws = Workspace() if workspace is None else workspace
     n_tx, n_rx = 2 * config.n_tx, 2 * config.n_rx
     sent = ws.take("sent", (n_tx, frames))
-    # The indices are in range; mode="raise" would copy through a temporary.
-    np.take(constellation.points, rng.integers(0, config.order, size=sent.shape), out=sent, mode="clip")
+    # The symbol indices are drawn _SLICE_ENTRIES at a time in C order, which
+    # takes the same stream as one draw of the whole block, so no
+    # frame-length int64 array joins the workspace's buffers.  They are in
+    # range; mode="raise" would copy through a temporary.
+    flat = sent.reshape(-1)
+    for a in range(0, flat.size, _SLICE_ENTRIES):
+        piece = flat[a : a + _SLICE_ENTRIES]
+        np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
     ml_setup = _ml_setup(h, constellation, ws) if config.oracle else None
     for start in range(0, frames, step):
@@ -566,10 +627,16 @@ def _run_trial(config: SimConfig, trial: int):
             decisions = _decisions(detectors[j], ml_setup, h, received, constellation, ws)
             for i, (a_hat, nclip) in enumerate(decisions):
                 np.not_equal(a_hat, sent_part, out=wrong)
-                np.any(wrong, axis=0, out=wrong_frame)
+                np.logical_or.reduce(wrong, axis=0, out=wrong_frame)
                 part[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
         counts += part
     return counts, causes
+
+
+def _inv_snrs(config: SimConfig) -> list:
+    """zeta = noise_var / symbol_var at each SNR point, the MMSE regularization weights."""
+    sv = make_ask_constellation(config.order).variance
+    return [_noise_var(config, sv, snr) / sv for snr in config.snr_db]
 
 
 def _slice_frames(config: SimConfig) -> int:

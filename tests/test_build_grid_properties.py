@@ -5,16 +5,20 @@ matrices and ZF detectors across specs and SNR points and factorizes each
 spec's bases as one stack.  Every cell of the grid must equal the
 one-spec, one-SNR ``build_detector`` bit for bit, at 1 to 4 complex
 transmit antennas, at noiseless operation (inv_snr 0, +inf dB) and at
-inv_snr from 1e-8 to 1e4, for any ordered subset of the specs.
+inv_snr from 1e-8 to 1e4, for any ordered subset of the specs.  A stack
+of draws (draws, m, n) builds each draw's grid in the same calls, and
+every grid must equal the call on that draw alone bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_equalize import assert_same_detector
 
 from lramimo.equalize import ALL_SPECS, build_detector, build_detectors
 from lramimo.model import MimoChannel, complex_matrix_to_real
+from lramimo.sim import _REDRAW_CAUSES
 
 INV_SNRS = st.one_of(st.just(0.0), st.floats(-8.0, 4.0).map(lambda e: 10.0**e))
 
@@ -43,3 +47,57 @@ def test_every_cell_equals_its_own_build(drawn):
         channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
         for det, spec in zip(row, specs):
             assert_same_detector(det, build_detector(spec, channel))
+
+
+@st.composite
+def draw_stacks(draws_):
+    """(a stack of 1 to 20 draws with 1 to 8 real streams, 1 to 10 inv_snrs).
+
+    Draws are real forms of complex channels (twin columns that tie in the
+    sorting metric) or real Gaussian matrices; both may be ill conditioned.
+    """
+    rng = np.random.default_rng(draws_(st.integers(0, 2**32 - 1)))
+    k = draws_(st.integers(1, 20))
+    if draws_(st.booleans()):
+        n_tx = draws_(st.integers(1, 4))
+        n_rx = n_tx + draws_(st.integers(0, 2))
+        shape = (k, n_rx, n_tx)
+        stack = np.stack([complex_matrix_to_real(h) for h in rng.normal(size=shape) + 1j * rng.normal(size=shape)])
+    else:
+        n = draws_(st.integers(1, 8))
+        stack = rng.normal(size=(k, n + draws_(st.integers(0, 3)), n))
+    return stack, draws_(st.lists(INV_SNRS, min_size=1, max_size=10))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(drawn=draw_stacks())
+def test_a_stack_of_draws_equals_one_call_per_draw(drawn):
+    stack, inv_snrs = drawn
+    alone = []
+    for h in stack:
+        try:
+            alone.append(build_detectors(ALL_SPECS, h, inv_snrs))
+        except _REDRAW_CAUSES:
+            alone.append(None)
+    if None in alone:  # one failing draw fails the whole stacked call
+        with pytest.raises(_REDRAW_CAUSES):
+            build_detectors(ALL_SPECS, stack, inv_snrs)
+        return
+    grids = build_detectors(ALL_SPECS, stack, inv_snrs)
+    assert len(grids) == len(stack)
+    for grid, want in zip(grids, alone):
+        assert len(grid) == len(inv_snrs)
+        for row, want_row in zip(grid, want):
+            assert len(row) == len(ALL_SPECS)
+            for det, one in zip(row, want_row):
+                if _fields(det) != _fields(one):
+                    assert_same_detector(det, one)  # names the field that differs
+                    raise AssertionError(det.spec.spec_id)
+
+
+def _fields(det):
+    """Spec, then shape, dtype and bytes of each array field, the reduction's included."""
+    rb = det.reduction
+    arrays = [det.feedforward, det.z_offset, det.feedback, det.perm]
+    arrays += [None] * 3 if rb is None else [rb.reduced, rb.unimodular, rb.unimodular_inv]
+    return [det.spec] + [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]

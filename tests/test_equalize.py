@@ -342,7 +342,8 @@ class TestBuildDetectors:
             build_detectors(ALL_SPECS, np.eye(2), [])
 
     def test_two_reductions_and_no_reduced_basis_formed(self, monkeypatch):
-        # One lll_reduce call on H, one on the stack of every [H; sqrt(zeta) I].
+        # One lll_reduce call on the stack of the draws' H (one draw here), one
+        # on the stack of every [H; sqrt(zeta) I].
         calls = []
 
         def counted(basis, *args):
@@ -351,7 +352,7 @@ class TestBuildDetectors:
 
         monkeypatch.setattr(equalize, "lll_reduce", counted)
         h, grid = self._grid()
-        assert sorted(calls) == sorted([h.shape, (len(self.ZETAS), 2 * h.shape[1], h.shape[1])])
+        assert sorted(calls) == sorted([(1, *h.shape), (1, len(self.ZETAS), 2 * h.shape[1], h.shape[1])])
         reduced = [(det, zeta) for row, zeta in zip(grid, self.ZETAS) for det in row
                    if det.reduction is not None]
         assert len(reduced) == len(self.ZETAS) * sum(s.reduction_target is not None for s in ALL_SPECS)
@@ -361,6 +362,35 @@ class TestBuildDetectors:
             assert det.reduction.reduced is first
             basis = h if det.spec.reduction_target is ReductionTarget.ORIGINAL else augment(h, zeta)
             np.testing.assert_allclose(first @ det.reduction.unimodular, basis, rtol=0, atol=1e-12)
+
+
+class TestIdentityEquality:
+    def test_detectors_and_reductions_compare_by_identity(self):
+        # Array fields make field-wise == ambiguous; identity answers.
+        h = TestBuildDetectors._grid()[0]
+        channel = MimoChannel(h, noise_var=0.1, symbol_var=1.0)
+        spec = EqualizerSpec(Structure.DFE, Criterion.MMSE, ReductionTarget.AUGMENTED)
+        a, b = build_detector(spec, channel), build_detector(spec, channel)
+        assert a == a and not (a == b) and a != b
+        assert a.reduction == a.reduction and a.reduction != b.reduction
+        rb = lll_reduce(np.stack([h, 2.0 * h]))
+        assert rb[0] != rb[0] and rb == rb
+        assert len({a, b, a.reduction, b.reduction}) == 4  # hashable by identity
+
+
+class TestClip:
+    @pytest.mark.parametrize("limit", [0.5, 1.5, 3.5])
+    def test_equals_np_clip_bit_for_bit(self, limit):
+        rng = np.random.default_rng(17)
+        edges = np.array([0.0, -0.0, limit, -limit, np.nextafter(limit, 0), np.nextafter(-limit, 0),
+                          np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf), np.inf, -np.inf])
+        values = np.concatenate([edges, rng.normal(scale=2 * limit, size=2000),
+                                 np.rint(rng.normal(scale=2 * limit, size=500) - 0.5) + 0.5])
+        for block in (values, values.reshape(5, -1), values[::-3]):
+            want = np.clip(block, -limit, limit)
+            got = block.copy()
+            assert equalize._clip(got, limit) is got
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def assert_same_detector(got, want):

@@ -348,9 +348,77 @@ class TestRunMonteCarlo:
         cfg = _config(trials=trials)
         result = run_monte_carlo(cfg, workers=workers)
         assert built == pools
-        assert map_options == [{}] * len(pools)  # one trial per task
+        assert map_options == [{}] * len(pools)  # no chunksize: a task is one chunk of trials
         assert result.meta["workers"] == (pools[0] if pools else 1)
         assert result.points == run_monte_carlo(cfg).points
+
+    @pytest.mark.parametrize(
+        "trials, workers", [(1, 1), (20, 3), (7, 2), (64, 1), (65, 1), (200, 3), (129, 2), (5, 5)]
+    )
+    def test_chunks_are_balanced_capped_and_fewest(self, trials, workers):
+        chunks = sim._chunks(_config(trials=trials), workers)
+        assert [t for chunk in chunks for t in chunk] == list(range(trials))
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= sim._CHUNK_TRIALS
+        per_worker = -(-trials // (workers * sim._CHUNK_TRIALS))
+        assert len(chunks) == min(trials, workers * per_worker)
+
+    def test_a_wide_receive_side_takes_smaller_chunks(self):
+        # 10 SNR points at 2 x 16385 real receive rows: one trial's augmented
+        # stack alone exceeds the entry cap.
+        cfg = _config(n_tx=1, n_rx=16385, snr_db=tuple(range(10)), trials=3)
+        assert [len(chunk) for chunk in sim._chunks(cfg, 1)] == [1, 1, 1]
+        assert [len(chunk) for chunk in sim._chunks(_config(trials=3), 1)] == [3]
+
+    @_NEEDS_FORK
+    @pytest.mark.parametrize("failing", [False, True], ids=["stacked", "redrawn"])
+    def test_small_chunks_give_the_sum_of_the_trials_at_any_worker_count(self, monkeypatch, failing):
+        # At most two trials a chunk: 7 trials make chunks of 1, 2, 2 and 2
+        # at one and two workers, and of 1, 1, 1, 1, 1 and 2 at three.  With
+        # corner-failing draws, chunks whose stacked build fails go through
+        # the per-trial redraw loop.
+        monkeypatch.setattr(sim, "_CHUNK_TRIALS", 2)
+        _fork_pool(monkeypatch)
+        if failing:
+            _fail_by_corner(monkeypatch)
+        cfg = _config(order=4, snr_db=(0.0, 10.0), trials=7, oracle=True,
+                      specs=_specs("le-zf", "le-mmse-lra-orig", "dfe-mmse-lra-aug"))
+        sizes = {w: [len(chunk) for chunk in sim._chunks(cfg, w)] for w in (1, 2, 3)}
+        assert sizes == {1: [1, 2, 2, 2], 2: [1, 2, 2, 2], 3: [1, 1, 1, 1, 1, 2]}
+        outcomes = [sim._run_trial(cfg, trial) for trial in range(cfg.trials)]
+        counts = sum(trial_counts for trial_counts, _ in outcomes)
+        causes = sum((trial_causes for _, trial_causes in outcomes), Counter())
+        assert counts[0].any() and counts[2].any() and bool(causes) == failing
+        stacks, trials_run = [], []
+        real_build, real_trial = sim.build_detectors, sim._run_trial
+
+        def build(*args):
+            stacks.append(np.shape(args[1])[:-2])
+            return real_build(*args)
+
+        def trial(*args):
+            trials_run.append(args[1])
+            return real_trial(*args)
+
+        monkeypatch.setattr(sim, "build_detectors", build)
+        monkeypatch.setattr(sim, "_run_trial", trial)
+        results = {1: run_monte_carlo(cfg)}
+        monkeypatch.setattr(sim, "build_detectors", real_build)
+        monkeypatch.setattr(sim, "_run_trial", real_trial)
+        results.update((workers, run_monte_carlo(cfg, workers=workers)) for workers in (2, 3))
+        ids = ["le-zf", "le-mmse-lra-orig", "dfe-mmse-lra-aug", ML_ORACLE_ID]
+        for workers, result in results.items():
+            assert [(p.spec_id, p.snr_db, p.errors, p.vector_errors) for p in result.points] == [
+                (spec_id, snr, counts[0, i, j], counts[1, i, j])
+                for i, spec_id in enumerate(ids)
+                for j, snr in enumerate(cfg.snr_db)
+            ], workers
+            assert result.clipped == {spec_id: counts[2, i].sum() for i, spec_id in enumerate(ids)}
+            assert result.meta["redraw_causes"] == dict(sorted(causes.items()))
+        # Each trial's detection runs through the module's _run_trial, once.
+        assert sorted(trials_run) == list(range(cfg.trials))
+        if not failing:  # one stacked build per chunk, of all its trials
+            assert stacks == [(1,), (2,), (2,), (2,)]
 
     @_NEEDS_FORK
     def test_trials_spread_over_the_processes(self, monkeypatch, tmp_path):
@@ -617,8 +685,9 @@ class TestSharedConstruction:
         real_build = sim.build_detectors
 
         def build(*args):
-            grids.append(real_build(*args))
-            return grids[-1]
+            built = real_build(*args)
+            grids.extend(built if np.ndim(args[1]) == 3 else [built])
+            return built
 
         monkeypatch.setattr(sim, "build_detectors", build)
         a9 = _specs("le-zf", "le-mmse", "dfe-zf-lra-orig", "dfe-mmse-lra-orig", "dfe-mmse-lra-aug")
@@ -661,24 +730,35 @@ class TestSharedConstruction:
         assert calls == ["channel matrix"] * cfg.trials
 
 
+def _slices(matrix):
+    """The channel draws in a ``build_detectors`` argument: one H or a stack of them."""
+    return np.reshape(matrix, (-1,) + np.shape(matrix)[-2:])
+
+
 def _scripted_failures(monkeypatch, script):
-    """Fail the k-th channel draw of a run as ``script(k)`` says.
+    """Fail the k-th distinct channel draw of a run as ``script(k)`` says.
 
     "rank" makes the drawn matrix rank deficient, "build" makes detector
-    construction fail on it, None lets it through.  Returns the list of
-    scripted outcomes, one per draw, filled in as the run draws.
+    construction fail on it, and on any stack that holds it, None lets it
+    through.  A chunk whose stacked build fails starts its trials' streams
+    over, so a draw can be made twice; the second time it meets the same
+    fate and is not listed again.  Returns the list of scripted outcomes,
+    one per distinct draw, filled in as the run draws.
     """
-    draws = []
+    draws, fates = [], {}  # fates: each draw's outcome, by its matrix's bytes
     real_channel, real_build = sim.MimoChannel, sim.build_detectors
 
     def channel(**kwargs):
-        draws.append(script(len(draws)))
-        if draws[-1] == "rank":
+        key = kwargs["matrix"].tobytes()
+        if key not in fates:
+            fates[key] = script(len(draws))
+            draws.append(fates[key])
+        if fates[key] == "rank":
             raise RankDeficientError("channel matrix is rank deficient")
         return real_channel(**kwargs)
 
     def build(*args):
-        if draws[-1] == "build":
+        if any(fates.get(h.tobytes()) == "build" for h in _slices(args[1])):
             raise FactorizationError("forced")
         return real_build(*args)
 
@@ -692,16 +772,16 @@ def _fail_by_corner(monkeypatch):
 
     The corner entry comes from the trial's own stream, so the same draws
     fail whichever worker runs the trial; workers are forked so that they
-    carry the patched builder.
+    carry the patched builder.  A stack fails as its first failing draw.
     """
     real = sim.build_detectors
 
     def flaky(specs, matrix, inv_snrs):
-        corner = matrix[0, 0]
-        if corner > 0.5:
-            raise FactorizationError("forced")
-        if corner < -0.5:
-            raise ReductionError("forced")
+        for h in _slices(matrix):
+            if h[0, 0] > 0.5:
+                raise FactorizationError("forced")
+            if h[0, 0] < -0.5:
+                raise ReductionError("forced")
         return real(specs, matrix, inv_snrs)
 
     monkeypatch.setattr(sim, "build_detectors", flaky)
@@ -721,10 +801,10 @@ def _fork_pool(monkeypatch):
 
 class TestRedrawLimit:
     def test_construction_failing_on_every_draw_raises(self, monkeypatch):
-        calls = []
+        calls = {}  # the draws construction was tried on, by their bytes
 
         def always_fails(specs, matrix, inv_snrs):
-            calls.append(matrix)
+            calls.update((h.tobytes(), h) for h in _slices(matrix))
             raise ReductionError("reduction did not converge within 4 sweeps")
 
         monkeypatch.setattr(sim, "build_detectors", always_fails)
@@ -819,10 +899,15 @@ class TestRedrawCauses:
         real = sim.build_detectors
         forced = [FactorizationError("forced"), FactorizationError("forced"),
                   np.linalg.LinAlgError("forced")]
+        fates = {}  # each draw's forced failure or None, handed out as draws are first seen
 
         def flaky(*args):
-            if forced:
-                raise forced.pop(0)
+            for h in _slices(args[1]):
+                key = h.tobytes()
+                if key not in fates:
+                    fates[key] = forced.pop(0) if forced else None
+                if fates[key] is not None:
+                    raise fates[key]
             return real(*args)
 
         monkeypatch.setattr(sim, "build_detectors", flaky)

@@ -7,6 +7,7 @@ allocate frame-sized arrays; and the trial's noise draw into a buffer must
 reproduce ``Generator.normal`` bit for bit, since every count rests on it.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -78,11 +79,11 @@ def _retained_by_workspace(calls, ys):
         tracemalloc.stop()
 
 
-def test_kept_ml_setup_follows_the_channel_bit_for_bit():
+def test_ml_setup_is_rebuilt_in_the_workspace_storage():
     """One workspace alternates H, H with one entry moved by one ulp, and H at
-    another order (8 real streams, orders 4 and 2).  Every call equals a fresh
-    call, the table it keeps is that of the call's channel and order, and it
-    keeps one table (512 KB at order 4) in one storage, not one per channel."""
+    another order (8 real streams, orders 4 and 2).  Every call builds the
+    setup of its own channel and order, so it equals a fresh call, and every
+    table is built into one storage (512 KB at order 4), not one per channel."""
     channel, order4, rng = _channel(4, 4, seed=8)
     order2 = make_ask_constellation(2)
     h = channel.matrix
@@ -95,14 +96,14 @@ def test_kept_ml_setup_follows_the_channel_bit_for_bit():
     for k, (hk, constellation) in enumerate(calls):
         got = sim._ml_detect_block(hk, ys, constellation, ws)
         assert np.array_equal(got, sim._ml_detect_block(hk, ys, constellation)), f"call {k}"
-        table = ws.kept["ml_setup"].table
+        table = sim._ml_setup(hk, constellation, ws).table
         fresh = sim._ml_setup(hk, constellation, Workspace()).table
         assert np.array_equal(table.view(np.uint64), fresh.view(np.uint64)), f"call {k}"
         tables[hk is h, constellation.order] = fresh
         storage.add(table.ctypes.data)
-    # The ulp moves the table, so a setup kept across the two would be seen above.
+    # The ulp moves the table, so a setup carried over between the two would be seen above.
     assert not np.array_equal(tables[True, 4], tables[False, 4])
-    assert len(storage) == 1, "every rebuilt table reuses the workspace's storage"
+    assert len(storage) == 1, "every table is built into the workspace's one storage"
     alone = _retained_by_workspace(calls[:1], ys)
     alternating = _retained_by_workspace(calls, ys)
     assert alternating < alone + 64 * 2**10, f"{alternating} B against {alone} B for one channel"
@@ -177,3 +178,20 @@ def test_noise_drawn_into_a_buffer_equals_normal(noise_var):
         ref = theirs.normal(0.0, sigma, size=shape)
         assert np.array_equal(buf.view(np.int64), ref.view(np.int64))
     assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 16])
+def test_indices_drawn_in_pieces_equal_one_draw(order):
+    """Symbol indices drawn a piece at a time, in C order, take the stream of one draw.
+
+    A trial draws its symbol block sim._SLICE_ENTRIES indices at a time, so
+    that no frame-length int64 array is made; its counts rest on this.
+    """
+    shape = (4, 3 * sim._SLICE_ENTRIES // 4 + 7)
+    for piece in (777, sim._SLICE_ENTRIES):
+        ours, theirs = sim.trial_rng(11, order), sim.trial_rng(11, order)
+        flat = np.empty(math.prod(shape), dtype=np.int64)
+        for a in range(0, flat.size, piece):
+            flat[a : a + piece] = ours.integers(0, order, size=len(flat[a : a + piece]))
+        assert np.array_equal(flat.reshape(shape), theirs.integers(0, order, size=shape)), piece
+        assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9)), piece
