@@ -3,11 +3,12 @@
 Every trial consumes its own counter-based random stream keyed by (seed,
 trial index), so serial and parallel executions produce bit-identical
 results and trials can be merged in any order.  Trials run in chunks of
-consecutive trials, one or more per worker process: a chunk draws each
-trial's channel from the trial's stream, builds all their detectors in
-one stacked call, and then runs each trial's detection in one shared
-workspace; a redraw inside a chunk starts each of its trials over from
-its own stream, so no draw, cause or count depends on the chunking.  The
+consecutive trials, one or more per worker process.  One function makes
+every draw and detector of a chunk: it draws each trial's channel from
+the trial's stream and builds all their detectors in one stacked call,
+and on a redraw starts each trial over from its own stream, so no draw,
+cause or count depends on the chunking.  Each trial's detection then
+runs in one workspace that the chunk's trials share.  The
 stream gives, in order, the trial's channel draw(s), one block of symbols
 and one block of unit-variance noise N; every SNR point j sees the same
 symbols under the noise sigma_j N (common random numbers), so a cell's
@@ -530,78 +531,72 @@ def _chunks(config: SimConfig, workers: int) -> list:
 
 
 def _run_chunk(config: SimConfig, trials: range):
-    """The summed ``(counts, causes)`` of ``_run_trial`` over ``trials``.
+    """The summed ``(counts, causes)`` of ``trials``.
 
-    Draws each trial's first channel from the trial's own stream, builds
-    the detectors of all of them in one stacked ``build_detectors`` call,
-    then runs each trial through ``_run_trial`` (looked up at call time) in
-    one :class:`Workspace`.  A stacked call fails whole, so when a draw or
-    the stacked build raises a redraw cause, each trial starts over from
-    the beginning of its stream, which gives the draws, causes and
-    detectors it would give alone.
+    ``_draw_and_build`` makes every draw and detector of the chunk; each
+    trial's detection then runs through ``_run_trial`` (looked up at call
+    time) in one :class:`Workspace`.  ``causes`` counts redrawn draws by
+    exception class name.
+    """
+    causes, ws = Counter(), Workspace()
+    drawn = _draw_and_build(config, trials, causes)
+    counts = sum(_run_trial(config, trial, *d, ws) for trial, d in zip(trials, drawn))
+    return counts, causes
+
+
+def _draw_and_build(config: SimConfig, trials: range, causes: Counter) -> list:
+    """Each trial's (stream, H, detectors), its stream past its usable draw.
+
+    Each pass draws every trial's next channel from the trial's own stream
+    and builds all their detectors in one stacked ``build_detectors`` call.
+    A stacked call fails whole, so when a draw or the build of several
+    trials raises a redraw cause, each trial starts over from the
+    beginning of its stream in a call of its own, which gives the draws,
+    causes and detectors it would give alone.  A lone trial counts the
+    cause in ``causes`` and draws again, at most ``_MAX_REDRAWS`` times.
     """
     rngs = [trial_rng(config.seed, trial) for trial in trials]
-    try:
-        hs = np.stack([draw_channel(rng, config.n_rx, config.n_tx).matrix for rng in rngs])
-        drawn = list(zip(rngs, hs, build_detectors(config.specs, hs, _inv_snrs(config))))
-    except _REDRAW_CAUSES:
-        drawn = [None] * len(rngs)
-    ws = Workspace()
-    outcomes = [_run_trial(config, trial, d, ws) for trial, d in zip(trials, drawn)]
-    counts, causes = zip(*outcomes)
-    return np.sum(counts, axis=0), sum(causes, Counter())
+    inv_snrs = _inv_snrs(config)
+    for _ in range(_MAX_REDRAWS):
+        try:
+            hs = np.stack([draw_channel(rng, config.n_rx, config.n_tx).matrix for rng in rngs])
+            return list(zip(rngs, hs, build_detectors(config.specs, hs, inv_snrs)))
+        except _REDRAW_CAUSES as exc:
+            if len(trials) > 1:
+                return [d for trial in trials for d in _draw_and_build(config, range(trial, trial + 1), causes)]
+            causes[type(exc).__name__] += 1
+            cause = exc
+    raise RedrawLimitError(
+        f"trial {trials[0]}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
+    ) from cause
 
 
-def _run_trial(config: SimConfig, trial: int, drawn=None, workspace=None):
-    """One trial's ``(counts, causes)``.
+def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarray:
+    """One trial's counts, an int64 array of shape (3, detectors, SNRs).
 
-    ``counts`` is an int64 array of shape (3, detectors, SNRs): the symbol
-    errors, vector errors and clipped decisions of each detector (ML oracle
-    last) at each SNR.  ``causes`` counts redrawn draws by exception class
-    name.  A draw's detectors come from one ``build_detectors`` call, and
-    with the oracle on, its ML table from one ``_ml_setup`` call.
+    They are the symbol errors, vector errors and clipped decisions of each
+    detector (ML oracle last) at each SNR.  ``rng`` is the trial's stream
+    past its usable channel draw ``h``, whose ``detectors`` come from
+    ``_draw_and_build``; with the oracle on, the draw's ML table comes from
+    one ``_ml_setup`` call.
 
-    The trial's stream gives its channel draws (more than one only when a
-    draw is redrawn), then the symbol indices and then one standard-normal
+    The stream then gives the symbol indices and one standard-normal
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
     of a grid holding that point alone.  Only s and N are frame-length: H s,
     the observations, every detector and the oracle work on one slice of
     ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
-    of one :class:`Workspace` (views of them for a shorter last slice).
+    of the :class:`Workspace` ``ws`` (views of them for a shorter last slice).
     A slice's feedforward product is one matmul whose bits can depend on
     the slice width, so the counts are those of this fixed slicing: equal
     to one full-length pass unless a soft value lies within rounding of a
     decision boundary.  The oracle's decisions do not depend on grouping.
-
-    ``drawn``, from ``_run_chunk``, is (stream, H, detectors) of a trial
-    whose first draw the chunk made and built on; None starts the stream
-    here.  ``workspace`` is the chunk's (a fresh one when None).
     """
-    causes = Counter()
-    if drawn is None:
-        rng = trial_rng(config.seed, trial)
-        inv_snrs = _inv_snrs(config)
-        for _ in range(_MAX_REDRAWS):
-            try:
-                h = draw_channel(rng, config.n_rx, config.n_tx).matrix
-                detectors = build_detectors(config.specs, h, inv_snrs)
-                break
-            except _REDRAW_CAUSES as exc:
-                causes[type(exc).__name__] += 1
-                cause = exc
-        else:
-            raise RedrawLimitError(
-                f"trial {trial}: no usable channel in {_MAX_REDRAWS} draws; last cause: {cause!r}"
-            ) from cause
-    else:
-        rng, h, detectors = drawn
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
     noise_vars = [_noise_var(config, sv, snr) for snr in config.snr_db]
     counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
     part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
     frames, step = config.frames_per_channel, _slice_frames(config)
-    ws = Workspace() if workspace is None else workspace
     n_tx, n_rx = 2 * config.n_tx, 2 * config.n_rx
     sent = ws.take("sent", (n_tx, frames))
     # The symbol indices are drawn _SLICE_ENTRIES at a time in C order, which
@@ -630,7 +625,7 @@ def _run_trial(config: SimConfig, trial: int, drawn=None, workspace=None):
                 np.logical_or.reduce(wrong, axis=0, out=wrong_frame)
                 part[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
         counts += part
-    return counts, causes
+    return counts
 
 
 def _inv_snrs(config: SimConfig) -> list:

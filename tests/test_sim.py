@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lramimo import equalize, lattice, model, sim
 from lramimo.blast import FactorizationError
@@ -303,7 +305,7 @@ class TestRunMonteCarlo:
         _fail_by_corner(monkeypatch)
         cfg = _config(order=4, snr_db=(0.0, 10.0), trials=6, oracle=True,
                       specs=_specs("le-zf", "dfe-mmse-lra-aug"))
-        outcomes = [sim._run_trial(cfg, trial) for trial in range(cfg.trials)]
+        outcomes = [sim._run_chunk(cfg, range(trial, trial + 1)) for trial in range(cfg.trials)]
         for counts, _ in outcomes:
             assert counts.dtype == np.int64 and counts.shape == (3, 3, len(cfg.snr_db))
         counts = sum(trial_counts for trial_counts, _ in outcomes)
@@ -385,15 +387,11 @@ class TestRunMonteCarlo:
                       specs=_specs("le-zf", "le-mmse-lra-orig", "dfe-mmse-lra-aug"))
         sizes = {w: [len(chunk) for chunk in sim._chunks(cfg, w)] for w in (1, 2, 3)}
         assert sizes == {1: [1, 2, 2, 2], 2: [1, 2, 2, 2], 3: [1, 1, 1, 1, 1, 2]}
-        outcomes = [sim._run_trial(cfg, trial) for trial in range(cfg.trials)]
-        counts = sum(trial_counts for trial_counts, _ in outcomes)
-        causes = sum((trial_causes for _, trial_causes in outcomes), Counter())
-        assert counts[0].any() and counts[2].any() and bool(causes) == failing
-        stacks, trials_run = [], []
+        stacks, trials_run = [], []  # stacks: each build call's draws, by their bytes
         real_build, real_trial = sim.build_detectors, sim._run_trial
 
         def build(*args):
-            stacks.append(np.shape(args[1])[:-2])
+            stacks.append([h.tobytes() for h in _slices(args[1])])
             return real_build(*args)
 
         def trial(*args):
@@ -401,6 +399,15 @@ class TestRunMonteCarlo:
             return real_trial(*args)
 
         monkeypatch.setattr(sim, "build_detectors", build)
+        outcomes, alone = [], []  # alone: each trial's draws in a chunk of its own
+        for t in range(cfg.trials):
+            stacks.clear()
+            outcomes.append(sim._run_chunk(cfg, range(t, t + 1)))
+            alone.append([h for (h,) in stacks])
+        counts = sum(trial_counts for trial_counts, _ in outcomes)
+        causes = sum((trial_causes for _, trial_causes in outcomes), Counter())
+        assert counts[0].any() and counts[2].any() and bool(causes) == failing
+        stacks.clear()
         monkeypatch.setattr(sim, "_run_trial", trial)
         results = {1: run_monte_carlo(cfg)}
         monkeypatch.setattr(sim, "build_detectors", real_build)
@@ -417,8 +424,19 @@ class TestRunMonteCarlo:
             assert result.meta["redraw_causes"] == dict(sorted(causes.items()))
         # Each trial's detection runs through the module's _run_trial, once.
         assert sorted(trials_run) == list(range(cfg.trials))
-        if not failing:  # one stacked build per chunk, of all its trials
-            assert stacks == [(1,), (2,), (2,), (2,)]
+        # One stacked build per chunk, of all its trials' first draws; when
+        # it fails, each trial's draws follow one at a time, in trial order.
+        redrawn = [chunk for chunk in sim._chunks(cfg, 1) if any(len(alone[t]) > 1 for t in chunk)]
+        want = []
+        for chunk in sim._chunks(cfg, 1):
+            want.append([alone[t][0] for t in chunk])
+            if chunk in redrawn:
+                want += [[h] for t in chunk for h in alone[t]][len(chunk) == 1 :]
+        assert stacks == want
+        if failing:
+            assert any(len(chunk) > 1 for chunk in redrawn), "no chunk of several trials was redrawn"
+        else:
+            assert not redrawn and [len(stack) for stack in stacks] == [1, 2, 2, 2]
 
     @_NEEDS_FORK
     def test_trials_spread_over_the_processes(self, monkeypatch, tmp_path):
@@ -588,7 +606,7 @@ class TestFrameSlices:
             assert sim._slice_frames(case) == min(step, frames)
             want = _reference_counts(case)
             assert want[0].any() and want[2].any(), "no errors or no clips; they go unchecked"
-            got = sum(sim._run_trial(case, trial)[0] for trial in range(case.trials))
+            got = sum(sim._run_chunk(case, range(trial, trial + 1))[0] for trial in range(case.trials))
             np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames")
 
     def test_trial_memory_does_not_grow_with_frames(self):
@@ -601,7 +619,7 @@ class TestFrameSlices:
             case = replace(cfg, frames_per_channel=frames)
             tracemalloc.start()
             try:
-                sim._run_trial(case, 0)
+                sim._run_chunk(case, range(1))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -631,7 +649,7 @@ class TestGridIndependence:
         cells = []
         for grid in self.GRIDS:
             cfg = _grid_config(grid)
-            counts = sum(sim._run_trial(cfg, trial)[0] for trial in range(cfg.trials))
+            counts = sum(sim._run_chunk(cfg, range(trial, trial + 1))[0] for trial in range(cfg.trials))
             cells.append(counts[:, :, grid.index(20.0)])
         assert cells[0][0].any() and cells[0][2].any(), "no errors or no clips; they go unchecked"
         for grid, got in zip(self.GRIDS[1:], cells[1:]):
@@ -658,7 +676,7 @@ class TestSharedConstruction:
         )
         result = run_monte_carlo(cfg)
         want = _reference_counts(cfg)
-        got = sum(sim._run_trial(cfg, trial)[0] for trial in range(cfg.trials))
+        got = sum(sim._run_chunk(cfg, range(trial, trial + 1))[0] for trial in range(cfg.trials))
         assert got.dtype == np.int64 and got.shape == want.shape
         assert want[2].any(), "no detector clipped; the clip counts go unchecked"
         ids = [s.spec_id for s in ALL_SPECS] + [ML_ORACLE_ID]
@@ -879,6 +897,28 @@ class TestRedrawLimit:
             run_monte_carlo(_config(trials=1))
         assert len(draws) == 100
 
+    def test_a_trial_inside_a_chunk_gives_up_after_100_draws(self, monkeypatch):
+        # Trial 1 of a chunk of three fails construction on every draw: the
+        # stacked build fails, and trial 1 alone reaches the cap.
+        cfg = _config(trials=3)
+        assert sim._chunks(cfg, 1) == [range(3)]
+        rng = trial_rng(cfg.seed, 1)
+        stream = [draw_channel(rng, cfg.n_rx, cfg.n_tx).matrix.tobytes() for _ in range(101)]
+        tried = set()
+        real = sim.build_detectors
+
+        def fails_on_trial_1(specs, matrix, inv_snrs):
+            ours = {h.tobytes() for h in _slices(matrix)}.intersection(stream)
+            tried.update(ours)
+            if ours:
+                raise FactorizationError("forced")
+            return real(specs, matrix, inv_snrs)
+
+        monkeypatch.setattr(sim, "build_detectors", fails_on_trial_1)
+        with pytest.raises(RedrawLimitError, match=r"^trial 1: no usable channel in 100 draws"):
+            run_monte_carlo(cfg)
+        assert tried == set(stream[:100])
+
     def test_one_cap_covers_rank_and_construction_failures(self, monkeypatch):
         draws = _scripted_failures(monkeypatch, lambda k: ("rank", "build")[k % 2])
         with pytest.raises(RedrawLimitError, match="trial 0: no usable channel in 100 draws"):
@@ -925,6 +965,22 @@ class TestRedrawCauses:
         assert set(causes) == {"FactorizationError", "ReductionError"}
         assert parallel.meta["redraw_causes"] == causes
         assert serial.meta["channel_redraws"] == parallel.meta["channel_redraws"] == sum(causes.values())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(trials=st.integers(1, 9), workers=st.integers(1, 3), cap=st.integers(1, 4), failing=st.booleans())
+def test_any_chunking_gives_the_sum_of_one_trial_chunks(trials, workers, cap, failing):
+    cfg = _config(trials=trials, specs=_specs("le-zf", "dfe-mmse-lra-aug"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_CHUNK_TRIALS", cap)
+        if failing:
+            _fail_by_corner(mp)
+        chunks = sim._chunks(cfg, workers)
+        assert max(len(chunk) for chunk in chunks) <= cap
+        chunked = [sim._run_chunk(cfg, chunk) for chunk in chunks]
+        alone = [sim._run_chunk(cfg, range(t, t + 1)) for t in range(trials)]
+    np.testing.assert_array_equal(sum(c for c, _ in chunked), sum(c for c, _ in alone))
+    assert sum((k for _, k in chunked), Counter()) == sum((k for _, k in alone), Counter())
 
 
 class TestImportBoundary:
