@@ -4,10 +4,12 @@ An :class:`EqualizerSpec` names one point in the design space
 (linear or decision-feedback) x (ZF or MMSE) x (lattice-reduction-aided
 or not); for reduction-aided MMSE the reduction may target the plain or
 the noise-regularized channel matrix.  :func:`build_detectors` freezes all
-filters of one channel draw, for every spec and SNR point, doing each
-piece of work the specs and SNRs share once; :func:`build_detector` is its
-one-spec, one-SNR case, and :func:`detect_block` applies the filters to
-blocks of observations, in place in the buffers of a :class:`Workspace`.
+filters of one channel draw, one :class:`Detector` per spec holding every
+SNR point, doing each piece of work the specs and SNRs share once;
+:func:`build_detector` is its one-spec, one-SNR case, and
+:func:`detect_block` applies a detector's filters at all of its SNR points
+in one pass over blocks of observations, in place in the buffers of a
+:class:`Workspace`.
 The filters come from the factorizations in ``blast``; the closed-form
 receive matrices they are certified against live in ``checks``.
 """
@@ -130,15 +132,20 @@ ALL_SPECS = tuple(
 
 @dataclass(frozen=True, eq=False)
 class Detector:
-    """Frozen filters for one (spec, channel) pair; treat fields read-only.
+    """Frozen filters of one spec on one channel draw at S SNR points; treat fields read-only.
 
-    Every spec compiles to the same normal form: ``feedforward`` (the
-    observation columns of the zero-forcing filters of B Z^-1), ``feedback``
-    and ``perm`` (None for linear detectors), and, for reduction-aided
-    specs, the ``reduction`` that supplied the int64 Z and Z^-1.
-    ``z_offset`` is the translate onto which the estimates are sliced:
-    ALPHABET_OFFSET * 1 without reduction, Z (ALPHABET_OFFSET * 1) with it.
-    Detectors compare by identity: ``==`` of two is ``is``.
+    Every spec compiles to the same normal form, each field with a leading
+    axis of the S points: ``feedforward`` (S, n, m), a contiguous copy of
+    the observation columns of the zero-forcing filters of B Z^-1,
+    ``feedback`` (S, n, n) and ``perm`` (S, n), None for linear detectors,
+    and, for reduction-aided specs, the stacked ``reduction`` of the S
+    points that supplied the int64 Z and Z^-1.  ``z_offset`` (S, n) is the
+    translate onto which the estimates are sliced: ALPHABET_OFFSET * 1
+    without reduction, Z (ALPHABET_OFFSET * 1) with it.  A field that does
+    not depend on the SNR, such as every filter of a ZF spec, repeats one
+    array over the S points as a broadcast view.  Indexing a detector with
+    a slice gives the detector of those points.  Detectors compare by
+    identity: ``==`` of two is ``is``.
     """
 
     spec: EqualizerSpec
@@ -148,36 +155,76 @@ class Detector:
     perm: np.ndarray = None
     reduction: ReducedBasis = None
 
+    def __getitem__(self, points: slice) -> "Detector":
+        fields = (self.feedforward, self.z_offset, self.feedback, self.perm, self.reduction)
+        return Detector(self.spec, *(None if a is None else a[points] for a in fields))
+
+    @functools.cached_property
+    def _plan(self):
+        """What detection reads: (feedforward, offsets, feedback, targets, Z^-1).
+
+        ``offsets`` are the Z offsets in detection order, (n, S, 1).  A DFE
+        detector's ``feedback[l]`` is feedback[:, l, :l] as (S, 1, l), and
+        row l S + s of its (n S, f) decisions in detection order goes to
+        row ``targets[l S + s]`` = perm[s, l] S + s in stream order; both
+        are None for a linear detector.  Z^-1 is the reduction's as floats,
+        or None.  A detector of one point drops the points' axis, as its
+        pass does, so that a one-point pass makes 2-D products on scalar
+        DFE offsets and pays nothing for an axis of length 1.
+        """
+        n_snrs, n = self.z_offset.shape
+        linear = self.perm is None
+        offsets = self.z_offset if linear else self.z_offset[np.arange(n_snrs)[:, None], self.perm]
+        zinv = None if self.reduction is None else self.reduction.unimodular_inv.astype(float)
+        if n_snrs == 1:
+            return (
+                self.feedforward[0],
+                offsets.T if linear else offsets[0],
+                None if linear else [self.feedback[0, l, :l] for l in range(n)],
+                None if linear else self.perm[0],
+                None if zinv is None else zinv[0],
+            )
+        return (
+            self.feedforward,
+            offsets.T[:, :, None],
+            None if linear else [self.feedback[:, l : l + 1, :l] for l in range(n)],
+            None if linear else (self.perm.T * n_snrs + np.arange(n_snrs)).ravel(),
+            zinv,
+        )
+
 
 def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
-    The one-spec, one-SNR case of :func:`build_detectors`.
+    The one-spec, one-SNR case of :func:`build_detectors`: a detector of
+    one SNR point.
     """
-    return build_detectors([spec], channel.matrix, [channel.inv_snr])[0][0]
+    return build_detectors([spec], channel.matrix, [channel.inv_snr])[0]
 
 
 def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
-    """Detectors of one channel draw for every SNR (outer list) and spec (inner list).
+    """Detectors of one channel draw, one per spec, each holding every SNR point.
 
     Every spec is zero-forcing processing of one basis matrix B Z^-1, with
     B = H for ZF, B = [H; sqrt(zeta) I] for MMSE and Z = I without
     reduction.  A reduction contributes only Z; its target decides which
     matrix Z reduces, H or B.  Linear filters are the pseudo-inverse of
     B Z^-1, DFE filters its sorted successive factorization; either way
-    only the columns acting on the observation are kept.
+    only the columns acting on the observation are kept, as a copy.
 
     ``matrix`` is H, or a stack (draws, m, n) of channel draws, which
-    gives one such list per draw; ``inv_snrs`` holds zeta per SNR point.
-    Only B of an MMSE spec depends on zeta, so a ZF detector is built once
-    per draw and repeated at every SNR.  The stack of every draw's H, the
-    stack of every [H; sqrt(zeta) I] and their reductions are made at most
-    once, on first use, so a call takes at most two ``lll_reduce`` calls,
-    however many draws it holds: one on the H stack, one on the other.
-    Each spec forms its stack of B Z^-1 in one matmul and factorizes it in
-    one kernel call, slice by slice as each alone, so every detector of a
-    stacked call equals that of its draw built alone bit for bit.  Any
-    draw that fails construction fails the whole call.
+    gives one such list per draw; ``inv_snrs`` holds zeta per SNR point,
+    and point s of every detector is built at inv_snrs[s].  Only B of an
+    MMSE spec depends on zeta, so a ZF detector is built once per draw and
+    repeated over the points as broadcast views, as is the reduction of H.
+    The stack of every draw's H, the stack of every [H; sqrt(zeta) I] and
+    their reductions are made at most once, on first use, so a call takes
+    at most two ``lll_reduce`` calls, however many draws it holds: one on
+    the H stack, one on the other.  Each spec forms its stack of B Z^-1 in
+    one matmul and factorizes it in one kernel call, slice by slice as
+    each alone, so every point of a detector equals the one-SNR detector
+    of its draw and zeta bit for bit.  Any draw that fails construction
+    fails the whole call.
     """
     inv_snrs = list(inv_snrs)
     if not inv_snrs or not all(r >= 0 for r in inv_snrs):
@@ -186,51 +233,60 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
     if h.ndim not in (2, 3):
         raise ValueError(f"matrix must be one channel (m, n) or a stack (draws, m, n), got shape {h.shape}")
     hs = h if h.ndim == 3 else h[None]
-    n_draws, n_snrs = len(hs), len(inv_snrs)
+    n_snrs = len(inv_snrs)
     offset = np.full(h.shape[-1], ALPHABET_OFFSET)
     # Bases are (draws, SNRs or 1, rows, n): every [H; sqrt(zeta) I], or H.
     augmented = functools.cache(lambda: np.array([[augment(x, r) for r in inv_snrs] for x in hs]))
-    h_change = functools.cache(lambda: _basis_change(lll_reduce(hs), offset))
-    b_change = functools.cache(lambda: _basis_change(lll_reduce(augmented()), offset))
+    h_change = functools.cache(lambda: _basis_change(lll_reduce(hs), offset, n_snrs))
+    b_change = functools.cache(lambda: _basis_change(lll_reduce(augmented()), offset, n_snrs))
     per_spec = []
     for spec in specs:
         bases = augmented() if spec.criterion is Criterion.MMSE else hs[:, None]
-        reps = bases.shape[1]
         if spec.reduction_target is ReductionTarget.ORIGINAL:
-            zinv, changes = h_change()
-            zinv, changes = zinv[:, None], [c for c in changes for _ in range(reps)]
+            zinv, reductions, z_offsets = h_change()
         elif spec.reduction_target is ReductionTarget.AUGMENTED:
-            zinv, changes = b_change()
+            zinv, reductions, z_offsets = b_change()
         else:
-            zinv, changes = None, [(None, offset)] * (n_draws * reps)
+            zinv, reductions, z_offsets = None, [None] * len(hs), offset[None, None]
         stack = bases if zinv is None else np.matmul(bases, zinv)
-        built = _factorize(spec, stack.reshape(-1, *stack.shape[-2:]), changes, h.shape[-2])
-        per_spec.append([built[d * reps : (d + 1) * reps] * (n_snrs // reps) for d in range(n_draws)])
-    grids = [[[column[d][j] for column in per_spec] for j in range(n_snrs)] for d in range(n_draws)]
-    return grids if h.ndim == 3 else grids[0]
+        per_spec.append(_factorize(spec, stack, z_offsets, reductions, n_snrs, h.shape[-2]))
+    per_draw = [list(detectors) for detectors in zip(*per_spec)]
+    return per_draw if h.ndim == 3 else per_draw[0]
 
 
-def _basis_change(rb: ReducedBasis, offset: np.ndarray):
-    """(Z^-1, [(rb, Z offset)] per slice in C order) of a stack of reductions.
+def _basis_change(rb: ReducedBasis, offset: np.ndarray, n_snrs: int):
+    """(Z^-1, each draw's reduction at every SNR point, Z offsets) of a stack of reductions.
 
-    The transformed symbols of a slice lie on Z offset + integers.
+    ``rb`` holds one reduction per draw (of H), repeated over the SNR
+    points, or one per draw and point.  Z^-1 and the Z offsets, on which
+    the transformed symbols lie up to integers, are stacked (draws, SNRs
+    or 1, ...), the points' axis of length 1 for a reduction of H.
     """
-    z_offsets = rb.unimodular @ offset
-    return rb.unimodular_inv, [(rb[i], z_offsets[i]) for i in np.ndindex(z_offsets.shape[:-1])]
+    zinv, z_offsets = rb.unimodular_inv, rb.unimodular @ offset
+    if zinv.ndim == 3:
+        zinv, z_offsets, rb = zinv[:, None], z_offsets[:, None], rb.repeated(n_snrs)
+    return zinv, [rb[d] for d in range(len(zinv))], z_offsets
 
 
-def _factorize(spec: EqualizerSpec, stack: np.ndarray, changes: list, n_rx: int) -> list:
-    """One detector per slice of the stack of B Z^-1, from one kernel call."""
-    n = len(stack)
+def _factorize(spec, stack, z_offsets, reductions, n_snrs, n_rx) -> list:
+    """Each draw's detector, from one kernel call on the stack (draws, SNRs or 1, rows, n) of B Z^-1.
+
+    The filters and the Z offsets (draws or 1, SNRs or 1, n) are repeated
+    where their points' axis has length 1, as broadcast views.
+    """
     if spec.structure is Structure.LINEAR:
-        feedforward, feedbacks, perms = blast.le_zf_matrix(stack), [None] * n, [None] * n
+        feedforward, feedback, perm = blast.le_zf_matrix(stack), None, None
     else:
         fs = blast.vblast_sorted_factorization(stack)
-        feedforward, feedbacks, perms = fs.feedforward, fs.feedback, fs.perm
-    return [
-        Detector(spec, feedforward[i, :, :n_rx], z_offset, feedbacks[i], perms[i], rb)
-        for i, (rb, z_offset) in enumerate(changes)
-    ]
+        feedforward, feedback, perm = fs.feedforward, fs.feedback, fs.perm
+
+    def spread(a):
+        if a is None:
+            return [None] * len(stack)
+        return np.broadcast_to(a, (len(stack), n_snrs) + a.shape[2:])
+
+    arrays = (np.ascontiguousarray(feedforward[..., :n_rx]), z_offsets, feedback, perm)
+    return [Detector(spec, *fields, rb) for *fields, rb in zip(*map(spread, arrays), reductions)]
 
 
 class Workspace:
@@ -274,54 +330,71 @@ class Workspace:
 def detect_block(
     detector: Detector, observations: np.ndarray, constellation: Constellation, workspace=None
 ):
-    """Detect a block of received vectors, one per column.
+    """Detect a block of received vectors, one per column, at the detector's S SNR points.
 
-    Returns (decisions, transformed decisions or None, clip count).  The
-    estimates are rounded onto the detector's translate lattice, one
+    ``observations`` is (m, S f): columns s f to (s + 1) f - 1 are the f
+    frames observed at point s, and the decisions are laid out the same
+    way.  Returns (decisions, transformed decisions or None, clip count).
+    The estimates are rounded onto the detector's translate lattice, one
     stream at a time with feedback cancellation for DFE detectors.
     Without reduction that lattice is the alphabet's and decisions are
     clipped to it as they are made; with reduction the transformed
     decisions are mapped back through Z^-1, and those outside the alphabet
-    are clipped and counted.  The constellation's variance should match
-    the symbol variance the detector was built with, otherwise the MMSE
+    are clipped and counted.  The clip count is an int for a detector of
+    one point and a list of one int per point otherwise; 0 without
+    reduction.  The constellation's variance should match the
+    symbol variance the detector was built with, otherwise the MMSE
     filters are mismatched.
 
-    All work is done in place in the arrays of ``workspace`` (a fresh
+    Each point's products are those of a detector of that point alone, so
+    a pass over S points equals S one-point calls bit for bit.  All work is
+    done in place in two (n, S, f) float arrays of ``workspace`` (a fresh
     :class:`Workspace` when None), and the returned arrays are among them:
     the next call with the same workspace overwrites them.
     """
     ys = np.asarray(observations, dtype=float)
-    n_rx = detector.feedforward.shape[1]
-    if ys.ndim != 2 or ys.shape[0] != n_rx:
-        raise ValueError(f"observations must be ({n_rx}, frames), got {ys.shape}")
+    n_snrs, n, n_rx = detector.feedforward.shape
+    if ys.ndim != 2 or ys.shape[0] != n_rx or ys.shape[1] % n_snrs:
+        raise ValueError(f"observations must be ({n_rx}, {n_snrs} x frames), got {ys.shape}")
     ws = Workspace() if workspace is None else workspace
-    reduced = detector.reduction is not None
+    feedforward, offsets, feedback, targets, zinv = detector._plan
     limit = constellation.amplitude_limit
-    loop_limit = None if reduced else limit
-    shape = (detector.feedforward.shape[0], ys.shape[1])
-    soft = np.matmul(detector.feedforward, ys, out=ws.take("soft", shape))
-    if detector.feedback is None:
-        decided = _slice(soft, detector.z_offset[:, None], loop_limit)
+    loop_limit = limit if zinv is None else None
+    frames = ys.shape[1] // n_snrs
+    # Rows outermost, so that a DFE row step reads and writes one block:
+    # (n, S, f), or (n, f) for one point.
+    shape = (n, frames) if n_snrs == 1 else (n, n_snrs, frames)
+    soft = ws.take("soft", shape)
+    np.matmul(feedforward, _points(ys.reshape(n_rx, *shape[1:])), out=_points(soft))
+    if feedback is None:
+        decided = _slice(soft, offsets, loop_limit)
     else:
         # Row l of soft becomes the l-th decision in detection order once
         # the decisions of the rows above it are cancelled from it.
-        offsets = detector.z_offset[detector.perm]
-        cancel = ws.take("cancel", shape[1:])
+        cancel = ws.take("cancel", feedback[0].shape[:-1] + (frames,))
+        cancelled = cancel.reshape(soft.shape[1:])
         _slice(soft[0], offsets[0], loop_limit)
-        for l in range(1, shape[0]):
-            np.matmul(detector.feedback[l, :l], soft[:l], out=cancel)
-            np.subtract(soft[l], cancel, out=soft[l])
+        for l in range(1, n):
+            np.matmul(feedback[l], _points(soft[:l]), out=cancel)
+            np.subtract(soft[l], cancelled, out=soft[l])
             _slice(soft[l], offsets[l], loop_limit)
         decided = ws.take("decided", shape)
-        decided[detector.perm] = soft
-    if not reduced:
-        return decided, None, 0
-    a_hat = np.matmul(detector.reduction.unimodular_inv, decided, out=ws.take("a_hat", shape))
+        decided.reshape(n * n_snrs, -1)[targets] = soft.reshape(n * n_snrs, -1)
+    if zinv is None:
+        return decided.reshape(n, -1), None, 0
+    # A pass holds two float buffers: a_hat takes whichever one is free.
+    a_hat = ws.take("decided", shape) if decided is soft else soft
+    np.matmul(zinv, _points(decided), out=_points(a_hat))
     _slice(a_hat, ALPHABET_OFFSET, None)
-    outside = ws.take("outside", shape, bool)
-    clipped = int(np.count_nonzero(np.greater(a_hat, limit, out=outside)))
-    clipped += int(np.count_nonzero(np.less(a_hat, -limit, out=outside)))
-    return _clip(a_hat, limit), decided, clipped
+    outside = np.greater(a_hat, limit, out=ws.take("outside", shape, bool))
+    outside |= np.less(a_hat, -limit, out=ws.take("below", shape, bool))
+    clipped = [int(np.count_nonzero(point)) for point in _points(outside.reshape(n, n_snrs, frames))]
+    return _clip(a_hat, limit).reshape(n, -1), decided.reshape(n, -1), clipped[0] if n_snrs == 1 else clipped
+
+
+def _points(block: np.ndarray) -> np.ndarray:
+    """The (S, rows, f) view of a (rows, S, f) block; a (rows, f) block of one point as it is."""
+    return block if block.ndim == 2 else block.transpose(1, 0, 2)
 
 
 def _slice(soft: np.ndarray, offset, limit):

@@ -73,13 +73,25 @@ class ReducedBasis:
         out.setflags(write=False)
         return out
 
+    def repeated(self, count: int) -> "ReducedBasis":
+        """The stack with a new last stack axis holding ``count`` repeats of each slice.
+
+        The repeats are broadcast views, not copies.
+        """
+        stack = self._original.shape[:-2]
+        return ReducedBasis(
+            *(np.broadcast_to(a[..., None, :, :], stack + (count,) + a.shape[-2:])
+              for a in (self.unimodular, self.unimodular_inv, self._original)),
+            [steps for steps in self._steps for _ in range(count)],
+        )
+
     def __getitem__(self, index) -> "ReducedBasis":
         picked = np.arange(len(self._steps)).reshape(self._original.shape[:-2])[index]
         return ReducedBasis(
             self.unimodular[index],
             self.unimodular_inv[index],
             self._original[index],
-            [self._steps[i] for i in np.ravel(picked)],
+            [self._steps[i] for i in picked.ravel().tolist()],
         )
 
 

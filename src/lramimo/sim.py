@@ -14,7 +14,10 @@ and one block of unit-variance noise N; every SNR point j sees the same
 symbols under the noise sigma_j N (common random numbers), so a cell's
 counts do not depend on the other SNR points of the grid; the two blocks
 are a trial's only frame-length arrays, and the rest works on one
-cache-sized frame slice at a time.  An exact ML search serves as the performance oracle: it
+cache-sized frame slice at a time.  A slice detects its SNR points in
+groups that fit the same budget, each detector running once over a
+group's stacked observations, and the group size changes no count.  An
+exact ML search serves as the performance oracle: it
 tabulates ||H s||^2 over two half-grids once per channel draw and
 evaluates per frame only the rows of that table that a projection bound,
 from the reduced QR of the second half's columns, cannot rule out, each
@@ -66,7 +69,8 @@ _ML_SEARCH_LIMIT = 10**6
 _ML_CHUNK_ENTRIES = 1 << 14
 _ML_PIECE_ENTRIES = 1 << 14
 _ML_PAIR_ENTRIES = 1 << 10
-# A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx)).
+# A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx))
+# and detects a slice's SNR points in groups of max(1, _SLICE_ENTRIES // (2 n_rx slice)).
 _SLICE_ENTRIES = 1 << 15
 # A chunk of trials builds its detectors in one stacked call, whose per-call
 # overhead shrinks as the stack deepens; it holds at most _CHUNK_TRIALS
@@ -576,9 +580,9 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
 
     They are the symbol errors, vector errors and clipped decisions of each
     detector (ML oracle last) at each SNR.  ``rng`` is the trial's stream
-    past its usable channel draw ``h``, whose ``detectors`` come from
-    ``_draw_and_build``; with the oracle on, the draw's ML table comes from
-    one ``_ml_setup`` call.
+    past its usable channel draw ``h``, whose ``detectors``, one per spec
+    holding every SNR point, come from ``_draw_and_build``; with the
+    oracle on, the draw's ML table comes from one ``_ml_setup`` call.
 
     The stream then gives the symbol indices and one standard-normal
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
@@ -586,14 +590,18 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     the observations, every detector and the oracle work on one slice of
     ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
     of the :class:`Workspace` ``ws`` (views of them for a shorter last slice).
-    A slice's feedforward product is one matmul whose bits can depend on
-    the slice width, so the counts are those of this fixed slicing: equal
-    to one full-length pass unless a soft value lies within rounding of a
-    decision boundary.  The oracle's decisions do not depend on grouping.
+    Within a slice, each group of ``_snr_groups(config)`` is observed as
+    one stack and detected in one ``detect_block`` call per spec, whose
+    decisions at each point equal those of a call on that point alone; the
+    oracle runs once per point.  A slice's feedforward product is one
+    matmul per point whose bits can depend on the slice width, so the
+    counts are those of this fixed slicing: equal to one full-length pass
+    unless a soft value lies within rounding of a decision boundary.  The
+    oracle's decisions do not depend on grouping.
     """
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
-    noise_vars = [_noise_var(config, sv, snr) for snr in config.snr_db]
+    sigmas = np.sqrt([_noise_var(config, sv, snr) for snr in config.snr_db])
     counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
     part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
     frames, step = config.frames_per_channel, _slice_frames(config)
@@ -609,21 +617,41 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
         np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
     ml_setup = _ml_setup(h, constellation, ws) if config.oracle else None
+    groups = [(g, [det[g] for det in detectors]) for g in _snr_groups(config)]
     for start in range(0, frames, step):
         sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
         f = sent_part.shape[1]
         clean = np.matmul(h, sent_part, out=ws.take("clean", (n_rx, f)))
-        received = ws.take("received", (n_rx, f))
-        wrong, wrong_frame = ws.take("wrong", (n_tx, f), bool), ws.take("wrong_frame", (f,), bool)
-        for j, noise_var in enumerate(noise_vars):
-            # sigma_j N + H s, bit for bit what a grid of this one SNR point observes.
-            np.multiply(noise_part, np.sqrt(noise_var), out=received)
-            received += clean
-            decisions = _decisions(detectors[j], ml_setup, h, received, constellation, ws)
-            for i, (a_hat, nclip) in enumerate(decisions):
-                np.not_equal(a_hat, sent_part, out=wrong)
+        for g, group_detectors in groups:
+            shape = (g.stop - g.start, f)
+            # sigma_j N + H s at each point j of the group, bit for bit what a
+            # grid of that one point observes.
+            received = np.multiply(noise_part[:, None], sigmas[g, None], out=ws.take("received", (n_rx, *shape)))
+            received += clean[:, None]
+            observations = received.reshape(n_rx, -1)
+            wrong, wrong_frame = ws.take("wrong", (n_tx, *shape), bool), ws.take("wrong_frame", shape, bool)
+            # Each point's column, its (n, f) view of wrong and its row of wrong_frame.
+            cells = list(zip(range(g.start, g.stop), wrong.transpose(1, 0, 2), wrong_frame))
+            sent_points = sent_part[:, None]
+            for i, det in enumerate(group_detectors):
+                a_hat, _, nclip = detect_block(det, observations, constellation, ws)
+                np.not_equal(a_hat.reshape(wrong.shape), sent_points, out=wrong)
                 np.logical_or.reduce(wrong, axis=0, out=wrong_frame)
-                part[:, i, j] = np.count_nonzero(wrong), np.count_nonzero(wrong_frame), nclip
+                part[2, i, g] = nclip
+                for j, symbols, vectors in cells:
+                    part[:2, i, j] = np.count_nonzero(symbols), np.count_nonzero(vectors)
+            if ml_setup is not None:
+                # Per point, its observations as a contiguous copy, so that
+                # each frame's products keep their BLAS path and bits, and
+                # the last detector's decisions at that point as the hint.
+                ys = ws.take("ml_observations", (n_rx, f))
+                hints = a_hat.reshape(wrong.shape).transpose(1, 0, 2)
+                for (j, symbols, vectors), point, hint in zip(cells, received.transpose(1, 0, 2), hints):
+                    np.copyto(ys, point)
+                    a_ml = _ml_detect_block(h, ys, constellation, ws, hint=hint, setup=ml_setup)
+                    np.not_equal(a_ml, sent_part, out=symbols)
+                    np.logical_or.reduce(symbols, axis=0, out=vectors)
+                    part[:, -1, j] = np.count_nonzero(symbols), np.count_nonzero(vectors), 0
         counts += part
     return counts
 
@@ -639,19 +667,23 @@ def _slice_frames(config: SimConfig) -> int:
     return min(max(1, _SLICE_ENTRIES // (2 * config.n_rx)), config.frames_per_channel)
 
 
-def _decisions(detectors, ml_setup, h, received, constellation, workspace):
-    """(decisions, clip count) of each detector, then of the ML oracle.
+def _snr_groups(config: SimConfig) -> list:
+    """Consecutive ranges of the SNR points that a frame slice detects in one pass each.
 
-    A generator, so each detector's decisions are counted before the next
-    one runs and overwrites them in ``workspace``.  The oracle runs when
-    ``ml_setup``, the draw's ``_ml_setup``, is not None; the last
-    detector's decisions, still in ``workspace``, are its hint.
+    Each holds ``_snr_group_size(config)`` points, the last one possibly fewer.
     """
-    for det in detectors:
-        a_hat, _, nclip = detect_block(det, received, constellation, workspace)
-        yield a_hat, nclip
-    if ml_setup is not None:
-        yield _ml_detect_block(h, received, constellation, workspace, hint=a_hat, setup=ml_setup), 0
+    size, n_snrs = _snr_group_size(config), len(config.snr_db)
+    return [slice(a, min(a + size, n_snrs)) for a in range(0, n_snrs, size)]
+
+
+def _snr_group_size(config: SimConfig) -> int:
+    """SNR points per pass: max(1, _SLICE_ENTRIES // (2 n_rx slice frames)).
+
+    So a pass's stack of observations holds about as many entries as a
+    slice of one point may, and a slice that alone fills the budget is
+    detected one point at a time.  The group size changes no count.
+    """
+    return max(1, _SLICE_ENTRIES // (2 * config.n_rx * _slice_frames(config)))
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

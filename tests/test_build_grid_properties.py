@@ -1,13 +1,15 @@
-"""Property test of the per-draw detector grid against one build per cell.
+"""Property test of the per-draw detectors against one build per (spec, SNR) cell.
 
 ``build_detectors(specs, matrix, inv_snrs)`` shares reductions, augmented
 matrices and ZF detectors across specs and SNR points and factorizes each
-spec's bases as one stack.  Every cell of the grid must equal the
-one-spec, one-SNR ``build_detector`` bit for bit, at 1 to 4 complex
-transmit antennas, at noiseless operation (inv_snr 0, +inf dB) and at
-inv_snr from 1e-8 to 1e4, for any ordered subset of the specs.  A stack
-of draws (draws, m, n) builds each draw's grid in the same calls, and
-every grid must equal the call on that draw alone bit for bit.
+spec's bases as one stack, giving one detector per spec that holds every
+SNR point.  Each point of a detector, as the one-point detector its
+slice gives, must equal the one-spec, one-SNR ``build_detector`` bit for
+bit, at 1 to 4 complex transmit antennas, at noiseless operation
+(inv_snr 0, +inf dB) and at inv_snr from 1e-8 to 1e4, for any ordered
+subset of the specs.  A stack of draws (draws, m, n) builds each draw's
+detectors in the same calls, and they must equal the call on that draw
+alone bit for bit.
 """
 
 import numpy as np
@@ -40,13 +42,13 @@ def draws(draw):
 @given(drawn=draws())
 def test_every_cell_equals_its_own_build(drawn):
     h, inv_snrs, specs = drawn
-    grid = build_detectors(specs, h, inv_snrs)
-    assert len(grid) == len(inv_snrs)
-    for row, zeta in zip(grid, inv_snrs):
-        assert [det.spec for det in row] == list(specs)
+    detectors = build_detectors(specs, h, inv_snrs)
+    assert [det.spec for det in detectors] == list(specs)
+    for j, zeta in enumerate(inv_snrs):
         channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
-        for det, spec in zip(row, specs):
-            assert_same_detector(det, build_detector(spec, channel))
+        for det, spec in zip(detectors, specs):
+            assert len(det.feedforward) == len(det.z_offset) == len(inv_snrs)
+            assert_same_detector(det[j : j + 1], build_detector(spec, channel))
 
 
 @st.composite
@@ -83,16 +85,15 @@ def test_a_stack_of_draws_equals_one_call_per_draw(drawn):
         with pytest.raises(_REDRAW_CAUSES):
             build_detectors(ALL_SPECS, stack, inv_snrs)
         return
-    grids = build_detectors(ALL_SPECS, stack, inv_snrs)
-    assert len(grids) == len(stack)
-    for grid, want in zip(grids, alone):
-        assert len(grid) == len(inv_snrs)
-        for row, want_row in zip(grid, want):
-            assert len(row) == len(ALL_SPECS)
-            for det, one in zip(row, want_row):
-                if _fields(det) != _fields(one):
-                    assert_same_detector(det, one)  # names the field that differs
-                    raise AssertionError(det.spec.spec_id)
+    built = build_detectors(ALL_SPECS, stack, inv_snrs)
+    assert len(built) == len(stack)
+    for detectors, want in zip(built, alone):
+        assert len(detectors) == len(ALL_SPECS)
+        for det, one in zip(detectors, want):
+            assert len(det.feedforward) == len(inv_snrs)
+            if _fields(det) != _fields(one):
+                assert_same_detector(det, one)  # names the field that differs
+                raise AssertionError(det.spec.spec_id)
 
 
 def _fields(det):

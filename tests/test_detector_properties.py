@@ -36,13 +36,13 @@ def test_normal_form_and_noiseless_recovery(drawn):
     received = channel.matrix @ sent
     for spec in ALL_SPECS:
         det = build_detector(spec, channel)
-        assert det.feedforward.shape == (n, m), spec.spec_id
+        assert det.feedforward.shape == (1, n, m), spec.spec_id
         assert (det.reduction is None) == (spec.reduction_target is None), spec.spec_id
         if spec.structure is Structure.DFE:
-            b = det.feedback
+            b = det.feedback[0]
             np.testing.assert_array_equal(b, np.tril(b), err_msg=spec.spec_id)
             np.testing.assert_array_equal(np.diag(b), np.ones(n), err_msg=spec.spec_id)
-            np.testing.assert_array_equal(np.sort(det.perm), np.arange(n), err_msg=spec.spec_id)
+            np.testing.assert_array_equal(np.sort(det.perm[0]), np.arange(n), err_msg=spec.spec_id)
         else:
             assert det.feedback is None and det.perm is None, spec.spec_id
         if channel.noise_var == 0.0:

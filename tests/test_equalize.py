@@ -22,7 +22,7 @@ LE_MMSE = EqualizerSpec(Structure.LINEAR, Criterion.MMSE)
 
 def le_mmse_filter(h, zeta):
     """Feedforward filter of the built plain MMSE linear detector."""
-    return build_detector(LE_MMSE, MimoChannel(h, noise_var=zeta, symbol_var=1.0)).feedforward
+    return build_detector(LE_MMSE, MimoChannel(h, noise_var=zeta, symbol_var=1.0)).feedforward[0]
 
 
 def detect_one(detector, observation, constellation):
@@ -204,9 +204,9 @@ class TestWorkedTranslateExample:
         channel = MimoChannel(np.array([[1.0, 1.0], [0.0, 1.0]]), noise_var=0.0, symbol_var=0.25)
         constellation = make_ask_constellation(2)
         det = build_detector(EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL), channel)
-        assert det.reduction.unimodular.tolist() == [[1, 1], [0, 1]]
-        np.testing.assert_allclose(det.reduction.reduced, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(det.z_offset, [1.0, 0.5], atol=1e-12)
+        assert det.reduction.unimodular.tolist() == [[[1, 1], [0, 1]]]
+        np.testing.assert_allclose(det.reduction.reduced, [np.eye(2)], atol=1e-12)
+        np.testing.assert_allclose(det.z_offset, [[1.0, 0.5]], atol=1e-12)
 
         a = np.array([0.5, -0.5])
         a_hat, z_hat, clipped = detect_one(det, channel.matrix @ a, constellation)
@@ -252,7 +252,7 @@ class TestDetectionBookkeeping:
         for spec in ALL_SPECS:
             det = build_detector(spec, channel)
             if spec.structure is Structure.DFE:
-                assert sorted(det.perm) == [0, 1, 2]
+                assert det.perm.shape == (1, 3) and sorted(det.perm[0]) == [0, 1, 2]
             else:
                 assert det.perm is None
 
@@ -298,8 +298,8 @@ class TestDetectionBookkeeping:
         for target in ReductionTarget:
             spec = EqualizerSpec(Structure.DFE, Criterion.MMSE, target)
             det = build_detector(spec, channel)
-            assert det.feedforward.shape == (4, 4)
-            assert det.feedback.shape == (4, 4)
+            assert det.feedforward.shape == (1, 4, 4)
+            assert det.feedback.shape == (1, 4, 4)
 
     def test_lra_mmse_le_feedforward_matches_closed_form(self):
         # The built filter, Z (H^T H + zeta I)^-1 H^T, whichever matrix was
@@ -311,9 +311,9 @@ class TestDetectionBookkeeping:
                 EqualizerSpec(Structure.LINEAR, Criterion.MMSE, target) for target in ReductionTarget
             ]:
                 det = build_detector(spec, channel)
-                z = np.eye(4, dtype=int) if det.reduction is None else det.reduction.unimodular
+                z = np.eye(4, dtype=int) if det.reduction is None else det.reduction.unimodular[0]
                 want = lra_le_mmse_matrix(h, z, zeta)
-                err = np.linalg.norm(det.feedforward - want) / np.linalg.norm(want)
+                err = np.linalg.norm(det.feedforward[0] - want) / np.linalg.norm(want)
                 assert err < 1e-12, (spec.spec_id, zeta, err)
 
 
@@ -329,13 +329,13 @@ class TestBuildDetectors:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.spec_id)
     def test_equals_one_build_per_channel(self, spec):
-        h, grid = self._grid()
-        assert len(grid) == len(self.ZETAS)
-        k = ALL_SPECS.index(spec)
-        for row, zeta in zip(grid, self.ZETAS):
-            assert len(row) == len(ALL_SPECS)
+        h, detectors = self._grid()
+        assert [det.spec for det in detectors] == list(ALL_SPECS)
+        det = detectors[ALL_SPECS.index(spec)]
+        assert len(det.feedforward) == len(det.z_offset) == len(self.ZETAS)
+        for j, zeta in enumerate(self.ZETAS):
             one = build_detector(spec, MimoChannel(h, noise_var=zeta, symbol_var=1.0))
-            assert_same_detector(row[k], one)
+            assert_same_detector(det[j : j + 1], one)
 
     def test_needs_at_least_one_snr(self):
         with pytest.raises(ValueError, match="inv_snrs"):
@@ -351,17 +351,18 @@ class TestBuildDetectors:
             return lll_reduce(basis, *args)
 
         monkeypatch.setattr(equalize, "lll_reduce", counted)
-        h, grid = self._grid()
+        h, detectors = self._grid()
         assert sorted(calls) == sorted([(1, *h.shape), (1, len(self.ZETAS), 2 * h.shape[1], h.shape[1])])
-        reduced = [(det, zeta) for row, zeta in zip(grid, self.ZETAS) for det in row
-                   if det.reduction is not None]
-        assert len(reduced) == len(self.ZETAS) * sum(s.reduction_target is not None for s in ALL_SPECS)
-        assert all("reduced" not in vars(det.reduction) for det, _ in reduced)
-        for det, zeta in reduced:
+        reduced = [det for det in detectors if det.reduction is not None]
+        assert len(reduced) == sum(s.reduction_target is not None for s in ALL_SPECS)
+        assert all("reduced" not in vars(det.reduction) for det in reduced)
+        for det in reduced:
             first = det.reduction.reduced
             assert det.reduction.reduced is first
-            basis = h if det.spec.reduction_target is ReductionTarget.ORIGINAL else augment(h, zeta)
-            np.testing.assert_allclose(first @ det.reduction.unimodular, basis, rtol=0, atol=1e-12)
+            assert len(first) == len(self.ZETAS)
+            for c, z, zeta in zip(first, det.reduction.unimodular, self.ZETAS):
+                basis = h if det.spec.reduction_target is ReductionTarget.ORIGINAL else augment(h, zeta)
+                np.testing.assert_allclose(c @ z, basis, rtol=0, atol=1e-12)
 
 
 class TestIdentityEquality:
@@ -445,10 +446,10 @@ class TestUnifiedBasis:
                 ff = le_zf_matrix(basis)
             else:
                 fs = blast.vblast_sorted_factorization(basis)
-                np.testing.assert_array_equal(det.perm, fs.perm)
-                assert _rel(det.feedback, fs.feedback) <= FB_TOL
+                np.testing.assert_array_equal(det.perm[0], fs.perm)
+                assert _rel(det.feedback[0], fs.feedback) <= FB_TOL
                 ff = fs.feedforward
-            assert _rel(det.feedforward, ff[:, :n]) <= FF_TOL
+            assert _rel(det.feedforward[0], ff[:, :n]) <= FF_TOL
 
 
 def _rel(a, b):

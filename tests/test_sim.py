@@ -635,6 +635,39 @@ class TestFrameSlices:
         assert [(p.spec_id, p.frames) for p in result.points] == [("le-zf", 3), ("dfe-mmse-lra-aug", 3)]
 
 
+class TestSnrGroups:
+    # A frame slice detects its SNR points in consecutive groups, one
+    # detect_block pass per spec and group; the group size changes no count.
+    def test_group_sizes_from_the_slice_budget(self):
+        # 2 n_rx x slice x group stays within _SLICE_ENTRIES: the a9-build and
+        # wide-oracle shapes take every point in one pass, detect-long's
+        # 8192-frame slices one point per pass.
+        ten = tuple(range(10, 30, 2))
+        a9 = _config(n_tx=4, n_rx=4, snr_db=ten, frames_per_channel=400)
+        long = _config(order=4, snr_db=(18.0, 26.0), frames_per_channel=40000)
+        wide = _config(n_tx=8, n_rx=8, snr_db=(8.0, 12.0), frames_per_channel=200)
+        golden = _config(order=4, snr_db=(4.0, 12.0, 20.0), frames_per_channel=3000)
+        assert [sim._snr_groups(cfg) for cfg in (a9, long, wide, golden)] == [
+            [slice(0, 10)], [slice(0, 1), slice(1, 2)], [slice(0, 2)], [slice(0, 2), slice(2, 3)]
+        ]
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["no-oracle", "oracle"])
+    @pytest.mark.parametrize("frames", [1, 37, 100], ids=lambda f: f"{f}-frames")
+    def test_counts_do_not_depend_on_the_group_size(self, monkeypatch, oracle, frames):
+        # A 48-entry slice budget gives 12-frame slices at 2x2: 1, 4 and 9 slices.
+        monkeypatch.setattr(sim, "_SLICE_ENTRIES", 48)
+        cfg = _config(order=4, snr_db=(2.0, 6.0, 10.0, 14.0, 18.0), trials=3, frames_per_channel=frames,
+                      specs=ALL_SPECS, oracle=oracle, seed=77)
+        counts = {}
+        for size in range(1, len(cfg.snr_db) + 1):
+            monkeypatch.setattr(sim, "_snr_group_size", lambda config, size=size: size)
+            assert [g.stop - g.start for g in sim._snr_groups(cfg)][0] == size
+            counts[size] = sum(sim._run_chunk(cfg, range(t, t + 1))[0] for t in range(cfg.trials))
+        assert counts[1][0].any() and counts[1][2].any(), "no errors or no clips; they go unchecked"
+        for size, got in counts.items():
+            np.testing.assert_array_equal(got, counts[1], err_msg=f"groups of {size}")
+
+
 def _grid_config(snr_db):
     return _config(order=4, snr_db=snr_db, trials=6, frames_per_channel=100,
                    specs=ALL_SPECS, oracle=True)
@@ -721,17 +754,21 @@ class TestSharedConstruction:
             assert len(grids) == cfg.trials
             want = {"lll_reduce": reduced_bases * cfg.trials, "augment": augment_calls * cfg.trials}
             assert counts == want
-            for grid in grids:
-                for k, spec in enumerate(cfg.specs):
-                    if spec.criterion is Criterion.ZF:
-                        assert all(row[k] is grid[0][k] for row in grid), spec.spec_id
-                orig = [det.reduction for row in grid for det in row
+            for detectors in grids:
+                assert [det.spec for det in detectors] == list(cfg.specs)
+                for det in detectors:
+                    assert len(det.feedforward) == len(cfg.snr_db)
+                    if det.spec.criterion is Criterion.ZF:
+                        # One filter set, repeated over the SNR points as a view.
+                        fields = [det.feedforward, det.z_offset, det.feedback, det.perm]
+                        assert all(a is None or a.strides[0] == 0 for a in fields), det.spec.spec_id
+                orig = [det.reduction for det in detectors
                         if det.spec.reduction_target is ReductionTarget.ORIGINAL]
                 assert all(rb is orig[0] for rb in orig)
-                for row in grid:
-                    aug = [det.reduction for det in row
-                           if det.spec.reduction_target is ReductionTarget.AUGMENTED]
-                    assert all(rb is aug[0] for rb in aug)
+                assert all(rb.unimodular.strides[0] == 0 for rb in orig)
+                aug = [det.reduction for det in detectors
+                       if det.spec.reduction_target is ReductionTarget.AUGMENTED]
+                assert all(rb is aug[0] for rb in aug)
 
     def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
         calls = []
