@@ -9,7 +9,8 @@ SNR point, doing each piece of work the specs and SNRs share once;
 :func:`build_detector` is its one-spec, one-SNR case, and
 :func:`detect_block` applies a detector's filters at all of its SNR points
 in one pass over blocks of observations, in place in the buffers of a
-:class:`Workspace`.
+:class:`Workspace`.  A detector is a record of arrays: of a reduction it
+keeps only the integer Z^-1 that maps its decisions back.
 The filters come from the factorizations in ``blast``; the closed-form
 receive matrices they are certified against live in ``checks``.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blast
-from .lattice import ReducedBasis, lll_reduce
+from .lattice import lll_reduce
 from .lattice import unimodular_inverse  # unused here, but the benchmark tracer (perfbench/spans.py) wraps it
 from .model import ALPHABET_OFFSET, Constellation, MimoChannel, augment
 
@@ -138,14 +139,14 @@ class Detector:
     axis of the S points: ``feedforward`` (S, n, m), a contiguous copy of
     the observation columns of the zero-forcing filters of B Z^-1,
     ``feedback`` (S, n, n) and ``perm`` (S, n), None for linear detectors,
-    and, for reduction-aided specs, the stacked ``reduction`` of the S
-    points that supplied the int64 Z and Z^-1.  ``z_offset`` (S, n) is the
+    and ``unimodular_inv`` (S, n, n), the int64 Z^-1 that maps the
+    decisions back, None without reduction.  ``z_offset`` (S, n) is the
     translate onto which the estimates are sliced: ALPHABET_OFFSET * 1
-    without reduction, Z (ALPHABET_OFFSET * 1) with it.  A field that does
-    not depend on the SNR, such as every filter of a ZF spec, repeats one
-    array over the S points as a broadcast view.  Indexing a detector with
-    a slice gives the detector of those points.  Detectors compare by
-    identity: ``==`` of two is ``is``.
+    without reduction, Z (ALPHABET_OFFSET * 1) with it; Z enters detection
+    nowhere else.  A field that does not depend on the SNR, such as every
+    filter of a ZF spec, repeats one array over the S points as a broadcast
+    view.  Indexing a detector with a slice gives the detector of those
+    points.  Detectors compare by identity: ``==`` of two is ``is``.
     """
 
     spec: EqualizerSpec
@@ -153,10 +154,10 @@ class Detector:
     z_offset: np.ndarray
     feedback: np.ndarray = None
     perm: np.ndarray = None
-    reduction: ReducedBasis = None
+    unimodular_inv: np.ndarray = None
 
     def __getitem__(self, points: slice) -> "Detector":
-        fields = (self.feedforward, self.z_offset, self.feedback, self.perm, self.reduction)
+        fields = (self.feedforward, self.z_offset, self.feedback, self.perm, self.unimodular_inv)
         return Detector(self.spec, *(None if a is None else a[points] for a in fields))
 
     @functools.cached_property
@@ -167,15 +168,15 @@ class Detector:
         detector's ``feedback[l]`` is feedback[:, l, :l] as (S, 1, l), and
         row l S + s of its (n S, f) decisions in detection order goes to
         row ``targets[l S + s]`` = perm[s, l] S + s in stream order; both
-        are None for a linear detector.  Z^-1 is the reduction's as floats,
-        or None.  A detector of one point drops the points' axis, as its
-        pass does, so that a one-point pass makes 2-D products on scalar
-        DFE offsets and pays nothing for an axis of length 1.
+        are None for a linear detector.  Z^-1 is ``unimodular_inv`` as
+        floats, or None.  A detector of one point drops the points' axis,
+        as its pass does, so that a one-point pass makes 2-D products on
+        scalar DFE offsets and pays nothing for an axis of length 1.
         """
         n_snrs, n = self.z_offset.shape
         linear = self.perm is None
         offsets = self.z_offset if linear else self.z_offset[np.arange(n_snrs)[:, None], self.perm]
-        zinv = None if self.reduction is None else self.reduction.unimodular_inv.astype(float)
+        zinv = None if self.unimodular_inv is None else self.unimodular_inv.astype(float)
         if n_snrs == 1:
             return (
                 self.feedforward[0],
@@ -216,15 +217,16 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
     gives one such list per draw; ``inv_snrs`` holds zeta per SNR point,
     and point s of every detector is built at inv_snrs[s].  Only B of an
     MMSE spec depends on zeta, so a ZF detector is built once per draw and
-    repeated over the points as broadcast views, as is the reduction of H.
-    The stack of every draw's H, the stack of every [H; sqrt(zeta) I] and
-    their reductions are made at most once, on first use, so a call takes
-    at most two ``lll_reduce`` calls, however many draws it holds: one on
-    the H stack, one on the other.  Each spec forms its stack of B Z^-1 in
-    one matmul and factorizes it in one kernel call, slice by slice as
-    each alone, so every point of a detector equals the one-SNR detector
-    of its draw and zeta bit for bit.  Any draw that fails construction
-    fails the whole call.
+    repeated over the points as broadcast views, as is the Z^-1 of H's
+    reduction.  The stack of every draw's H, the stack of every
+    [H; sqrt(zeta) I] and their reductions are made at most once, on first
+    use, so a call takes at most two ``lll_reduce`` calls, however many
+    draws it holds: one on the H stack, one on the other.  Detectors keep
+    only a reduction's Z^-1 and Z offsets, not the reduction.  Each spec
+    forms its stack of B Z^-1 in one matmul and factorizes it in one
+    kernel call, slice by slice as each alone, so every point of a detector
+    equals the one-SNR detector of its draw and zeta bit for bit.  Any
+    draw that fails construction fails the whole call.
     """
     inv_snrs = list(inv_snrs)
     if not inv_snrs or not all(r >= 0 for r in inv_snrs):
@@ -235,44 +237,37 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
     hs = h if h.ndim == 3 else h[None]
     n_snrs = len(inv_snrs)
     offset = np.full(h.shape[-1], ALPHABET_OFFSET)
+
+    def basis_change(bases):
+        # (Z^-1, Z offsets) of the reduction of every basis, stacked like the bases.
+        rb = lll_reduce(bases)
+        return rb.unimodular_inv, rb.unimodular @ offset
+
     # Bases are (draws, SNRs or 1, rows, n): every [H; sqrt(zeta) I], or H.
     augmented = functools.cache(lambda: np.array([[augment(x, r) for r in inv_snrs] for x in hs]))
-    h_change = functools.cache(lambda: _basis_change(lll_reduce(hs), offset, n_snrs))
-    b_change = functools.cache(lambda: _basis_change(lll_reduce(augmented()), offset, n_snrs))
+    h_change = functools.cache(lambda: basis_change(hs[:, None]))
+    b_change = functools.cache(lambda: basis_change(augmented()))
     per_spec = []
     for spec in specs:
         bases = augmented() if spec.criterion is Criterion.MMSE else hs[:, None]
         if spec.reduction_target is ReductionTarget.ORIGINAL:
-            zinv, reductions, z_offsets = h_change()
+            zinv, z_offsets = h_change()
         elif spec.reduction_target is ReductionTarget.AUGMENTED:
-            zinv, reductions, z_offsets = b_change()
+            zinv, z_offsets = b_change()
         else:
-            zinv, reductions, z_offsets = None, [None] * len(hs), offset[None, None]
+            zinv, z_offsets = None, offset[None, None]
         stack = bases if zinv is None else np.matmul(bases, zinv)
-        per_spec.append(_factorize(spec, stack, z_offsets, reductions, n_snrs, h.shape[-2]))
+        per_spec.append(_factorize(spec, stack, z_offsets, zinv, n_snrs, h.shape[-2]))
     per_draw = [list(detectors) for detectors in zip(*per_spec)]
     return per_draw if h.ndim == 3 else per_draw[0]
 
 
-def _basis_change(rb: ReducedBasis, offset: np.ndarray, n_snrs: int):
-    """(Z^-1, each draw's reduction at every SNR point, Z offsets) of a stack of reductions.
-
-    ``rb`` holds one reduction per draw (of H), repeated over the SNR
-    points, or one per draw and point.  Z^-1 and the Z offsets, on which
-    the transformed symbols lie up to integers, are stacked (draws, SNRs
-    or 1, ...), the points' axis of length 1 for a reduction of H.
-    """
-    zinv, z_offsets = rb.unimodular_inv, rb.unimodular @ offset
-    if zinv.ndim == 3:
-        zinv, z_offsets, rb = zinv[:, None], z_offsets[:, None], rb.repeated(n_snrs)
-    return zinv, [rb[d] for d in range(len(zinv))], z_offsets
-
-
-def _factorize(spec, stack, z_offsets, reductions, n_snrs, n_rx) -> list:
+def _factorize(spec, stack, z_offsets, zinv, n_snrs, n_rx) -> list:
     """Each draw's detector, from one kernel call on the stack (draws, SNRs or 1, rows, n) of B Z^-1.
 
-    The filters and the Z offsets (draws or 1, SNRs or 1, n) are repeated
-    where their points' axis has length 1, as broadcast views.
+    The filters, the Z offsets (draws or 1, SNRs or 1, n) and Z^-1 (draws,
+    SNRs or 1, n, n) or None are repeated where their points' axis has
+    length 1, as broadcast views.
     """
     if spec.structure is Structure.LINEAR:
         feedforward, feedback, perm = blast.le_zf_matrix(stack), None, None
@@ -285,8 +280,8 @@ def _factorize(spec, stack, z_offsets, reductions, n_snrs, n_rx) -> list:
             return [None] * len(stack)
         return np.broadcast_to(a, (len(stack), n_snrs) + a.shape[2:])
 
-    arrays = (np.ascontiguousarray(feedforward[..., :n_rx]), z_offsets, feedback, perm)
-    return [Detector(spec, *fields, rb) for *fields, rb in zip(*map(spread, arrays), reductions)]
+    arrays = (np.ascontiguousarray(feedforward[..., :n_rx]), z_offsets, feedback, perm, zinv)
+    return [Detector(spec, *fields) for fields in zip(*map(spread, arrays))]
 
 
 class Workspace:

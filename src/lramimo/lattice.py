@@ -46,8 +46,7 @@ class ReducedBasis:
     holds the near-orthogonal basis columns in floats, read-only; it is
     formed on first read by replaying the reduction's column steps on the
     original basis.  The reduction of a stack holds every field stacked
-    the same way, and indexing it on the leading axes gives the reduction
-    of the indexed slices.  Reductions compare by identity.
+    the same way.  Reductions compare by identity.
     """
 
     unimodular: np.ndarray
@@ -72,27 +71,6 @@ class ReducedBasis:
             c[...] = np.column_stack(cols)
         out.setflags(write=False)
         return out
-
-    def repeated(self, count: int) -> "ReducedBasis":
-        """The stack with a new last stack axis holding ``count`` repeats of each slice.
-
-        The repeats are broadcast views, not copies.
-        """
-        stack = self._original.shape[:-2]
-        return ReducedBasis(
-            *(np.broadcast_to(a[..., None, :, :], stack + (count,) + a.shape[-2:])
-              for a in (self.unimodular, self.unimodular_inv, self._original)),
-            [steps for steps in self._steps for _ in range(count)],
-        )
-
-    def __getitem__(self, index) -> "ReducedBasis":
-        picked = np.arange(len(self._steps)).reshape(self._original.shape[:-2])[index]
-        return ReducedBasis(
-            self.unimodular[index],
-            self.unimodular_inv[index],
-            self._original[index],
-            [self._steps[i] for i in picked.ravel().tolist()],
-        )
 
 
 def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:

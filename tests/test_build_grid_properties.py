@@ -97,8 +97,6 @@ def test_a_stack_of_draws_equals_one_call_per_draw(drawn):
 
 
 def _fields(det):
-    """Spec, then shape, dtype and bytes of each array field, the reduction's included."""
-    rb = det.reduction
-    arrays = [det.feedforward, det.z_offset, det.feedback, det.perm]
-    arrays += [None] * 3 if rb is None else [rb.reduced, rb.unimodular, rb.unimodular_inv]
+    """Spec, then shape, dtype and bytes of each array field, Z^-1 included."""
+    arrays = [det.feedforward, det.z_offset, det.feedback, det.perm, det.unimodular_inv]
     return [det.spec] + [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]

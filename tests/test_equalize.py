@@ -1,3 +1,7 @@
+import gc
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from lramimo.equalize import (
     build_detectors,
     detect_block,
 )
-from lramimo.lattice import lll_reduce
+from lramimo.lattice import ReducedBasis, lll_reduce, unimodular_inverse
 from lramimo.model import MimoChannel, augment, complex_matrix_to_real, make_ask_constellation
 
 LE_MMSE = EqualizerSpec(Structure.LINEAR, Criterion.MMSE)
@@ -197,15 +201,16 @@ class TestEqualizerSpec:
 
 class TestWorkedTranslateExample:
     # Channel [[1,1],[0,1]] reduces to the identity with basis change
-    # [[1,1],[0,1]]; the symbol pair (0.5, -0.5) maps to the transformed
-    # point (0, -0.5), whose entries sit on two different integer
-    # translates.
+    # Z = [[1,1],[0,1]], Z^-1 = [[1,-1],[0,1]]; the symbol pair (0.5, -0.5)
+    # maps to the transformed point (0, -0.5), whose entries sit on two
+    # different integer translates.
     def test_lra_zf_le_chain(self):
         channel = MimoChannel(np.array([[1.0, 1.0], [0.0, 1.0]]), noise_var=0.0, symbol_var=0.25)
         constellation = make_ask_constellation(2)
         det = build_detector(EqualizerSpec(Structure.LINEAR, Criterion.ZF, ReductionTarget.ORIGINAL), channel)
-        assert det.reduction.unimodular.tolist() == [[[1, 1], [0, 1]]]
-        np.testing.assert_allclose(det.reduction.reduced, [np.eye(2)], atol=1e-12)
+        assert det.unimodular_inv.tolist() == [[[1, -1], [0, 1]]]
+        assert det.unimodular_inv.dtype == np.int64
+        np.testing.assert_allclose(channel.matrix @ det.unimodular_inv[0], np.eye(2), atol=1e-12)
         np.testing.assert_allclose(det.z_offset, [[1.0, 0.5]], atol=1e-12)
 
         a = np.array([0.5, -0.5])
@@ -311,7 +316,7 @@ class TestDetectionBookkeeping:
                 EqualizerSpec(Structure.LINEAR, Criterion.MMSE, target) for target in ReductionTarget
             ]:
                 det = build_detector(spec, channel)
-                z = np.eye(4, dtype=int) if det.reduction is None else det.reduction.unimodular[0]
+                z = np.eye(4, dtype=int) if det.unimodular_inv is None else unimodular_inverse(det.unimodular_inv[0])
                 want = lra_le_mmse_matrix(h, z, zeta)
                 err = np.linalg.norm(det.feedforward[0] - want) / np.linalg.norm(want)
                 assert err < 1e-12, (spec.spec_id, zeta, err)
@@ -342,27 +347,62 @@ class TestBuildDetectors:
             build_detectors(ALL_SPECS, np.eye(2), [])
 
     def test_two_reductions_and_no_reduced_basis_formed(self, monkeypatch):
-        # One lll_reduce call on the stack of the draws' H (one draw here), one
-        # on the stack of every [H; sqrt(zeta) I].
-        calls = []
+        # One lll_reduce call on the stack (draws, 1, m, n) of the draws' H (one
+        # draw here), one on the stack of every [H; sqrt(zeta) I].
+        calls = {}
 
         def counted(basis, *args):
-            calls.append(np.shape(basis))
-            return lll_reduce(basis, *args)
+            calls[np.shape(basis)] = rb = lll_reduce(basis, *args)
+            return rb
 
         monkeypatch.setattr(equalize, "lll_reduce", counted)
         h, detectors = self._grid()
-        assert sorted(calls) == sorted([(1, *h.shape), (1, len(self.ZETAS), 2 * h.shape[1], h.shape[1])])
-        reduced = [det for det in detectors if det.reduction is not None]
+        h_shape, b_shape = (1, 1, *h.shape), (1, len(self.ZETAS), 2 * h.shape[1], h.shape[1])
+        assert sorted(calls) == sorted([h_shape, b_shape])
+        assert all("reduced" not in vars(rb) for rb in calls.values())
+        reduced = [det for det in detectors if det.unimodular_inv is not None]
         assert len(reduced) == sum(s.reduction_target is not None for s in ALL_SPECS)
-        assert all("reduced" not in vars(det.reduction) for det in reduced)
         for det in reduced:
-            first = det.reduction.reduced
-            assert det.reduction.reduced is first
-            assert len(first) == len(self.ZETAS)
-            for c, z, zeta in zip(first, det.reduction.unimodular, self.ZETAS):
-                basis = h if det.spec.reduction_target is ReductionTarget.ORIGINAL else augment(h, zeta)
+            orig = det.spec.reduction_target is ReductionTarget.ORIGINAL
+            rb = calls[h_shape if orig else b_shape]
+            zinv = np.broadcast_to(rb.unimodular_inv[0], det.unimodular_inv.shape)
+            np.testing.assert_array_equal(det.unimodular_inv, zinv)
+            assert np.shares_memory(det.unimodular_inv, rb.unimodular_inv)
+            first = rb.reduced
+            assert rb.reduced is first
+            cs = np.broadcast_to(first[0], (len(self.ZETAS),) + first.shape[2:])
+            for c, z, zeta in zip(cs, np.broadcast_to(rb.unimodular[0], zinv.shape), self.ZETAS):
+                basis = h if orig else augment(h, zeta)
                 np.testing.assert_allclose(c @ z, basis, rtol=0, atol=1e-12)
+
+    def test_detectors_keep_no_reduction_alive(self, monkeypatch):
+        # A detector holds the int64 Z^-1 it detects with, not the reduction
+        # that supplied it: every reduction, with the copy of its input and
+        # its column steps, is freed once the build returns.
+        made = []
+
+        def kept(basis, *args):
+            rb = lll_reduce(basis, *args)
+            made.append(weakref.ref(rb))
+            return rb
+
+        monkeypatch.setattr(equalize, "lll_reduce", kept)
+        h, detectors = self._grid()
+        constellation = make_ask_constellation(4)
+        ys = np.random.default_rng(5).normal(size=(len(h), len(self.ZETAS) * 7))
+        for det in detectors:
+            detect_block(det, ys, constellation)
+        gc.collect()
+        assert len(made) == 2 and all(ref() is None for ref in made)
+        # Nor does a detector hold a reduction made from those, such as a slice
+        # of one: walk what the detectors refer to, short of classes and modules.
+        seen, todo = set(), list(detectors)
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType)):
+                seen.add(id(obj))
+                assert not isinstance(obj, ReducedBasis), obj
+                todo.extend(gc.get_referents(obj))
 
 
 class TestIdentityEquality:
@@ -373,10 +413,10 @@ class TestIdentityEquality:
         spec = EqualizerSpec(Structure.DFE, Criterion.MMSE, ReductionTarget.AUGMENTED)
         a, b = build_detector(spec, channel), build_detector(spec, channel)
         assert a == a and not (a == b) and a != b
-        assert a.reduction == a.reduction and a.reduction != b.reduction
-        rb = lll_reduce(np.stack([h, 2.0 * h]))
-        assert rb[0] != rb[0] and rb == rb
-        assert len({a, b, a.reduction, b.reduction}) == 4  # hashable by identity
+        assert a[:1] != a[:1]
+        ra, rb = lll_reduce(np.stack([h, 2.0 * h])), lll_reduce(np.stack([h, 2.0 * h]))
+        assert ra == ra and ra != rb
+        assert len({a, b, ra, rb}) == 4  # hashable by identity
 
 
 class TestClip:
@@ -397,17 +437,10 @@ class TestClip:
 def assert_same_detector(got, want):
     """``got`` equals ``want`` bit for bit, field by field."""
     assert got.spec == want.spec
-    for name in ("feedforward", "z_offset", "feedback", "perm"):
+    for name in ("feedforward", "z_offset", "feedback", "perm", "unimodular_inv"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if b is not None:
-            np.testing.assert_array_equal(a, b, err_msg=name)
-            assert a.dtype == b.dtype, name
-    if want.reduction is None:
-        assert got.reduction is None
-    else:
-        for name in ("reduced", "unimodular", "unimodular_inv"):
-            a, b = getattr(got.reduction, name), getattr(want.reduction, name)
             np.testing.assert_array_equal(a, b, err_msg=name)
             assert a.dtype == b.dtype, name
 

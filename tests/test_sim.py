@@ -762,13 +762,14 @@ class TestSharedConstruction:
                         # One filter set, repeated over the SNR points as a view.
                         fields = [det.feedforward, det.z_offset, det.feedback, det.perm]
                         assert all(a is None or a.strides[0] == 0 for a in fields), det.spec.spec_id
-                orig = [det.reduction for det in detectors
+                # One Z^-1 per target, the -orig one of H repeated over the points.
+                orig = [det.unimodular_inv for det in detectors
                         if det.spec.reduction_target is ReductionTarget.ORIGINAL]
-                assert all(rb is orig[0] for rb in orig)
-                assert all(rb.unimodular.strides[0] == 0 for rb in orig)
-                aug = [det.reduction for det in detectors
+                assert all(np.shares_memory(zinv, orig[0]) for zinv in orig)
+                assert all(zinv.strides[0] == 0 for zinv in orig)
+                aug = [det.unimodular_inv for det in detectors
                        if det.spec.reduction_target is ReductionTarget.AUGMENTED]
-                assert all(rb is aug[0] for rb in aug)
+                assert all(np.shares_memory(zinv, aug[0]) for zinv in aug)
 
     def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
         calls = []
