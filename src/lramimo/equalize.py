@@ -9,10 +9,11 @@ SNR point, doing each piece of work the specs and SNRs share once;
 :func:`build_detector` is its one-spec, one-SNR case, and
 :func:`detect_block` applies a detector's filters at all of its SNR points
 in one pass over blocks of observations, in place in the buffers of a
-:class:`Workspace`.  A detector is a record of arrays: of a reduction it
-keeps only the integer Z^-1 that maps its decisions back.
-The filters come from the factorizations in ``blast``; the closed-form
-receive matrices they are certified against live in ``checks``.
+:class:`Workspace`, and counts the clipped decisions of each point.  A
+detector is a record of arrays: of a reduction it keeps only the integer
+Z^-1 that maps its decisions back.  The filters come from the
+factorizations in ``blast``; the closed-form receive matrices they are
+certified against live in ``checks``.
 """
 
 import enum
@@ -335,11 +336,10 @@ def detect_block(
     Without reduction that lattice is the alphabet's and decisions are
     clipped to it as they are made; with reduction the transformed
     decisions are mapped back through Z^-1, and those outside the alphabet
-    are clipped and counted.  The clip count is an int for a detector of
-    one point and a list of one int per point otherwise; 0 without
-    reduction.  The constellation's variance should match the
-    symbol variance the detector was built with, otherwise the MMSE
-    filters are mismatched.
+    are clipped and counted.  The clip count is a list of S ints, one per
+    point, zeros without reduction.  The constellation's variance should
+    match the symbol variance the detector was built with, otherwise the
+    MMSE filters are mismatched.
 
     Each point's products are those of a detector of that point alone, so
     a pass over S points equals S one-point calls bit for bit.  All work is
@@ -376,7 +376,7 @@ def detect_block(
         decided = ws.take("decided", shape)
         decided.reshape(n * n_snrs, -1)[targets] = soft.reshape(n * n_snrs, -1)
     if zinv is None:
-        return decided.reshape(n, -1), None, 0
+        return decided.reshape(n, -1), None, [0] * n_snrs
     # A pass holds two float buffers: a_hat takes whichever one is free.
     a_hat = ws.take("decided", shape) if decided is soft else soft
     np.matmul(zinv, _points(decided), out=_points(a_hat))
@@ -384,7 +384,7 @@ def detect_block(
     outside = np.greater(a_hat, limit, out=ws.take("outside", shape, bool))
     outside |= np.less(a_hat, -limit, out=ws.take("below", shape, bool))
     clipped = [int(np.count_nonzero(point)) for point in _points(outside.reshape(n, n_snrs, frames))]
-    return _clip(a_hat, limit).reshape(n, -1), decided.reshape(n, -1), clipped[0] if n_snrs == 1 else clipped
+    return _clip(a_hat, limit).reshape(n, -1), decided.reshape(n, -1), clipped
 
 
 def _points(block: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ symbols under the noise sigma_j N (common random numbers), so a cell's
 counts do not depend on the other SNR points of the grid; the two blocks
 are a trial's only frame-length arrays, and the rest works on one
 cache-sized frame slice at a time.  A slice detects its SNR points in
-groups that fit the same budget, each detector running once over a
-group's stacked observations, and the group size changes no count.  An
-exact ML search serves as the performance oracle: it
+groups that fit the same budget, each detector and the oracle running
+once over a group's stacked observations, and the group size changes no
+count.  An exact ML search serves as the performance oracle: it
 tabulates ||H s||^2 over two half-grids once per channel draw and
 evaluates per frame only the rows of that table that a projection bound,
 from the reduced QR of the second half's columns, cannot rule out, each
@@ -591,13 +591,15 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
     of the :class:`Workspace` ``ws`` (views of them for a shorter last slice).
     Within a slice, each group of ``_snr_groups(config)`` is observed as
-    one stack and detected in one ``detect_block`` call per spec, whose
-    decisions at each point equal those of a call on that point alone; the
-    oracle runs once per point.  A slice's feedforward product is one
-    matmul per point whose bits can depend on the slice width, so the
+    one (2 n_rx, S f) stack and decided in one pass per decider: a
+    ``detect_block`` call per spec, whose decisions at each point equal
+    those of a call on that point alone, then one ``_ml_detect_block`` call
+    hinted with the last detector's decisions, which clips nothing.  Every
+    pass is counted by the same lines.  A slice's feedforward product is
+    one matmul per point whose bits can depend on the slice width, so the
     counts are those of this fixed slicing: equal to one full-length pass
     unless a soft value lies within rounding of a decision boundary.  The
-    oracle's decisions do not depend on grouping.
+    oracle's decisions depend on neither slicing nor grouping.
     """
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
@@ -633,25 +635,17 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
             # Each point's column, its (n, f) view of wrong and its row of wrong_frame.
             cells = list(zip(range(g.start, g.stop), wrong.transpose(1, 0, 2), wrong_frame))
             sent_points = sent_part[:, None]
-            for i, det in enumerate(group_detectors):
-                a_hat, _, nclip = detect_block(det, observations, constellation, ws)
+            for i in range(counts.shape[1]):
+                if i < len(group_detectors):
+                    a_hat, _, clipped = detect_block(group_detectors[i], observations, constellation, ws)
+                else:  # the ML oracle, hinted with the last detector's decisions
+                    a_hat = _ml_detect_block(h, observations, constellation, ws, hint=a_hat, setup=ml_setup)
+                    clipped = 0
                 np.not_equal(a_hat.reshape(wrong.shape), sent_points, out=wrong)
                 np.logical_or.reduce(wrong, axis=0, out=wrong_frame)
-                part[2, i, g] = nclip
+                part[2, i, g] = clipped
                 for j, symbols, vectors in cells:
                     part[:2, i, j] = np.count_nonzero(symbols), np.count_nonzero(vectors)
-            if ml_setup is not None:
-                # Per point, its observations as a contiguous copy, so that
-                # each frame's products keep their BLAS path and bits, and
-                # the last detector's decisions at that point as the hint.
-                ys = ws.take("ml_observations", (n_rx, f))
-                hints = a_hat.reshape(wrong.shape).transpose(1, 0, 2)
-                for (j, symbols, vectors), point, hint in zip(cells, received.transpose(1, 0, 2), hints):
-                    np.copyto(ys, point)
-                    a_ml = _ml_detect_block(h, ys, constellation, ws, hint=hint, setup=ml_setup)
-                    np.not_equal(a_ml, sent_part, out=symbols)
-                    np.logical_or.reduce(symbols, axis=0, out=vectors)
-                    part[:, -1, j] = np.count_nonzero(symbols), np.count_nonzero(vectors), 0
         counts += part
     return counts
 

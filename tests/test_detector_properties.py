@@ -48,4 +48,4 @@ def test_normal_form_and_noiseless_recovery(drawn):
         if channel.noise_var == 0.0:
             a_hat, _, clipped = detect_block(det, received, constellation)
             np.testing.assert_array_equal(a_hat, sent, err_msg=spec.spec_id)
-            assert clipped == 0, spec.spec_id
+            assert clipped == [0], spec.spec_id

@@ -11,7 +11,9 @@ candidate, its image and the K x F distance matrix, and scans candidates
 in chunks.  All must agree on exact ties, where the lexicographically
 smallest candidate wins.  A hint (any candidate, or any finite array the
 search rounds and clips onto one) only tightens the bound, so every hint
-must leave the decisions unchanged.
+must leave the decisions unchanged.  A simulated trial hands the oracle a
+whole SNR group's stacked observations at once, which must decide each
+point as a call on that point alone does.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lramimo import sim
-from lramimo.equalize import Workspace
+from lramimo.equalize import ALL_SPECS, Workspace, build_detectors, detect_block
 from lramimo.model import make_ask_constellation
 
 _REFERENCE_CHUNK = 1 << 17
@@ -242,6 +244,46 @@ def test_bit_identical_on_scaled_columns_and_any_noise(drawn):
     h, ys, constellation = drawn
     want = split_table_ml_block(h, ys, constellation)
     np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
+
+
+@st.composite
+def _stacked_groups(draw):
+    """(H, constellation, (m, S f) observations, (n, S f) detector decisions, S).
+
+    Laid out as a trial lays out one SNR group of a frame slice: every point
+    sees the same symbols under its own multiple of one noise block, the
+    (m, S, f) stack read as (m, S f), and a detector's decisions on it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    m = n + draw(st.sampled_from([0, 2]))
+    constellation = make_ask_constellation(draw(st.sampled_from([2, 4])))
+    n_points, frames = draw(st.integers(1, 5)), draw(st.integers(1, 300))
+    h = rng.normal(size=(m, n))
+    sent = rng.choice(constellation.points, size=(n, frames))
+    sigmas = 10.0 ** rng.uniform(-2.0, 0.5, size=n_points)
+    received = rng.normal(size=(m, frames))[:, None] * sigmas[:, None] + (h @ sent)[:, None]
+    observations = received.reshape(m, -1)
+    spec = draw(st.sampled_from(ALL_SPECS))
+    detector = build_detectors([spec], h, list(sigmas**2 / constellation.variance))[0]
+    decisions = detect_block(detector, observations, constellation)[0]
+    return h, constellation, observations, decisions, n_points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn=_stacked_groups())
+def test_one_call_on_a_stacked_group_equals_one_call_per_point(drawn):
+    h, constellation, ys, hint, n_points = drawn
+    frames = ys.shape[1] // n_points
+    ws = Workspace()
+    setup = sim._ml_setup(h, constellation, ws)
+    whole = sim._ml_detect_block(h, ys, constellation, ws, hint=hint, setup=setup)
+    for s in range(n_points):
+        point = slice(s * frames, (s + 1) * frames)
+        want = sim._ml_detect_block(
+            h, np.ascontiguousarray(ys[:, point]), constellation, ws, hint=hint[:, point], setup=setup
+        )
+        np.testing.assert_array_equal(whole[:, point], want, err_msg=f"point {s} of {n_points}, {frames} frames")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

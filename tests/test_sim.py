@@ -584,8 +584,8 @@ def _reference_counts(config):
             decisions = [detect_block(det, received, constellation) for det in detectors[j]]
             if config.oracle:
                 a_ml = sim._ml_detect_block(channel.matrix, received, constellation)
-                decisions.append((a_ml, None, 0))
-            for i, (a_hat, _, nclip) in enumerate(decisions):
+                decisions.append((a_ml, None, [0]))
+            for i, (a_hat, _, (nclip,)) in enumerate(decisions):
                 wrong = a_hat != sent
                 counts[:, i, j] += int(wrong.sum()), int(wrong.any(axis=0).sum()), nclip
     return counts

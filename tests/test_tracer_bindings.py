@@ -40,22 +40,32 @@ def test_install_then_uninstall_restores_every_binding():
         assert getattr(owner, attr) is original, (owner, attr)
 
 
-def test_a_traced_run_records_one_oracle_span_per_trial_and_snr():
-    config = sim.SimConfig(
-        n_tx=2, n_rx=2, order=2, snr_db=(6.0, 12.0, 18.0), trials=3,
-        frames_per_channel=7, seed=4, specs=ALL_SPECS[:1], oracle=True,
-    )
-    tracer = _load_spans().Tracer()
-    try:
-        tracer.install()
-        sim.run_monte_carlo(config)
-    finally:
-        tracer.uninstall()
-    oracle = [span for span in tracer.spans if span[0] == "sim.oracle"]
-    assert Counter(tuple(span[4]) for span in oracle) == {
-        ("trial", t): len(config.snr_db) for t in range(config.trials)
-    }
-    assert all(span[6]["frames"] == config.frames_per_channel for span in oracle)
+def test_a_traced_run_records_one_oracle_span_per_trial_slice_and_snr_group():
+    # The oracle decides each SNR group of a frame slice in one call on the
+    # group's stacked observations, so a span's frames count each (frame,
+    # SNR point) pair of its group.  Seven frames at three SNRs make one
+    # group; 3000 frames at [4, 12, 20] dB make uneven groups of 2 and 1.
+    for order, snrs, frames, span_frames in (
+        (2, (6.0, 12.0, 18.0), 7, [21]),
+        (4, (4.0, 12.0, 20.0), 3000, [6000, 3000]),
+    ):
+        config = sim.SimConfig(
+            n_tx=2, n_rx=2, order=order, snr_db=snrs, trials=3,
+            frames_per_channel=frames, seed=4, specs=ALL_SPECS[:1], oracle=True,
+        )
+        assert sim._slice_frames(config) == frames  # one slice per trial
+        tracer = _load_spans().Tracer()
+        try:
+            tracer.install()
+            sim.run_monte_carlo(config)
+        finally:
+            tracer.uninstall()
+        oracle = [span for span in tracer.spans if span[0] == "sim.oracle"]
+        for t in range(config.trials):
+            spans = [span[6]["frames"] for span in oracle if tuple(span[4]) == ("trial", t)]
+            assert spans == span_frames, (frames, t)
+            assert sum(spans) == frames * len(snrs)
+        assert len(oracle) == config.trials * len(span_frames)
 
 
 def test_traced_detect_block_frames_count_every_frame_at_every_snr_and_spec():
