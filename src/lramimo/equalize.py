@@ -245,7 +245,7 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
         return rb.unimodular_inv, rb.unimodular @ offset
 
     # Bases are (draws, SNRs or 1, rows, n): every [H; sqrt(zeta) I], or H.
-    augmented = functools.cache(lambda: np.array([[augment(x, r) for r in inv_snrs] for x in hs]))
+    augmented = functools.cache(lambda: augment(hs[:, None], inv_snrs))
     h_change = functools.cache(lambda: basis_change(hs[:, None]))
     b_change = functools.cache(lambda: basis_change(augmented()))
     per_spec = []

@@ -6,20 +6,17 @@ triangular factor: one QR up front, size reduction on the columns of R,
 and one Givens rotation of two rows of R per column swap, so no loop visit
 re-orthogonalizes the basis.  A stack takes one rank check, one QR and one
 bookkeeping check for all its slices, then one loop per slice.  All
-column operations are mirrored on an integer matrix Z (and its inverse),
+column operations are mirrored on an integer matrix Z and its inverse,
 kept in Python integers in the loop and returned as int64 arrays; an
-entry beyond int64 raises OverflowError.  The loop records its column
-steps instead of applying them to the basis C, and the reduced basis is
-formed by replaying them on the input when it is first read, so the
-factorization H = C Z is exact up to the floating-point column arithmetic
-on C alone.  ``unimodular_inverse`` inverts, exactly and without
-fractions, a unimodular matrix that does not come from a reduction; it
-keeps Python integers, as a reference at any size.
+entry beyond int64 raises OverflowError.  The result is Z and Z^-1 alone:
+the reduced basis is H Z^-1, which a caller forms when it needs it.
+``unimodular_inverse`` inverts, exactly and without fractions, a
+unimodular matrix that does not come from a reduction; it keeps Python
+integers, as a reference at any size.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,52 +36,28 @@ class ReductionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReducedBasis:
-    """Result of a reduction: original = reduced @ unimodular.
+    """Result of the reduction of a basis B: B = C Z for the reduced basis C = B Z^-1.
 
-    ``unimodular`` and ``unimodular_inv`` are exact int64 matrices with
-    determinant +-1, which multiply float arrays directly.  ``reduced``
-    holds the near-orthogonal basis columns in floats, read-only; it is
-    formed on first read by replaying the reduction's column steps on the
-    original basis.  The reduction of a stack holds every field stacked
-    the same way.  Reductions compare by identity.
+    ``unimodular`` (Z) and ``unimodular_inv`` are exact int64 matrices with
+    determinant +-1, which multiply float arrays directly; the reduction of
+    a stack holds both stacked the same way.  Reductions compare by identity.
     """
 
     unimodular: np.ndarray
     unimodular_inv: np.ndarray
-    # The input and, per slice in C order, its column steps: (k, j, q) for
-    # c_k -= q c_j, and k for the swap of c_{k-1} and c_k.
-    _original: np.ndarray = field(repr=False)
-    _steps: list = field(repr=False)
-
-    @functools.cached_property
-    def reduced(self) -> np.ndarray:
-        m, n = self._original.shape[-2:]
-        out = np.empty(self._original.shape)
-        for basis, steps, c in zip(self._original.reshape(-1, m, n), self._steps, out.reshape(-1, m, n)):
-            cols = [basis[:, j].copy() for j in range(n)]
-            for step in steps:
-                if type(step) is int:
-                    cols[step - 1], cols[step] = cols[step], cols[step - 1]
-                else:
-                    k, j, q = step
-                    cols[k] -= q * cols[j]
-            c[...] = np.column_stack(cols)
-        out.setflags(write=False)
-        return out
 
 
 def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     """Reduce the columns of ``basis`` with the Lovasz condition ``delta``.
 
-    The returned factors satisfy reduced @ unimodular == basis up to
-    floating-point rounding, with the integer matrices exact; one whose
-    entries do not fit in int64 raises OverflowError.  The reduced
-    basis is size reduced (all Gram-Schmidt coefficients at most 1/2 in
-    magnitude) and satisfies the Lovasz condition for ``delta``; it is
-    formed only when first read.  A stack (..., m, n) is reduced slice by
-    slice in one call, each slice bit for bit as it would be alone, and
-    the result's fields are stacked the same way; any slice that is rank
-    deficient or does not converge fails the call.
+    Returns the exact integer matrices Z and Z^-1 of the reduction; one
+    whose entries do not fit in int64 raises OverflowError.  The reduced
+    basis C = basis @ Z^-1 is size reduced (all Gram-Schmidt coefficients
+    at most 1/2 in magnitude) and satisfies the Lovasz condition for
+    ``delta``.  A stack (..., m, n) is reduced slice by slice in one call,
+    each slice bit for bit as it would be alone, and the result's fields
+    are stacked the same way; any slice that is rank deficient or does not
+    converge fails the call.
 
     Parameters
     ----------
@@ -93,36 +66,33 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     delta : Lovasz parameter in (1/4, 1]; termination is guaranteed for
         delta < 1.
     """
-    # A copy, so that replaying the steps later sees the basis as reduced.
-    h = np.array(basis, dtype=float)
+    h = np.asarray(basis, dtype=float)
     _require_full_column_rank(h, "basis")
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     n = h.shape[-1]
     r = np.swapaxes(np.linalg.qr(h, mode="r"), -1, -2).reshape(-1, n, n)
-    z, zinv_cols, steps = zip(*(_reduce_columns(cols, delta) for cols in r.tolist()))
+    z, zinv_cols = zip(*(_reduce_columns(cols, delta) for cols in r.tolist()))
     shape = h.shape[:-2] + (n, n)
     z_arr = np.array(z, dtype=np.int64).reshape(shape)
     zinv_arr = np.ascontiguousarray(np.swapaxes(np.array(zinv_cols, dtype=np.int64), -1, -2)).reshape(shape)
     if not _is_identity(z_arr @ zinv_arr):
         raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
-    return ReducedBasis(z_arr, zinv_arr, h, list(steps))
+    return ReducedBasis(z_arr, zinv_arr)
 
 
 def _reduce_columns(r: list, delta: float):
-    """(Z rows, Z^-1 columns, column steps) of the reduction of one triangular factor.
+    """(Z rows, Z^-1 columns) of the reduction of one triangular factor.
 
     ``r[i]`` holds column i of R as a list, changed in place.  Column
     operations act on the columns of R, on the rows of z and on the
-    columns of zinv alike, and are recorded as steps for the basis.  A swap
-    breaks the triangularity of R in one entry, which one Givens rotation
-    of rows k-1 and k restores.  mu_{i,j} = r[i][j] / r[j][j] and
-    |c*_i| = |r[i][i]|.
+    columns of zinv alike.  A swap breaks the triangularity of R in one
+    entry, which one Givens rotation of rows k-1 and k restores.
+    mu_{i,j} = r[i][j] / r[j][j] and |c*_i| = |r[i][i]|.
     """
     n = len(r)
     z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     zinv_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    steps = []
     sweeps = 0
     limit = _MAX_SWEEPS_PER_DIM * n * n
     k = 1
@@ -137,7 +107,6 @@ def _reduce_columns(r: list, delta: float):
             if abs(mu) > 0.5:
                 q = int(round(mu))
                 rk[: j + 1] = [a - q * b for a, b in zip(rk, rj[: j + 1])]
-                steps.append((k, j, q))
                 z[j] = [a + q * b for a, b in zip(z[j], z[k])]
                 zinv_cols[k] = [a - q * b for a, b in zip(zinv_cols[k], zinv_cols[j])]
         r_prev = r[k - 1][k - 1]
@@ -145,7 +114,6 @@ def _reduce_columns(r: list, delta: float):
         if rk[k] ** 2 >= (delta - mu_adj**2) * r_prev**2:
             k += 1
         else:
-            steps.append(k)
             r[k - 1], r[k] = rk, r[k - 1]
             z[k - 1], z[k] = z[k], z[k - 1]
             zinv_cols[k - 1], zinv_cols[k] = zinv_cols[k], zinv_cols[k - 1]
@@ -158,7 +126,7 @@ def _reduce_columns(r: list, delta: float):
                 col[k] = cs * y - sn * x
             rk[k] = 0.0
             k = max(k - 1, 1)
-    return z, zinv_cols, steps
+    return z, zinv_cols
 
 
 def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:

@@ -115,16 +115,22 @@ def complex_matrix_to_real(matrix: np.ndarray) -> np.ndarray:
     return np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
 
 
-def augment(matrix: np.ndarray, inv_snr: float) -> np.ndarray:
+def augment(matrix: np.ndarray, inv_snr) -> np.ndarray:
     """Stack ``matrix`` on sqrt(inv_snr) I.
 
     The left pseudo-inverse of [H; sqrt(inv_snr) I], restricted to the
     observation rows, is the MMSE receive filter of H; a zero ratio
     reproduces plain zero forcing.  A basis change Z acts on the result
     from the right: [H; sqrt(inv_snr) I] Z^-1 is the augmented matrix of
-    the transformed symbols Z a.
+    the transformed symbols Z a.  A stack (..., m, n) and ratios that
+    broadcast against its leading axes give every [H; sqrt(zeta) I] in one array.
     """
     m = np.asarray(matrix, dtype=float)
-    if not (inv_snr >= 0):
+    zeta = np.asarray(inv_snr, dtype=float)
+    if not (zeta >= 0).all():
         raise ValueError(f"inv_snr must be >= 0, got {inv_snr}")
-    return np.vstack([m, np.sqrt(inv_snr) * np.eye(m.shape[1])])
+    rows, n = m.shape[-2:]
+    out = np.zeros(np.broadcast_shapes(m.shape[:-2], zeta.shape) + (rows + n, n))
+    out[..., :rows, :] = m
+    out[..., rows + np.arange(n), np.arange(n)] = np.sqrt(zeta)[..., None]
+    return out

@@ -14,6 +14,7 @@ from lramimo.blast import vblast_sorted_factorization
 from lramimo.checks import FB_TOL, FF_TOL, _rel, sorted_factorization_oracle
 from lramimo.lattice import lll_reduce
 from lramimo.model import augment, complex_matrix_to_real
+from test_lattice import reduced_basis
 
 
 @st.composite
@@ -33,7 +34,8 @@ def bases(draw):
     n = draw(st.integers(1, 16))
     m = n + draw(st.sampled_from((0, 0, 1, 2, n)))
     if kind == "reduced":
-        return lll_reduce(regularized(rng.normal(size=(m, n)))).reduced
+        b = regularized(rng.normal(size=(m, n)))
+        return reduced_basis(b, lll_reduce(b).unimodular)
     u, _ = np.linalg.qr(rng.normal(size=(m, n)))
     v, _ = np.linalg.qr(rng.normal(size=(n, n)))
     spectrum = np.logspace(0.0, -rng.uniform(0.0, 7.0), n)

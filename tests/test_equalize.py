@@ -20,6 +20,7 @@ from lramimo.equalize import (
 )
 from lramimo.lattice import ReducedBasis, lll_reduce, unimodular_inverse
 from lramimo.model import MimoChannel, augment, complex_matrix_to_real, make_ask_constellation
+from test_lattice import reduced_basis
 
 LE_MMSE = EqualizerSpec(Structure.LINEAR, Criterion.MMSE)
 
@@ -108,9 +109,9 @@ class TestReceiveMatrices:
     def test_lra_zf_is_reduced_basis_pinv(self):
         rng = np.random.default_rng(10)
         h = rng.normal(size=(4, 3))
-        rb = lll_reduce(h)
-        got = le_zf_matrix(rb.reduced)
-        np.testing.assert_allclose(got @ rb.reduced, np.eye(3), atol=1e-10)
+        c = reduced_basis(h, lll_reduce(h).unimodular)
+        got = le_zf_matrix(c)
+        np.testing.assert_allclose(got @ c, np.eye(3), atol=1e-10)
 
 
 class TestEqualizerSpec:
@@ -359,7 +360,6 @@ class TestBuildDetectors:
         h, detectors = self._grid()
         h_shape, b_shape = (1, 1, *h.shape), (1, len(self.ZETAS), 2 * h.shape[1], h.shape[1])
         assert sorted(calls) == sorted([h_shape, b_shape])
-        assert all("reduced" not in vars(rb) for rb in calls.values())
         reduced = [det for det in detectors if det.unimodular_inv is not None]
         assert len(reduced) == sum(s.reduction_target is not None for s in ALL_SPECS)
         for det in reduced:
@@ -368,17 +368,14 @@ class TestBuildDetectors:
             zinv = np.broadcast_to(rb.unimodular_inv[0], det.unimodular_inv.shape)
             np.testing.assert_array_equal(det.unimodular_inv, zinv)
             assert np.shares_memory(det.unimodular_inv, rb.unimodular_inv)
-            first = rb.reduced
-            assert rb.reduced is first
-            cs = np.broadcast_to(first[0], (len(self.ZETAS),) + first.shape[2:])
-            for c, z, zeta in zip(cs, np.broadcast_to(rb.unimodular[0], zinv.shape), self.ZETAS):
+            for z, zeta in zip(np.broadcast_to(rb.unimodular[0], zinv.shape), self.ZETAS):
                 basis = h if orig else augment(h, zeta)
-                np.testing.assert_allclose(c @ z, basis, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(reduced_basis(basis, z) @ z, basis, rtol=0, atol=1e-12)
 
     def test_detectors_keep_no_reduction_alive(self, monkeypatch):
         # A detector holds the int64 Z^-1 it detects with, not the reduction
-        # that supplied it: every reduction, with the copy of its input and
-        # its column steps, is freed once the build returns.
+        # that supplied it: every reduction, with its Z, is freed once the
+        # build returns.
         made = []
 
         def kept(basis, *args):
@@ -450,12 +447,14 @@ def separate_route_basis(spec, h, zeta):
 
     AUGMENTED factorized the LLL-tracked columns of the reduced
     [H; sqrt(zeta) I]; ORIGINAL stacked the tracked columns C of the
-    reduced H on sqrt(zeta) Z^-1.  Kept as the oracle of the one formula.
+    reduced H on sqrt(zeta) Z^-1.  Kept as the oracle of the one formula,
+    with each C from the test LLL oracle.
     """
     if spec.reduction_target is ReductionTarget.AUGMENTED:
-        return lll_reduce(augment(h, zeta)).reduced
+        b = augment(h, zeta)
+        return reduced_basis(b, lll_reduce(b).unimodular)
     rb = lll_reduce(h)
-    return np.vstack([rb.reduced, np.sqrt(zeta) * rb.unimodular_inv])
+    return np.vstack([reduced_basis(h, rb.unimodular), np.sqrt(zeta) * rb.unimodular_inv])
 
 
 class TestUnifiedBasis:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -37,21 +39,22 @@ class TestWorkedExample:
 
     def test_reduced_basis_and_transform(self):
         rb = lll_reduce(self.H)
-        np.testing.assert_allclose(
-            rb.reduced, [[-0.01, 0.5], [0.01, 0.5]], atol=1e-12
-        )
         assert rb.unimodular.tolist() == [[-50, -49], [1, 1]]
+        assert rb.unimodular_inv.tolist() == [[-1, -49], [1, 50]]
         assert integer_determinant(rb.unimodular) == -1
+        np.testing.assert_allclose(
+            reduced_basis(self.H, rb.unimodular), [[-0.01, 0.5], [0.01, 0.5]], atol=1e-12
+        )
 
     def test_defect_is_search_minimum(self):
         rb = lll_reduce(self.H)
-        assert orthogonality_defect(rb.reduced) <= 1.0 + 1e-9
+        assert orthogonality_defect(reduced_basis(self.H, rb.unimodular)) <= 1.0 + 1e-9
 
     def test_matches_two_dimensional_greedy_oracle(self):
-        rb = lll_reduce(self.H)
+        c = reduced_basis(self.H, lll_reduce(self.H).unimodular)
         oracle = gauss_reduce_2d(self.H)
-        assert orthogonality_defect(rb.reduced) <= orthogonality_defect(oracle) + 1e-9
-        lengths = sorted(np.linalg.norm(rb.reduced, axis=0))
+        assert orthogonality_defect(c) <= orthogonality_defect(oracle) + 1e-9
+        lengths = sorted(np.linalg.norm(c, axis=0))
         oracle_lengths = sorted(np.linalg.norm(oracle, axis=0))
         np.testing.assert_allclose(lengths, oracle_lengths, atol=1e-12)
 
@@ -59,14 +62,14 @@ class TestWorkedExample:
 class TestTrivialBases:
     def test_identity_unchanged(self):
         rb = lll_reduce(np.eye(3))
-        np.testing.assert_array_equal(rb.reduced, np.eye(3))
+        assert rb.unimodular_inv.tolist() == np.eye(3, dtype=int).tolist()
         assert rb.unimodular.tolist() == np.eye(3, dtype=int).tolist()
 
     def test_scaled_orthogonal_unchanged(self):
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
         basis = 2.5 * q
         rb = lll_reduce(basis)
-        np.testing.assert_allclose(rb.reduced, basis, atol=1e-12)
+        assert rb.unimodular_inv.tolist() == np.eye(4, dtype=int).tolist()
         assert rb.unimodular.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_rejects_rank_deficient(self):
@@ -105,14 +108,65 @@ class TestTrivialBases:
             lll_reduce(basis, delta=1.0)
 
 
-def assert_reduced(h, rb, delta=0.75):
-    """Postconditions of ``rb`` as an LLL reduction of ``h`` with ``delta``."""
-    resid = np.linalg.norm(rb.reduced @ rb.unimodular - h) / np.linalg.norm(h)
+def qr_per_visit_lll(basis: np.ndarray, delta: float):
+    """LLL with a fresh orthogonalization on every visit (earlier algorithm).
+
+    Returns (Z as nested lists of ints, reduced basis C): C is tracked in
+    floats by the same column operations that build Z, so H = C Z up to
+    the rounding of those operations alone.
+    """
+    c = np.array(basis, dtype=float)
+    n = c.shape[1]
+    z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    k = 1
+    while k < n:
+        # R is the upper triangle of the raw geqrf output, read without a
+        # triu copy; the strict lower triangle holds Householder vectors, so
+        # a size reduction updates only the rows of column k down to j.
+        r = np.linalg.qr(c, mode="raw")[0].T
+        for j in range(k - 1, -1, -1):
+            mu = r[j, k] / r[j, j]
+            if abs(mu) > 0.5:
+                q = int(round(mu))
+                c[:, k] -= q * c[:, j]
+                r[: j + 1, k] -= q * r[: j + 1, j]
+                zk = z[k]
+                zj = z[j]
+                for t in range(n):
+                    zj[t] += q * zk[t]
+        mu_adj = r[k - 1, k] / r[k - 1, k - 1]
+        if r[k, k] ** 2 >= (delta - mu_adj**2) * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            c[:, [k - 1, k]] = c[:, [k, k - 1]]
+            z[k - 1], z[k] = z[k], z[k - 1]
+            k = max(k - 1, 1)
+    return z, c
+
+
+def reduced_basis(h, unimodular, delta=0.75):
+    """The reduced basis C of the reduction of ``h`` to Z ``unimodular``, from the oracle.
+
+    The oracle must find the same Z, so that its C comes from the same
+    column operations as the reduction's.
+    """
+    z, c = qr_per_visit_lll(h, delta)
+    assert z == unimodular.tolist(), "the oracle's Z differs from the reduction's"
+    return c
+
+
+def assert_reduced(h, rb, delta=0.75, reduced=None):
+    """Postconditions of ``rb`` as an LLL reduction of ``h`` with ``delta``.
+
+    ``reduced`` is the reduced basis C, by default the oracle's.
+    """
+    c = reduced_basis(h, rb.unimodular, delta) if reduced is None else reduced
+    resid = np.linalg.norm(c @ rb.unimodular - h) / np.linalg.norm(h)
     assert resid <= 1e-12, f"reconstruction residual {resid}"
     assert integer_determinant(rb.unimodular) in (1, -1)
     assert rb.unimodular.dtype == np.int64 and rb.unimodular_inv.dtype == np.int64
     assert np.array_equal(rb.unimodular @ rb.unimodular_inv, np.eye(h.shape[1], dtype=np.int64))
-    r = np.linalg.qr(rb.reduced, mode="r")
+    r = np.linalg.qr(c, mode="r")
     n = r.shape[1]
     for i in range(n):
         for j in range(i):
@@ -132,14 +186,15 @@ class TestPostconditions:
             m = n + int(rng.integers(0, 3))
             h = rng.normal(size=(m, n))
             rb = lll_reduce(h)
-            assert_reduced(h, rb)
-            assert orthogonality_defect(rb.reduced) <= orthogonality_defect(h) * (1 + 1e-12)
+            c = reduced_basis(h, rb.unimodular)
+            assert_reduced(h, rb, reduced=c)
+            assert orthogonality_defect(c) <= orthogonality_defect(h) * (1 + 1e-12)
 
     def test_deterministic(self):
         h = np.random.default_rng(5).normal(size=(6, 6))
         rb1 = lll_reduce(h)
         rb2 = lll_reduce(h)
-        np.testing.assert_array_equal(rb1.reduced, rb2.reduced)
+        assert same_bits(rb1.unimodular_inv, rb2.unimodular_inv)
         assert rb1.unimodular.tolist() == rb2.unimodular.tolist()
 
     def test_near_dependent_columns_large_multipliers(self):
@@ -167,11 +222,10 @@ class TestStacks:
         stack = stacked_draws(shape, seed=sum(shape))
         rb = lll_reduce(stack)
         assert rb.unimodular.shape == rb.unimodular_inv.shape == shape[:-2] + (shape[-1],) * 2
-        assert rb.reduced.shape == shape
         for index in np.ndindex(shape[:-2]):
             alone = lll_reduce(stack[index])
             assert_reduced(stack[index], alone)
-            for name in ("unimodular", "unimodular_inv", "reduced"):
+            for name in ("unimodular", "unimodular_inv"):
                 want = getattr(alone, name)
                 assert same_bits(getattr(rb, name)[index], want), (index, name)
 
@@ -188,15 +242,32 @@ class TestStacks:
             lll_reduce(stack)
         assert not isinstance(info.value, (ReductionError, RankDeficientError))
 
-    def test_reduced_is_formed_from_the_input_as_reduced_on_first_read(self):
-        h = np.random.default_rng(6).normal(size=(6, 6))
-        want = lll_reduce(h).reduced
-        rb = lll_reduce(h)
-        h[:] = 0.0
-        assert "reduced" not in vars(rb)
-        first = rb.reduced
-        assert rb.reduced is first and not first.flags.writeable
-        assert same_bits(first, want)
+    def test_a_reduction_retains_only_its_two_integer_matrices(self):
+        stack = stacked_draws((3, 2, 8, 4), seed=6)
+        want = lll_reduce(stack)
+        rb = lll_reduce(stack)
+        stack[:] = 0.0
+        for name in ("unimodular", "unimodular_inv"):
+            assert same_bits(getattr(rb, name), getattr(want, name)), name
+        # Walk what the result refers to, short of classes: besides its
+        # instance dict and the dict's keys, only arrays, and those only the
+        # two int64 fields and the buffers they view, no larger than they.
+        arrays, seen, todo = [], set(), [rb]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+                todo.extend([] if obj.base is None else [obj.base])
+            else:
+                assert obj is rb or isinstance(obj, (dict, str)), obj
+                todo.extend(gc.get_referents(obj))
+        assert all(a.dtype == np.int64 for a in arrays), [a.dtype for a in arrays]
+        assert any(a is rb.unimodular for a in arrays) and any(a is rb.unimodular_inv for a in arrays)
+        owners = [a for a in arrays if a.base is None]
+        assert sum(a.nbytes for a in owners) == rb.unimodular.nbytes + rb.unimodular_inv.nbytes
 
 
 class TestIntegerDeterminant:

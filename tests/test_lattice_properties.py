@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lramimo.checks import random_unimodular
 from lramimo.lattice import lll_reduce
 from lramimo.model import MimoChannel, RankDeficientError, augment
-from test_lattice import assert_reduced
+from test_lattice import assert_reduced, reduced_basis
 
 
 @st.composite
@@ -46,12 +46,12 @@ def test_postconditions(h, delta):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(h=bases(), delta=deltas)
 def test_second_reduction_is_signed_permutation(h, delta):
-    rb = lll_reduce(h, delta)
-    again = lll_reduce(rb.reduced, delta)
+    c = reduced_basis(h, lll_reduce(h, delta).unimodular, delta)
+    again = lll_reduce(c, delta)
     z = np.abs(np.array(again.unimodular.tolist()))
     assert (z.sum(axis=0) == 1).all() and (z.sum(axis=1) == 1).all(), z
     perm = z.argmax(axis=1)
-    np.testing.assert_array_equal(np.abs(again.reduced), np.abs(rb.reduced[:, perm]))
+    np.testing.assert_array_equal(np.abs(reduced_basis(c, again.unimodular, delta)), np.abs(c[:, perm]))
 
 
 def near_dependent(n, rows, k, seed):

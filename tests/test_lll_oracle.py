@@ -1,60 +1,27 @@
 """The R-updating LLL against the QR-per-visit LLL it replaced.
 
-``qr_per_visit_lll`` is the earlier implementation, kept here as an
-oracle: it recomputes a full QR of the working basis on every loop visit.
-The production routine factorizes once and updates R with one Givens
-rotation per swap, so its R differs from a fresh QR in the last bits and
-a near-tie in a size-reduction rounding or a Lovasz test can resolve the
-other way.  Both outputs are then valid reductions; the test requires the
-postconditions of every output, reports how often Z differs and fails if
-it differs on more than 1% of draws (0.21% when the test was written), so
-a drift of R away from the oracle's cannot pass as long as the outputs
-stay reduced.
+``qr_per_visit_lll`` (in ``test_lattice``) is the earlier implementation,
+kept as an oracle: it recomputes a full QR of the working basis on every
+loop visit.  The production routine factorizes once and updates R with one
+Givens rotation per swap, so its R differs from a fresh QR in the last
+bits and a near-tie in a size-reduction rounding or a Lovasz test can
+resolve the other way.  Both outputs are then valid reductions; the test
+requires the postconditions of every output (on the oracle's reduced
+basis where the two Z agree, on H Z^-1 where they differ), reports how
+often Z differs and fails if it differs on more than 1% of draws (0.21%
+when the test was written), so a drift of R away from the oracle's cannot
+pass as long as the outputs stay reduced.
 """
 
 import numpy as np
 
 from lramimo.lattice import lll_reduce
-from test_lattice import assert_reduced
+from test_lattice import assert_reduced, qr_per_visit_lll
 
 DRAWS_PER_CELL = 1112  # 3 dimensions x 3 deltas x 1112 = 10 008 draws
 MAX_MISMATCH_RATE = 0.01
 DELTAS = (0.51, 0.75, 0.99)
 REAL_DIMS = (4, 8, 16)
-
-
-def qr_per_visit_lll(basis: np.ndarray, delta: float) -> list:
-    """LLL with a fresh orthogonalization on every visit (earlier algorithm).
-
-    Returns the unimodular Z as nested lists of ints.
-    """
-    c = np.asarray(basis, dtype=float).copy()
-    n = c.shape[1]
-    z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    k = 1
-    while k < n:
-        # R is the upper triangle of the raw geqrf output, read without a
-        # triu copy; the strict lower triangle holds Householder vectors, so
-        # a size reduction updates only the rows of column k down to j.
-        r = np.linalg.qr(c, mode="raw")[0].T
-        for j in range(k - 1, -1, -1):
-            mu = r[j, k] / r[j, j]
-            if abs(mu) > 0.5:
-                q = int(round(mu))
-                c[:, k] -= q * c[:, j]
-                r[: j + 1, k] -= q * r[: j + 1, j]
-                zk = z[k]
-                zj = z[j]
-                for t in range(n):
-                    zj[t] += q * zk[t]
-        mu_adj = r[k - 1, k] / r[k - 1, k - 1]
-        if r[k, k] ** 2 >= (delta - mu_adj**2) * r[k - 1, k - 1] ** 2:
-            k += 1
-        else:
-            c[:, [k - 1, k]] = c[:, [k, k - 1]]
-            z[k - 1], z[k] = z[k], z[k - 1]
-            k = max(k - 1, 1)
-    return z
 
 
 def frozen_draws(real_dim: int, count: int, rng: np.random.Generator):
@@ -82,8 +49,10 @@ def test_postconditions_and_mismatch_rate_against_oracle():
             differ = 0
             for h in frozen_draws(real_dim, DRAWS_PER_CELL, rng):
                 rb = lll_reduce(h, delta)
-                assert_reduced(h, rb, delta)
-                differ += rb.unimodular.tolist() != qr_per_visit_lll(h, delta)
+                z, c = qr_per_visit_lll(h, delta)
+                same = rb.unimodular.tolist() == z
+                assert_reduced(h, rb, delta, c if same else h @ rb.unimodular_inv)
+                differ += not same
                 draws += 1
             mismatches[(real_dim, delta)] = differ
     total = sum(mismatches.values())

@@ -142,6 +142,19 @@ class TestChannelAndAugmentation:
         bar = augment(ch.matrix, ch.inv_snr)
         np.testing.assert_array_equal(bar[3:], np.zeros((3, 3)))
 
+    def test_augment_stack_equals_each_slice_augmented_alone(self):
+        rng = np.random.default_rng(4)
+        hs = rng.normal(size=(3, 5, 4))
+        zetas = [0.0, 1e-3, 0.37, 1e3]
+        got = augment(hs[:, None], zetas)
+        alone = np.array([[augment(h, zeta) for zeta in zetas] for h in hs])
+        # The matrix stacked on sqrt(zeta) I as the definition reads.
+        want = np.array([[np.vstack([h, np.sqrt(zeta) * np.eye(4)]) for zeta in zetas] for h in hs])
+        assert got.shape == alone.shape == want.shape == (3, 4, 9, 4)
+        assert got.tobytes() == alone.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="inv_snr"):
+            augment(hs, [[0.1], [-1.0], [0.1]])
+
     def test_augmented_pseudo_inverse_ignores_appended_zeros(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(4, 3))

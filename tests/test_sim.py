@@ -724,13 +724,15 @@ class TestSharedConstruction:
     def test_zf_detectors_and_original_reduction_are_shared(self, monkeypatch):
         # Per draw, H is reduced once, and each [H; sqrt(zeta) I] is built
         # once and reduced once, however many specs use it.  An lll_reduce
-        # call counts the bases it reduces: the depth of its stack.
+        # call counts the bases it reduces, an augment call the matrices it
+        # builds: the depth of the stack.
         counts, grids = Counter(), []
         for name in ("lll_reduce", "augment"):
 
             def counted(*args, _name=name, _real=getattr(equalize, name), **kwargs):
-                counts[_name] += math.prod(np.shape(args[0])[:-2]) if _name == "lll_reduce" else 1
-                return _real(*args, **kwargs)
+                out = _real(*args, **kwargs)
+                counts[_name] += math.prod(np.shape(args[0] if _name == "lll_reduce" else out)[:-2])
+                return out
 
             monkeypatch.setattr(equalize, name, counted)
         real_build = sim.build_detectors
@@ -742,17 +744,17 @@ class TestSharedConstruction:
 
         monkeypatch.setattr(sim, "build_detectors", build)
         a9 = _specs("le-zf", "le-mmse", "dfe-zf-lra-orig", "dfe-mmse-lra-orig", "dfe-mmse-lra-aug")
-        cases = [  # config, then reduced bases and augment calls per draw
+        cases = [  # config, then reduced bases and augmented matrices per draw
             # Shaped like the detect-long and the a9-build benchmark workloads.
             (_config(specs=ALL_SPECS, order=4, snr_db=(18.0, 26.0)), 3, 2),
             (_config(specs=a9, n_tx=4, n_rx=4, snr_db=tuple(range(10, 30, 2))), 11, 10),
         ]
-        for cfg, reduced_bases, augment_calls in cases:
+        for cfg, reduced_bases, augmented in cases:
             counts.clear()
             grids.clear()
             assert run_monte_carlo(cfg).meta["channel_redraws"] == 0
             assert len(grids) == cfg.trials
-            want = {"lll_reduce": reduced_bases * cfg.trials, "augment": augment_calls * cfg.trials}
+            want = {"lll_reduce": reduced_bases * cfg.trials, "augment": augmented * cfg.trials}
             assert counts == want
             for detectors in grids:
                 assert [det.spec for det in detectors] == list(cfg.specs)
