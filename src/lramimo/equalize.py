@@ -170,22 +170,13 @@ class Detector:
         row l S + s of its (n S, f) decisions in detection order goes to
         row ``targets[l S + s]`` = perm[s, l] S + s in stream order; both
         are None for a linear detector.  Z^-1 is ``unimodular_inv`` as
-        floats, or None.  A detector of one point drops the points' axis,
-        as its pass does, so that a one-point pass makes 2-D products on
-        scalar DFE offsets and pays nothing for an axis of length 1.
+        floats, or None.  Detectors of every S, one included, have this
+        one plan, and their passes run one path.
         """
         n_snrs, n = self.z_offset.shape
         linear = self.perm is None
         offsets = self.z_offset if linear else self.z_offset[np.arange(n_snrs)[:, None], self.perm]
         zinv = None if self.unimodular_inv is None else self.unimodular_inv.astype(float)
-        if n_snrs == 1:
-            return (
-                self.feedforward[0],
-                offsets.T if linear else offsets[0],
-                None if linear else [self.feedback[0, l, :l] for l in range(n)],
-                None if linear else self.perm[0],
-                None if zinv is None else zinv[0],
-            )
         return (
             self.feedforward,
             offsets.T[:, :, None],
@@ -356,21 +347,24 @@ def detect_block(
     limit = constellation.amplitude_limit
     loop_limit = limit if zinv is None else None
     frames = ys.shape[1] // n_snrs
-    # Rows outermost, so that a DFE row step reads and writes one block:
-    # (n, S, f), or (n, f) for one point.
-    shape = (n, frames) if n_snrs == 1 else (n, n_snrs, frames)
+    # Rows outermost, so that a DFE row step reads and writes one block.
+    shape = (n, n_snrs, frames)
     soft = ws.take("soft", shape)
-    np.matmul(feedforward, _points(ys.reshape(n_rx, *shape[1:])), out=_points(soft))
+    np.matmul(feedforward, _points(ys.reshape(n_rx, n_snrs, frames)), out=_points(soft))
     if feedback is None:
         decided = _slice(soft, offsets, loop_limit)
     else:
         # Row l of soft becomes the l-th decision in detection order once
         # the decisions of the rows above it are cancelled from it.
-        cancel = ws.take("cancel", feedback[0].shape[:-1] + (frames,))
-        cancelled = cancel.reshape(soft.shape[1:])
+        cancel = ws.take("cancel", (n_snrs, 1, frames))
+        cancelled = cancel.reshape(n_snrs, frames)
         _slice(soft[0], offsets[0], loop_limit)
         for l in range(1, n):
-            np.matmul(feedback[l], _points(soft[:l]), out=cancel)
+            if l == 1:
+                # One term: a multiply, whose one rounding gives the matmul's values.
+                np.multiply(feedback[1][:, 0], soft[0], out=cancelled)
+            else:
+                np.matmul(feedback[l], _points(soft[:l]), out=cancel)
             np.subtract(soft[l], cancelled, out=soft[l])
             _slice(soft[l], offsets[l], loop_limit)
         decided = ws.take("decided", shape)
@@ -383,13 +377,13 @@ def detect_block(
     _slice(a_hat, ALPHABET_OFFSET, None)
     outside = np.greater(a_hat, limit, out=ws.take("outside", shape, bool))
     outside |= np.less(a_hat, -limit, out=ws.take("below", shape, bool))
-    clipped = [int(np.count_nonzero(point)) for point in _points(outside.reshape(n, n_snrs, frames))]
+    clipped = [int(np.count_nonzero(point)) for point in _points(outside)]
     return _clip(a_hat, limit).reshape(n, -1), decided.reshape(n, -1), clipped
 
 
 def _points(block: np.ndarray) -> np.ndarray:
-    """The (S, rows, f) view of a (rows, S, f) block; a (rows, f) block of one point as it is."""
-    return block if block.ndim == 2 else block.transpose(1, 0, 2)
+    """The (S, rows, f) view of a (rows, S, f) block."""
+    return block.transpose(1, 0, 2)
 
 
 def _slice(soft: np.ndarray, offset, limit):
