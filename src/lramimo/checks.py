@@ -1,15 +1,16 @@
 """Randomized residual sweeps certifying the detector equivalences.
 
 Each check draws random channel instances and compares two independently
-computed routes to the same mathematical object: the successive
-pseudo-inverse filters of the augmented reduced matrix on one side and
-the closed-form correlated-estimation matrices on the other.  The
-per-step pseudo-inverse sorted factorization lives here as the oracle of
-the single-QR kernel in ``blast``, ``lra_le_mmse_matrix`` as the MMSE
-closed form that the detectors' receive filters are compared with, and
-``integer_determinant`` as the exact determinant oracle of reductions.
-The sweep maxima are the certification artifact; thresholds live with
-the callers.
+computed routes to the same mathematical object.  The central one puts
+ZF-BLAST, the successive pseudo-inverse filters of the augmented reduced
+matrix, against the optimum successive MMSE estimator that ``estimate``
+builds from the reduced channel and the data covariance Z Z^T / zeta
+alone.  The per-step pseudo-inverse sorted factorization lives here as
+the oracle of the single-QR kernel in ``blast``, ``lra_le_mmse_matrix``
+as the MMSE closed form that the detectors' receive filters are compared
+with, and ``integer_determinant`` as the exact determinant oracle of
+reductions.  The sweep maxima are the certification artifact, and
+``TOLERANCES`` holds their thresholds.
 ``zf_error_probabilities`` gives the closed-form error rates that
 simulated zero-forcing cells are checked against.
 """
@@ -31,9 +32,9 @@ MMSE_FORMS_TOL = 1e-12
 
 # Each EquivalenceReport field, its name in reports, and its largest passing value.
 TOLERANCES = (
-    ("feedforward", "step feedforward residual", FF_TOL),
-    ("feedback", "step feedback residual", FB_TOL),
-    ("order_mismatches", "order mismatches", 0),
+    ("feedforward", "estimator feedforward residual", FF_TOL),
+    ("feedback", "estimator feedback residual", FB_TOL),
+    ("order_mismatches", "estimator order mismatches", 0),
     ("schur", "conditional-precision residual", SCHUR_TOL),
     ("fast_filters", "fast factorization residual", FAST_TOL),
     ("fast_order_mismatches", "fast order mismatches", 0),
@@ -158,12 +159,15 @@ def _augmented_reduction(h: np.ndarray, zeta: float):
 
 
 def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
-    """Augmented-matrix successive filters vs correlated-estimation forms.
+    """ZF-BLAST on the augmented matrix vs the optimum successive estimator.
 
-    For every instance and every detection step compares the step
-    feedforward matrix (pseudo-inverse route, observation columns only)
-    and the step feedback matrix against their closed forms, and re-derives
-    the detection order greedily from the sorting metric.
+    Per instance the estimator sees the reduced observation block C = H Z^-1
+    and the noise-normalized data covariance Phi = Z Z^T / zeta of z = Z a,
+    built once from the reduction's integer Z.  For every detection step the
+    step feedforward matrix (pseudo-inverse of the augmented matrix's open
+    columns, observation columns only) and the step feedback weights are
+    compared with ``estimate``'s, and the detection order is re-derived
+    greedily from the estimator's conditional error variances.
 
     Returns (max feedforward residual, max feedback residual,
     order mismatch count).
@@ -176,33 +180,35 @@ def check_dfe_equivalence(n_instances: int = 1000, seed: int = 20260823):
         h, zeta = _draw_instance(rng)
         n_rx, n_tx = h.shape
         rb, stacked = _augmented_reduction(h, zeta)
-        reduced_obs, reg = stacked[:n_rx], stacked[n_rx:]
-        fs = blast.vblast_sorted_factorization(stacked)
-        perm = fs.perm
-        obs_sorted = reduced_obs[:, perm]
-        reg_sorted = reg[:, perm]
+        zf = rb.unimodular.astype(float)
+        obs, phi = stacked[:n_rx], zf @ zf.T / zeta
+        perm = blast.vblast_sorted_factorization(stacked).perm
+        obs_sorted, phi_sorted = obs[:, perm], phi[np.ix_(perm, perm)]
         for level in range(n_tx):
-            sub = stacked[:, perm[level:]]
-            step_pinv = blast.le_zf_matrix(sub)
-            ff_blast = step_pinv[:, :n_rx]
-            ff_est = estimate.correlated_ff_matrix(obs_sorted, reg_sorted, level)
-            worst_ff = max(worst_ff, _rel(ff_est, ff_blast))
+            step_pinv = blast.le_zf_matrix(stacked[:, perm[level:]])
+            ff_est = estimate.correlated_ff_matrix(obs_sorted, phi_sorted, level)
+            worst_ff = max(worst_ff, _rel(ff_est, step_pinv[:, :n_rx]))
             if level > 0:
-                weights = step_pinv @ stacked[:, perm]
-                fb_blast = weights[:, :level]
-                fb_est = estimate.correlated_fb_matrix(reduced_obs, reg, perm, level)
+                fb_blast = step_pinv @ stacked[:, perm[:level]]
+                fb_est = estimate.correlated_fb_matrix(obs_sorted, phi_sorted, level)
                 worst_fb = max(worst_fb, _rel(fb_est, fb_blast))
-        if not np.array_equal(_greedy_order(reduced_obs, reg), perm):
+        if not np.array_equal(_greedy_order(obs, phi), perm):
             mismatches += 1
     return worst_ff, worst_fb, mismatches
 
 
-def _greedy_order(reduced_obs: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """Detection order re-derived from the estimation-side sorting metric."""
-    remaining = list(range(reduced_obs.shape[1]))
+def _greedy_order(channel: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """Detection order of the successive estimator.
+
+    Each step decides the open stream of least conditional error variance,
+    given the streams already decided.
+    """
+    remaining = list(range(channel.shape[1]))
     order = []
     while remaining:
-        metric = estimate.sorting_metric(reduced_obs[:, remaining], reg[:, remaining], 0)
+        cols = order + remaining
+        sub_cov = covariance[np.ix_(cols, cols)]
+        metric = estimate.sorting_metric(channel[:, cols], sub_cov, len(order))
         k = blast.pick_stream(metric)  # remaining ascending: ties pick lowest index
         order.append(remaining.pop(k))
     return np.array(order)
@@ -264,19 +270,17 @@ def check_schur_identity(n_instances: int = 1000, seed: int = 20260823) -> float
         zeta = 10.0 ** (-rng.uniform(0.0, 30.0) / 10.0)
         noise_var = zeta * symbol_var
         for level in range(n):
-            worst = max(
-                worst,
-                estimate.schur_gramian_identity(z, zeta, symbol_var, noise_var, level),
-            )
+            worst = max(worst, estimate.schur_gramian_identity(z, symbol_var, noise_var, level))
     return worst
 
 
 def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
-    """Production sorted factorizations vs the per-step pseudo-inverse oracle.
+    """Single-QR sorted factorizations vs the per-step pseudo-inverse oracle.
 
-    Both production routes, ``vblast_sorted_factorization`` of the stacked
-    matrix and ``fast_vblast_correlated`` from (H, Z, zeta), are compared
-    with ``sorted_factorization_oracle`` of the stacked matrix.
+    The detectors' kernel ``vblast_sorted_factorization`` of the stacked
+    matrix and ``fast_vblast_correlated`` from (H, Z, zeta), which no sweep
+    calls, are compared with ``sorted_factorization_oracle`` of the stacked
+    matrix.
 
     Returns (max filter residual over F and B, count of factorizations
     whose permutation differs from the oracle's).
@@ -320,10 +324,10 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
     """Max pairwise residual among the four receive-matrix forms.
 
     Compares (C^T C + zeta Z^-T Z^-1)^-1 C^T, Z (H^T H + zeta I)^-1 H^T,
-    the optimum-estimator instantiation with white noise and data
-    covariance symbol_var * Z Z^T, and the observation columns of the
-    pseudo-inverse of [H; sqrt(zeta) I] Z^-1, which is how the detectors
-    build it.  Instances are kept numerically tame
+    the optimum estimator ``estimate.correlated_ff_matrix`` with no stream
+    decided and noise-normalized data covariance Z Z^T / zeta, and the
+    observation columns of the pseudo-inverse of [H; sqrt(zeta) I] Z^-1,
+    which is how the detectors build it.  Instances are kept numerically tame
     (condition cap) because the stated agreement is at working precision.
     """
     rng = np.random.default_rng(seed)
@@ -334,18 +338,13 @@ def check_mmse_le_forms(n_instances: int = 1000, seed: int = 20260823) -> float:
             zeta = 1e-3
         rb, stacked = _augmented_reduction(h, zeta)
         reduced_obs = stacked[: h.shape[0]]
-        zf, zi = rb.unimodular, rb.unimodular_inv
+        zf, zi = rb.unimodular.astype(float), rb.unimodular_inv
 
         gram_direct = reduced_obs.T @ reduced_obs + zeta * (zi.T @ zi)
         form_direct = np.linalg.solve(gram_direct, reduced_obs.T)
         form_closed = lra_le_mmse_matrix(h, rb.unimodular, zeta)
         form_pinv = blast.le_zf_matrix(stacked)[:, : h.shape[0]]
-
-        symbol_var = 1.0
-        noise_var = zeta * symbol_var
-        data_cov = symbol_var * (zf @ zf.T)
-        info = np.linalg.inv(data_cov) + (reduced_obs.T @ reduced_obs) / noise_var
-        form_estimator = np.linalg.solve(info, reduced_obs.T) / noise_var
+        form_estimator = estimate.correlated_ff_matrix(reduced_obs, zf @ zf.T / zeta, 0)
 
         worst = max(worst, _rel(form_direct, form_closed))
         worst = max(worst, _rel(form_estimator, form_closed))

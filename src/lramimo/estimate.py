@@ -1,91 +1,70 @@
 """Successive linear MMSE estimation of correlated data.
 
-Covers the per-step feedforward/feedback matrices and the sorting metric
-of successive estimation when the data correlation is induced by an
-integer basis change, and the conditional-precision (Schur-complement)
-identity behind them.  The per-step operations evaluate both the
-covariance (Schur-complement) form and the Gramian form of each matrix
-and insist they agree, which is the numerical content of the equivalence
-between augmented-matrix processing and optimum successive estimation.
+Data x with noise-normalized covariance Phi (the data covariance over the
+noise variance) is observed as y = C x + n in white noise.  At a detection
+step the first ``n_known`` streams, in detection order, are decided; given
+them the open streams have conditional mean Phi21 Phi11^-1 x1 and
+conditional covariance S = Phi22 - Phi21 Phi11^-1 Phi12.  The per-step
+feedforward and feedback matrices and the sorting metric of the optimum
+successive estimator are built here from C and Phi alone.  For white data
+a of variance symbol_var and an integer basis change z = Z a, Phi = Z Z^T /
+zeta and C = H Z^-1 with zeta = noise_var / symbol_var; ``checks`` compares
+these matrices with ZF-BLAST on the augmented matrix [H; sqrt(zeta) I] Z^-1,
+whose lower block sqrt(zeta) Z^-1 has S^-1 for the Gramian of its open
+columns (``schur_gramian_identity``).
 """
 
 import numpy as np
 
 from .lattice import unimodular_inverse
 
-DUAL_FORM_TOL = 1e-10
 
+def correlated_ff_matrix(channel: np.ndarray, covariance: np.ndarray, n_known: int) -> np.ndarray:
+    """Feedforward matrix K = (C2^T C2 + S^-1)^-1 C2^T of the open streams.
 
-def correlated_ff_matrix(channel: np.ndarray, regularizer: np.ndarray, n_known: int) -> np.ndarray:
-    """Feedforward matrix for the streams still open at a detection step.
-
-    ``channel`` and ``regularizer`` are the observation and regularization
-    blocks of the augmented matrix, columns already in detection order;
-    the first ``n_known`` streams are treated as decided.  Evaluates the
-    Gramian form (C2^T C2 + A2^T A2)^-1 C2^T and the conditional-
-    covariance form obtained through the Schur complement of the prior and
-    requires agreement.
+    ``channel`` C and ``covariance`` Phi have their streams in detection
+    order, and the first ``n_known`` are decided.  K estimates the open
+    streams from the observation once the decided streams' contribution is
+    removed; returns the (n - n_known) x m matrix.
     """
-    c = np.asarray(channel, dtype=float)
-    a = np.asarray(regularizer, dtype=float)
-    _check_blocks(c, a, n_known)
-    c2 = c[:, n_known:]
-    a2 = a[:, n_known:]
-    gram_form = np.linalg.solve(c2.T @ c2 + a2.T @ a2, c2.T)
-
-    cond_prec = _conditional_precision(a, n_known)
-    cov_form = np.linalg.solve(c2.T @ c2 + cond_prec, c2.T)
-    _require_agreement(cov_form, gram_form, "feedforward")
-    return gram_form
+    c, _, error = _open_streams(channel, covariance, n_known)
+    return error @ c[:, n_known:].T
 
 
-def correlated_fb_matrix(
-    channel: np.ndarray, regularizer: np.ndarray, perm: np.ndarray, n_known: int
-) -> np.ndarray:
-    """Feedback (interference weight) matrix for the decided streams.
+def correlated_fb_matrix(channel: np.ndarray, covariance: np.ndarray, n_known: int) -> np.ndarray:
+    """Feedback matrix K C1 + (K C2 - I) Phi21 Phi11^-1 on the decided streams.
 
-    Columns of ``channel``/``regularizer`` are given in original order and
-    rearranged by ``perm`` into detection order.  Returns the
-    (n - n_known) x n_known matrix applied to already decided symbols.
-    Evaluates both the conditional-mean form, which combines cancellation
-    with prediction from the conditional prior, and the plain Gramian form
-    (C2^T C2 + A2^T A2)^-1 (C2^T C1 + A2^T A1), and requires agreement.
+    Arguments as for :func:`correlated_ff_matrix`.  The first term cancels
+    the decided streams' interference, the second predicts the open
+    streams from them through the conditional mean.  Returns the
+    (n - n_known) x n_known matrix applied to the decided symbols.
     """
-    c = np.asarray(channel, dtype=float)[:, np.asarray(perm, dtype=int)]
-    a = np.asarray(regularizer, dtype=float)[:, np.asarray(perm, dtype=int)]
-    _check_blocks(c, a, n_known)
-    n = c.shape[1]
+    c, gain, error = _open_streams(channel, covariance, n_known)
     c1, c2 = c[:, :n_known], c[:, n_known:]
-    a1, a2 = a[:, :n_known], a[:, n_known:]
-    if n_known == 0:
-        return np.zeros((n, 0))
-    gram = c2.T @ c2 + a2.T @ a2
-    gram_form = np.linalg.solve(gram, c2.T @ c1 + a2.T @ a1)
+    k = error @ c2.T
+    return k @ c1 + (k @ c2 - np.eye(c2.shape[1])) @ gain
 
-    # Conditional-mean route: cancellation of the decided symbols plus
-    # prediction of the open ones from the conditional prior.
-    prior = np.linalg.inv(a.T @ a)
-    gain = np.linalg.solve(prior[:n_known, :n_known], prior[:n_known, n_known:]).T
-    cancel = np.linalg.solve(gram, c2.T @ c1)
-    shrink = np.linalg.solve(gram, c2.T @ c2) - np.eye(n - n_known)
-    cov_form = shrink @ gain + cancel
-    _require_agreement(cov_form, gram_form, "feedback")
-    return gram_form
+
+def sorting_metric(channel: np.ndarray, covariance: np.ndarray, n_known: int) -> np.ndarray:
+    """Error variances diag((C2^T C2 + S^-1)^-1) of the open streams.
+
+    Arguments as for :func:`correlated_ff_matrix`.  The variances are per
+    unit noise variance; the open stream with the smallest entry (ties:
+    lowest index) is the most reliable next decision.
+    """
+    return np.diag(_open_streams(channel, covariance, n_known)[2]).copy()
 
 
 def schur_gramian_identity(
-    unimodular: np.ndarray,
-    inv_snr: float,
-    symbol_var: float,
-    noise_var: float,
-    n_known: int,
+    unimodular: np.ndarray, symbol_var: float, noise_var: float, n_known: int
 ) -> float:
     """Relative residual of the conditional-precision identity.
 
-    For data covariance symbol_var * Z Z^T and regularizer
-    sqrt(inv_snr) * Z^-1, the noise-scaled inverse of the conditional
-    covariance of the open streams equals the Gramian of the trailing
-    regularizer columns.  Returns ||lhs - rhs||_F / ||rhs||_F.
+    For data covariance symbol_var * Z Z^T and zeta = noise_var /
+    symbol_var, the noise-scaled inverse of the conditional covariance of
+    the open streams equals the Gramian of the trailing columns of the
+    augmented matrix's lower block sqrt(zeta) Z^-1.  Returns
+    ||lhs - rhs||_F / ||rhs||_F.
     """
     zf = np.asarray(unimodular, dtype=float)
     zi = np.asarray(unimodular_inverse(unimodular), dtype=float)
@@ -100,60 +79,36 @@ def schur_gramian_identity(
     q_full = np.linalg.qr(zf[:n_known].T, mode="complete")[0]
     v = q_full[:, n_known:].T @ zf[n_known:].T
     r_inv = np.linalg.inv(np.linalg.qr(v, mode="r"))
-    lhs = (noise_var / symbol_var) * (r_inv @ r_inv.T)
-    a2 = np.sqrt(inv_snr) * zi[:, n_known:]
+    zeta = noise_var / symbol_var
+    lhs = zeta * (r_inv @ r_inv.T)
+    a2 = np.sqrt(zeta) * zi[:, n_known:]
     rhs = a2.T @ a2
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def sorting_metric(channel: np.ndarray, regularizer: np.ndarray, n_known: int) -> np.ndarray:
-    """Per-stream error variances used to pick the next detected stream.
-
-    Diagonal of (C2^T C2 + A2^T A2)^-1 over the streams still open: the
-    error variances per unit noise variance.  The stream with the smallest
-    entry (ties: lowest index) is the most reliable next decision.
-    """
-    c = np.asarray(channel, dtype=float)
-    a = np.asarray(regularizer, dtype=float)
-    _check_blocks(c, a, n_known)
+def _open_streams(channel, covariance, n_known: int):
+    """C, the gain Phi21 Phi11^-1 and the error covariance (C2^T C2 + S^-1)^-1."""
+    c, phi = _check_blocks(channel, covariance, n_known)
+    gain, schur = _condition(phi, n_known)
     c2 = c[:, n_known:]
-    a2 = a[:, n_known:]
-    inv = np.linalg.inv(c2.T @ c2 + a2.T @ a2)
-    return np.diag(inv).copy()
+    return c, gain, np.linalg.inv(c2.T @ c2 + np.linalg.inv(schur))
 
 
-def _conditional_precision(regularizer: np.ndarray, n_known: int) -> np.ndarray:
-    """Noise-scaled inverse conditional covariance of the open streams."""
-    a = np.asarray(regularizer, dtype=float)
-    prior = np.linalg.inv(a.T @ a)
-    if n_known == 0:
-        schur = prior
-    else:
-        p11 = prior[:n_known, :n_known]
-        p12 = prior[:n_known, n_known:]
-        schur = prior[n_known:, n_known:] - p12.T @ np.linalg.solve(p11, p12)
-    return np.linalg.inv(schur)
+def _condition(covariance: np.ndarray, n_known: int):
+    """Gain Phi21 Phi11^-1 and conditional covariance S of the open streams."""
+    k = n_known
+    gain = np.linalg.solve(covariance[:k, :k], covariance[:k, k:]).T
+    return gain, covariance[k:, k:] - gain @ covariance[:k, k:]
 
 
-def _check_blocks(channel: np.ndarray, regularizer: np.ndarray, n_known: int) -> None:
-    if channel.ndim != 2 or regularizer.ndim != 2:
-        raise ValueError("channel and regularizer must be 2-D")
-    if channel.shape[1] != regularizer.shape[1]:
+def _check_blocks(channel, covariance, n_known: int):
+    """C (m x n) and Phi as floats; Phi must be n x n and 0 <= n_known <= n."""
+    c = np.asarray(channel, dtype=float)
+    phi = np.asarray(covariance, dtype=float)
+    if c.ndim != 2 or phi.shape != (c.shape[1], c.shape[1]):
         raise ValueError(
-            f"column mismatch: channel {channel.shape[1]}, regularizer {regularizer.shape[1]}"
+            f"covariance must be n x n for an m x n channel, got {phi.shape} and {c.shape}"
         )
-    if not 0 <= n_known <= channel.shape[1]:
-        raise ValueError(f"n_known {n_known} outside 0..{channel.shape[1]}")
-
-
-def _require_agreement(first: np.ndarray, second: np.ndarray, what: str) -> None:
-    scale = np.linalg.norm(second)
-    resid = np.linalg.norm(first - second)
-    if scale == 0.0:
-        if resid > DUAL_FORM_TOL:
-            raise ArithmeticError(f"{what} dual forms disagree: {resid:.3e} vs zero")
-        return
-    if resid / scale > DUAL_FORM_TOL:
-        raise ArithmeticError(
-            f"{what} dual forms disagree: relative residual {resid / scale:.3e}"
-        )
+    if not 0 <= n_known <= c.shape[1]:
+        raise ValueError(f"n_known {n_known} outside 0..{c.shape[1]}")
+    return c, phi

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from lramimo import checks, cli
+from lramimo import checks, cli, estimate
 from lramimo.blast import FactorizationError
 from lramimo.cli import main
 
@@ -43,6 +43,25 @@ def test_equiv_suite_json_records_failure_and_keeps_exit_code(tmp_path, monkeypa
     data = json.loads(path.read_text())
     assert data["verdict"] == "FAIL"
     assert data["residuals"]["schur"] == {"max": 1.0, "tolerance": checks.SCHUR_TOL}
+
+
+def test_equiv_suite_reports_an_unconditioned_estimator_as_fail(tmp_path, monkeypatch):
+    # Mutant: the estimator takes the prior covariance Phi22 of the open
+    # streams for their conditional covariance.  The suite still completes,
+    # and the entry point exits 1 with the failing residuals in its JSON.
+    real = estimate._condition
+
+    def unconditioned(covariance, n_known):
+        gain, _ = real(covariance, n_known)
+        return gain, covariance[n_known:, n_known:]
+
+    monkeypatch.setattr(estimate, "_condition", unconditioned)
+    path = tmp_path / "equiv.json"
+    assert main(["equiv-suite", "--instances", "20", "--json", str(path)]) == 1
+    data = json.loads(path.read_text())
+    assert data["verdict"] == "FAIL"
+    assert data["residuals"]["feedforward"]["max"] > checks.FF_TOL
+    assert data["residuals"]["order_mismatches"]["max"] > 0
 
 
 CONFIG = {

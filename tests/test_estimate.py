@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from lramimo.blast import vblast_sorted_factorization
-from lramimo.checks import SCHUR_TOL, equivalence_suite, lra_le_mmse_matrix, random_unimodular
+from lramimo import estimate
+from lramimo.blast import le_zf_matrix, vblast_sorted_factorization
+from lramimo.checks import FF_TOL, SCHUR_TOL, equivalence_suite, lra_le_mmse_matrix, random_unimodular
 from lramimo.estimate import (
     correlated_fb_matrix,
     correlated_ff_matrix,
@@ -14,7 +16,15 @@ from lramimo.lattice import unimodular_inverse
 # The linear MMSE estimator of z = Z a from y = H a + n, with zero-mean
 # white data of variance symbol_var and white noise of variance noise_var,
 # is Z (H^T H + zeta I)^-1 H^T with zeta = noise_var / symbol_var: this is
-# ``lra_le_mmse_matrix``.
+# ``lra_le_mmse_matrix``.  The successive estimator in ``estimate`` sees the
+# reduced channel C = H Z^-1 and the noise-normalized data covariance
+# Phi = Z Z^T / zeta of z.
+
+
+def reduced_model(z, zeta):
+    """Z^-1 and Phi = Z Z^T / zeta for an integer basis change Z."""
+    zf = np.asarray(z, dtype=float)
+    return np.asarray(unimodular_inverse(z), dtype=float), zf @ zf.T / zeta
 
 
 class TestLinearMmseEstimate:
@@ -54,7 +64,7 @@ class TestLinearMmseEstimate:
 
 class TestCorrelatedFeedforward:
     def test_identity_blocks_frozen(self):
-        # Unit channel and regularizer with one decided stream: the open
+        # Unit channel and unit covariance with one decided stream: the open
         # stream sees gain 1/(1 + 1) on its own observation entry.
         ff = correlated_ff_matrix(np.eye(2), np.eye(2), 1)
         np.testing.assert_allclose(ff, [[0.0, 0.5]], atol=1e-14)
@@ -65,34 +75,37 @@ class TestCorrelatedFeedforward:
             n = int(rng.integers(1, 4))
             h = rng.normal(size=(n + 1, n))
             zeta = 10.0 ** (-rng.uniform(0, 20) / 10.0)
-            ff = correlated_ff_matrix(h, np.sqrt(zeta) * np.eye(n), 0)
+            ff = correlated_ff_matrix(h, np.eye(n) / zeta, 0)
             np.testing.assert_allclose(ff, np.linalg.solve(h.T @ h + zeta * np.eye(n), h.T), atol=1e-10)
 
     def test_agrees_on_reduced_bases(self):
-        # Both internal routes must agree; exercised over LLL-style inputs.
+        # The estimator's feedforward is the observation columns of the
+        # pseudo-inverse of the augmented matrix's open columns.
         rng = np.random.default_rng(43)
         for _ in range(30):
             n = int(rng.integers(2, 5))
             z = random_unimodular(rng, n)
-            zi = np.asarray(unimodular_inverse(z), dtype=float)
-            h = rng.normal(size=(n + 1, n))
             zeta = 10.0 ** (-rng.uniform(0, 25) / 10.0)
+            zi, phi = reduced_model(z, zeta)
+            h = rng.normal(size=(n + 1, n))
             l = int(rng.integers(0, n))
-            ff = correlated_ff_matrix(h @ zi, np.sqrt(zeta) * zi, l)
+            ff = correlated_ff_matrix(h @ zi, phi, l)
             assert ff.shape == (n - l, n + 1)
-            assert np.isfinite(ff).all()
+            want = le_zf_matrix(np.vstack([h, np.sqrt(zeta) * np.eye(n)]) @ zi[:, l:])[:, : n + 1]
+            np.testing.assert_allclose(ff, want, rtol=1e-8, atol=1e-10)
 
 
 class TestCorrelatedFeedback:
     def test_scalar_frozen(self):
         # Shear transform [[1,1],[0,1]] on a unit channel, zeta = 1, first
-        # stream decided.  Hand trace: columns of Z^-1 give the Gramian 4
-        # and cross term -2, so the single weight is -1/2; the conditional
-        # route (shrink -1/2, prediction gain 1/2, cancellation -1/4) lands
-        # on the same value.
+        # stream decided.  Hand trace: Phi = Z Z^T = [[2, 1], [1, 1]] gives
+        # prediction gain 1/2 and S = 1/2; with C2 = [-1, 1]^T, K = C2^T / 4,
+        # so cancellation K C1 = -1/4 and shrink K C2 - 1 = -1/2 give the
+        # single weight -1/4 + (-1/2)(1/2) = -1/2.  The Gramian 4 and cross
+        # term -2 of the augmented matrix's columns give the same.
         z = np.array([[1, 1], [0, 1]], dtype=object)
-        zi = np.asarray(unimodular_inverse(z), dtype=float)
-        fb = correlated_fb_matrix(np.eye(2) @ zi, 1.0 * zi, np.array([0, 1]), 1)
+        zi, phi = reduced_model(z, 1.0)
+        fb = correlated_fb_matrix(np.eye(2) @ zi, phi, 1)
         np.testing.assert_allclose(fb, [[-0.5]], atol=1e-12)
 
     def test_identity_transform_is_pure_cancellation(self):
@@ -102,17 +115,16 @@ class TestCorrelatedFeedback:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             h = rng.normal(size=(n + 1, n))
-            zeta = 0.3
-            reg = np.sqrt(zeta) * np.eye(n)
-            perm = rng.permutation(n)
+            phi = np.eye(n) / 0.3
+            c = h[:, rng.permutation(n)]
             l = int(rng.integers(1, n))
-            fb = correlated_fb_matrix(h, reg, perm, l)
-            ff = correlated_ff_matrix(h[:, perm], reg[:, perm], l)
-            want = ff @ h[:, perm[:l]]
+            fb = correlated_fb_matrix(c, phi, l)
+            ff = correlated_ff_matrix(c, phi, l)
+            want = ff @ c[:, :l]
             np.testing.assert_allclose(fb, want, atol=1e-10)
 
     def test_no_known_streams_empty(self):
-        fb = correlated_fb_matrix(np.eye(2), 0.5 * np.eye(2), np.array([0, 1]), 0)
+        fb = correlated_fb_matrix(np.eye(2), 4.0 * np.eye(2), 0)
         assert fb.shape == (2, 0)
 
     def test_matches_vblast_weights(self):
@@ -120,13 +132,12 @@ class TestCorrelatedFeedback:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             z = random_unimodular(rng, n)
-            zi = np.asarray(unimodular_inverse(z), dtype=float)
-            h = rng.normal(size=(n + 1, n)) @ zi
             zeta = 10.0 ** (-rng.uniform(3, 20) / 10.0)
-            reg = np.sqrt(zeta) * zi
-            fs = vblast_sorted_factorization(np.vstack([h, reg]))
+            zi, phi = reduced_model(z, zeta)
+            h = rng.normal(size=(n + 1, n)) @ zi
+            fs = vblast_sorted_factorization(np.vstack([h, np.sqrt(zeta) * zi]))
             for l in range(1, n):
-                fb = correlated_fb_matrix(h, reg, fs.perm, l)
+                fb = correlated_fb_matrix(h[:, fs.perm], phi[np.ix_(fs.perm, fs.perm)], l)
                 # row l of the successive factorization carries the same
                 # weights for the decided block
                 np.testing.assert_allclose(fb[0], fs.feedback[l, :l], atol=1e-8)
@@ -134,12 +145,12 @@ class TestCorrelatedFeedback:
 
 class TestSchurGramianIdentity:
     def test_identity_transform(self):
-        res = schur_gramian_identity(np.eye(3, dtype=int), 0.25, 1.0, 0.25, 1)
+        res = schur_gramian_identity(np.eye(3, dtype=int), 1.0, 0.25, 1)
         assert res < 1e-12
 
     def test_shear_frozen(self):
         z = np.array([[1, 1], [0, 1]], dtype=object)
-        res = schur_gramian_identity(z, 1.0, 1.0, 1.0, 1)
+        res = schur_gramian_identity(z, 1.0, 1.0, 1)
         assert res < 1e-12
 
     def test_random_sweep(self):
@@ -151,7 +162,7 @@ class TestSchurGramianIdentity:
             zeta = 10.0 ** (-rng.uniform(0, 30) / 10.0)
             sv = rng.uniform(0.25, 2.0)
             l = int(rng.integers(0, n))
-            worst = max(worst, schur_gramian_identity(z, zeta, sv, zeta * sv, l))
+            worst = max(worst, schur_gramian_identity(z, sv, zeta * sv, l))
         assert worst < 1e-9
 
     def test_equivalence_suite_reproducer_within_tolerance(self):
@@ -165,15 +176,61 @@ class TestSchurGramianIdentity:
 
 class TestSortingMetric:
     def test_identity_channel_frozen(self):
-        # Gram = (1 + zeta) I with zeta = 1: every stream's error variance
-        # per unit noise variance is 1/2.
+        # C^T C + Phi^-1 = (1 + zeta) I with zeta = 1: every stream's error
+        # variance per unit noise variance is 1/2.
         metric = sorting_metric(np.eye(2), np.eye(2), 0)
         np.testing.assert_allclose(metric, [0.5, 0.5], atol=1e-14)
 
     def test_diagonal_orders_strongest_first(self):
-        metric = sorting_metric(np.diag([1.0, 2.0]), 0.0 * np.eye(2), 0)
-        np.testing.assert_allclose(metric, [1.0, 0.25], atol=1e-12)
+        # Phi = I / zeta with zeta = 1/4: error variances 1/(g^2 + zeta) for
+        # gains g = 1, 2, so 1/1.25 = 0.8 and 1/4.25 = 4/17.
+        metric = sorting_metric(np.diag([1.0, 2.0]), 4.0 * np.eye(2), 0)
+        np.testing.assert_allclose(metric, [0.8, 4.0 / 17.0], atol=1e-12)
         assert np.argmin(metric) == 1
+
+    def test_conditions_on_the_decided_streams(self):
+        # Phi = [[1, 1/2], [1/2, 1]], unit channel, stream 0 decided: S = 3/4,
+        # so the open stream's error variance is 1/(1 + 4/3) = 3/7, where the
+        # unconditioned prior variance 1 would give 1/2.
+        metric = sorting_metric(np.eye(2), [[1.0, 0.5], [0.5, 1.0]], 1)
+        np.testing.assert_allclose(metric, [3.0 / 7.0], atol=1e-14)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("fn", [correlated_ff_matrix, correlated_fb_matrix, sorting_metric])
+    @pytest.mark.parametrize("covariance", [np.eye(2), np.eye(4), np.ones((3, 2)), np.ones(3)])
+    def test_covariance_must_match_the_channel_columns(self, fn, covariance):
+        with pytest.raises(ValueError, match="covariance must be n x n"):
+            fn(np.ones((4, 3)), covariance, 0)
+
+    @pytest.mark.parametrize("fn", [correlated_ff_matrix, correlated_fb_matrix, sorting_metric])
+    @pytest.mark.parametrize("n_known", [-1, 4])
+    def test_n_known_must_lie_in_0_to_n(self, fn, n_known):
+        with pytest.raises(ValueError, match=f"n_known {n_known} outside 0..3"):
+            fn(np.ones((4, 3)), np.eye(3), n_known)
+
+    def test_every_stream_decided_leaves_empty_matrices(self):
+        c, phi = np.arange(12.0).reshape(4, 3), np.eye(3)
+        assert correlated_ff_matrix(c, phi, 3).shape == (0, 4)
+        assert correlated_fb_matrix(c, phi, 3).shape == (0, 3)
+        assert sorting_metric(c, phi, 3).shape == (0,)
+
+
+def test_suite_fails_when_the_estimator_drops_the_conditioning(monkeypatch):
+    # Mutant: the open streams' prior covariance Phi22 in place of the
+    # conditional covariance S.  The feedforward and the order then leave
+    # ZF-BLAST, and the suite reports it instead of raising.
+    real = estimate._condition
+
+    def unconditioned(covariance, n_known):
+        gain, _ = real(covariance, n_known)
+        return gain, covariance[n_known:, n_known:]
+
+    monkeypatch.setattr(estimate, "_condition", unconditioned)
+    report = equivalence_suite(20)
+    assert report.within() is False
+    assert report.feedforward > FF_TOL
+    assert report.order_mismatches > 0
 
 
 class TestPartitionedGramian:
@@ -187,4 +244,4 @@ class TestPartitionedGramian:
             z = random_unimodular(rng, n)
             zeta = 10.0 ** (-rng.uniform(0, 20) / 10.0)
             sv = rng.uniform(0.5, 2.0)
-            assert schur_gramian_identity(z, zeta, sv, zeta * sv, 0) < 1e-10
+            assert schur_gramian_identity(z, sv, zeta * sv, 0) < 1e-10

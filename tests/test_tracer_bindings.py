@@ -12,7 +12,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
-from lramimo import sim
+from lramimo import checks, sim
 from lramimo.equalize import ALL_SPECS
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -90,3 +90,21 @@ def test_traced_detect_block_frames_count_every_frame_at_every_snr_and_spec():
     assert Counter(span[6]["spec"] for span in detects) == {
         spec.spec_id: config.trials * 2 for spec in config.specs
     }
+
+
+def test_a_traced_equivalence_suite_records_every_estimate_and_check_span():
+    # The tracer wraps the four estimate functions and scopes the four
+    # checks by name; each must still be called through those bindings.
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        checks.equivalence_suite(3)
+    finally:
+        tracer.uninstall()
+    names = Counter(span[0] for span in tracer.spans)
+    for fname in ("schur_gramian_identity", "correlated_ff_matrix",
+                  "correlated_fb_matrix", "sorting_metric"):
+        assert names[f"estimate.{fname}"] >= 1, fname
+    for fname in ("check_dfe_equivalence", "check_schur_identity",
+                  "check_fast_vblast", "check_mmse_le_forms"):
+        assert names[f"checks.{fname}"] >= 1, fname
