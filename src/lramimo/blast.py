@@ -7,10 +7,11 @@ Gram matrix, removing each detected stream by a rank-one downdate; the
 filters of all steps then come from one QL factorization of the matrix
 with its columns in detection order.  ``vblast_sorted_factorization``
 takes the inverse Gram matrix from one QR of the matrix,
-``fast_vblast_correlated`` from the channel and the basis change of a
-correlated problem.  ``le_zf_matrix`` and ``vblast_sorted_factorization``
-take a stack of equal-shaped matrices as well as one matrix and treat
-every slice exactly as that slice alone.  The per-step pseudo-inverse
+``fast_vblast_correlated`` from the channel and the reduction (Z and
+Z^-1, neither recomputed) of a correlated problem.  ``le_zf_matrix``
+and ``vblast_sorted_factorization`` take a stack of equal-shaped
+matrices as well as one matrix and treat every slice exactly as that
+slice alone.  The per-step pseudo-inverse
 route is kept in ``checks`` as the oracle.
 """
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import unimodular_inverse
+from .lattice import ReducedBasis
+from .lattice import unimodular_inverse  # unused here, but the benchmark tracer (perfbench/spans.py) wraps it
 from .model import augment
 
 
@@ -117,7 +119,7 @@ def classic_dfe_filters(matrix: np.ndarray, criterion: str, inv_snr: float = 0.0
     return replace(full, feedforward=full.feedforward[:, : m.shape[0]])
 
 
-def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: float) -> DfeFilterSet:
+def fast_vblast_correlated(matrix: np.ndarray, reduction: ReducedBasis, alpha: float) -> DfeFilterSet:
     """Sorted factorization for data correlated through an integer basis change.
 
     Equivalent to ``vblast_sorted_factorization`` applied to the augmented
@@ -128,17 +130,17 @@ def fast_vblast_correlated(matrix: np.ndarray, unimodular: np.ndarray, alpha: fl
     Parameters
     ----------
     matrix : channel matrix H, m x n with m >= n, full column rank.
-    unimodular : integer basis change Z (determinant +-1).
+    reduction : the basis change, whose Z and Z^-1 are both read; Z is
+        never inverted here.
     alpha : noise-to-signal variance ratio, > 0.
     """
     h = _tall(matrix)
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    zf = np.asarray(unimodular, dtype=float)
-    zi = np.asarray(unimodular_inverse(unimodular), dtype=float)
+    zf = reduction.unimodular.astype(float)
     gram = h.T @ h + alpha * np.eye(h.shape[1])
     perm = _greedy_order(zf @ np.linalg.solve(gram, zf.T))
-    basis = augment(h, alpha) @ zi
+    basis = augment(h, alpha) @ reduction.unimodular_inv
     return _sorted_ql_filters(basis, perm)
 
 

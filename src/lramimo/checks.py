@@ -5,12 +5,14 @@ computed routes to the same mathematical object.  The central one puts
 ZF-BLAST, the successive pseudo-inverse filters of the augmented reduced
 matrix, against the optimum successive MMSE estimator that ``estimate``
 builds from the reduced channel and the data covariance Z Z^T / zeta
-alone.  The per-step pseudo-inverse sorted factorization lives here as
-the oracle of the single-QR kernel in ``blast``, ``lra_le_mmse_matrix``
-as the MMSE closed form that the detectors' receive filters are compared
-with, and ``integer_determinant`` as the exact determinant oracle of
-reductions.  The sweep maxima are the certification artifact, and
-``TOLERANCES`` holds their thresholds.
+alone; the conditional-precision identity behind it is checked on random
+unimodular Z at every split, one call per Z.  The per-step
+pseudo-inverse sorted factorization lives here as the oracle of the
+single-QR kernel in ``blast``, ``lra_le_mmse_matrix`` as the MMSE closed
+form that the detectors' receive filters are compared with, and
+``integer_determinant`` as the exact determinant oracle of reductions.
+The sweep maxima are the certification artifact, and ``TOLERANCES``
+holds their thresholds.
 ``zf_error_probabilities`` gives the closed-form error rates that
 simulated zero-forcing cells are checked against.
 """
@@ -260,17 +262,12 @@ def integer_determinant(matrix: np.ndarray) -> int:
 
 
 def check_schur_identity(n_instances: int = 1000, seed: int = 20260823) -> float:
-    """Max residual of the conditional-precision identity over random bases."""
+    """Max residual of the conditional-precision identity over random bases, every split."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
-        n = int(rng.integers(1, _SCHUR_MAX_DIM + 1))
-        z = random_unimodular(rng, n)
-        symbol_var = float(rng.uniform(0.25, 2.0))
-        zeta = 10.0 ** (-rng.uniform(0.0, 30.0) / 10.0)
-        noise_var = zeta * symbol_var
-        for level in range(n):
-            worst = max(worst, estimate.schur_gramian_identity(z, symbol_var, noise_var, level))
+        z = random_unimodular(rng, int(rng.integers(1, _SCHUR_MAX_DIM + 1)))
+        worst = max(worst, estimate.schur_gramian_identity(z))
     return worst
 
 
@@ -278,9 +275,9 @@ def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
     """Single-QR sorted factorizations vs the per-step pseudo-inverse oracle.
 
     The detectors' kernel ``vblast_sorted_factorization`` of the stacked
-    matrix and ``fast_vblast_correlated`` from (H, Z, zeta), which no sweep
-    calls, are compared with ``sorted_factorization_oracle`` of the stacked
-    matrix.
+    matrix and ``fast_vblast_correlated`` from (H, the reduction, zeta),
+    which no sweep calls, are compared with ``sorted_factorization_oracle``
+    of the stacked matrix.
 
     Returns (max filter residual over F and B, count of factorizations
     whose permutation differs from the oracle's).
@@ -294,7 +291,7 @@ def check_fast_vblast(n_instances: int = 500, seed: int = 20260823):
         ref = sorted_factorization_oracle(stacked)
         for fs in (
             blast.vblast_sorted_factorization(stacked),
-            blast.fast_vblast_correlated(h, rb.unimodular, zeta),
+            blast.fast_vblast_correlated(h, rb, zeta),
         ):
             if not np.array_equal(ref.perm, fs.perm):
                 mismatches += 1

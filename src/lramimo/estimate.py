@@ -11,7 +11,9 @@ a of variance symbol_var and an integer basis change z = Z a, Phi = Z Z^T /
 zeta and C = H Z^-1 with zeta = noise_var / symbol_var; ``checks`` compares
 these matrices with ZF-BLAST on the augmented matrix [H; sqrt(zeta) I] Z^-1,
 whose lower block sqrt(zeta) Z^-1 has S^-1 for the Gramian of its open
-columns (``schur_gramian_identity``).
+columns.  zeta scales both sides, so this conditional-precision identity
+is a property of Z alone: ``schur_gramian_identity`` checks it at every
+split from one QR of Z^T and one exact inverse of Z.
 """
 
 import numpy as np
@@ -55,35 +57,25 @@ def sorting_metric(channel: np.ndarray, covariance: np.ndarray, n_known: int) ->
     return np.diag(_open_streams(channel, covariance, n_known)[2]).copy()
 
 
-def schur_gramian_identity(
-    unimodular: np.ndarray, symbol_var: float, noise_var: float, n_known: int
-) -> float:
-    """Relative residual of the conditional-precision identity.
+def schur_gramian_identity(unimodular: np.ndarray) -> float:
+    """Largest relative residual of the conditional-precision identity.
 
-    For data covariance symbol_var * Z Z^T and zeta = noise_var /
-    symbol_var, the noise-scaled inverse of the conditional covariance of
-    the open streams equals the Gramian of the trailing columns of the
-    augmented matrix's lower block sqrt(zeta) Z^-1.  Returns
-    ||lhs - rhs||_F / ||rhs||_F.
+    With the first k streams of z = Z a decided, the inverse of the open
+    streams' conditional covariance, in units of Z Z^T, is the trailing
+    block of (Z Z^T)^-1; the identity says it equals the Gramian of
+    Z^-1[:, k:], the open columns of the augmented matrix's lower block
+    over sqrt(zeta).  With Z^T = Q R the trailing block is
+    R22^-1 R22^-T, so Z Z^T is never inverted.  Returns the largest
+    ||lhs - rhs||_F / ||rhs||_F over the splits k = 0 .. n-1.
     """
-    zf = np.asarray(unimodular, dtype=float)
+    r_inv = np.linalg.inv(np.linalg.qr(np.asarray(unimodular, dtype=float).T, mode="r"))
     zi = np.asarray(unimodular_inverse(unimodular), dtype=float)
-    n = zf.shape[0]
-    if not 0 <= n_known < n:
-        raise ValueError(f"n_known {n_known} outside 0..{n - 1}")
-    # The conditional covariance symbol_var * Z2 (I - P1) Z2^T, with P1 the
-    # projector onto the rows of Z1 = Z[:n_known], is symbol_var * V^T V for
-    # V = Q_perp^T Z2^T, where Q_perp completes an orthonormal basis of those
-    # rows.  With V = Q R its inverse is R^-1 R^-T / symbol_var, which
-    # avoids inverting the possibly ill-conditioned Z Z^T.
-    q_full = np.linalg.qr(zf[:n_known].T, mode="complete")[0]
-    v = q_full[:, n_known:].T @ zf[n_known:].T
-    r_inv = np.linalg.inv(np.linalg.qr(v, mode="r"))
-    zeta = noise_var / symbol_var
-    lhs = zeta * (r_inv @ r_inv.T)
-    a2 = np.sqrt(zeta) * zi[:, n_known:]
-    rhs = a2.T @ a2
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    worst = 0.0
+    for k in range(len(zi)):
+        lhs = r_inv[k:, k:] @ r_inv[k:, k:].T
+        rhs = zi[:, k:].T @ zi[:, k:]
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
+    return worst
 
 
 def _open_streams(channel, covariance, n_known: int):

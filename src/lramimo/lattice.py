@@ -12,7 +12,8 @@ entry beyond int64 raises OverflowError.  The result is Z and Z^-1 alone:
 the reduced basis is H Z^-1, which a caller forms when it needs it.
 ``unimodular_inverse`` inverts, exactly and without fractions, a
 unimodular matrix that does not come from a reduction; it keeps Python
-integers, as a reference at any size.
+integers, as a reference at any size.  Its one caller in the package is
+the Schur-identity check in ``estimate``, once per drawn Z.
 """
 
 import math

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from lramimo import blast
 from lramimo.blast import (
     FactorizationError,
     classic_dfe_filters,
     fast_vblast_correlated,
     vblast_sorted_factorization,
 )
-from lramimo.checks import random_unimodular, sorted_factorization_oracle
-from lramimo.lattice import lll_reduce, unimodular_inverse
+from lramimo.checks import check_fast_vblast, random_unimodular, sorted_factorization_oracle
+from lramimo.lattice import ReducedBasis, lll_reduce, unimodular_inverse
+
+
+def identity_reduction(n):
+    return ReducedBasis(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
 
 
 def naive_sorted_factorization(matrix):
@@ -142,7 +147,7 @@ class TestClassicDfeFilters:
 
 class TestFastCorrelated:
     def test_scalar_frozen_value(self):
-        fs = fast_vblast_correlated(np.array([[2.0]]), np.array([[1]]), 0.25)
+        fs = fast_vblast_correlated(np.array([[2.0]]), identity_reduction(1), 0.25)
         np.testing.assert_allclose(fs.feedforward, [[2.0 / 4.25, 0.5 / 4.25]], atol=1e-14)
         np.testing.assert_array_equal(fs.perm, [0])
 
@@ -150,7 +155,7 @@ class TestFastCorrelated:
         rng = np.random.default_rng(21)
         m = rng.normal(size=(4, 4))
         zeta = 0.1
-        fast = fast_vblast_correlated(m, np.eye(4, dtype=int), zeta)
+        fast = fast_vblast_correlated(m, identity_reduction(4), zeta)
         classic = classic_dfe_filters(m, "mmse", zeta)
         np.testing.assert_array_equal(fast.perm, classic.perm)
         np.testing.assert_allclose(fast.feedforward[:, :4], classic.feedforward, atol=1e-10)
@@ -166,7 +171,7 @@ class TestFastCorrelated:
             zi = rb.unimodular_inv
             stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
             ref = sorted_factorization_oracle(stacked)
-            fast = fast_vblast_correlated(h, rb.unimodular, zeta)
+            fast = fast_vblast_correlated(h, rb, zeta)
             np.testing.assert_array_equal(fast.perm, ref.perm)
             np.testing.assert_allclose(fast.feedforward, ref.feedforward, rtol=0, atol=1e-9)
             np.testing.assert_allclose(fast.feedback, ref.feedback, rtol=0, atol=1e-9)
@@ -176,13 +181,24 @@ class TestFastCorrelated:
         z = random_unimodular(rng, 3)
         h = rng.normal(size=(4, 3))
         zeta = 0.05
-        zi = np.asarray(unimodular_inverse(z), dtype=float)
+        zi = unimodular_inverse(z).astype(np.int64)
         stacked = np.vstack([h @ zi, np.sqrt(zeta) * zi])
         ref = sorted_factorization_oracle(stacked)
-        fast = fast_vblast_correlated(h, z, zeta)
+        fast = fast_vblast_correlated(h, ReducedBasis(z.astype(np.int64), zi), zeta)
         np.testing.assert_array_equal(fast.perm, ref.perm)
         np.testing.assert_allclose(fast.feedforward, ref.feedforward, atol=1e-9)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            fast_vblast_correlated(np.eye(2), np.eye(2, dtype=int), 0.0)
+            fast_vblast_correlated(np.eye(2), identity_reduction(2), 0.0)
+
+    def test_reads_the_reductions_inverse_and_never_inverts(self, monkeypatch):
+        # A5's fast half on the reduction's own Z^-1: with the exact
+        # inverse made to raise, the sweep returns the same values bit for bit.
+        expected = check_fast_vblast(20)
+
+        def no_inverse(z):
+            raise AssertionError("fast_vblast_correlated inverted Z")
+
+        monkeypatch.setattr(blast, "unimodular_inverse", no_inverse)
+        assert check_fast_vblast(20) == expected

@@ -64,6 +64,15 @@ def test_equiv_suite_reports_an_unconditioned_estimator_as_fail(tmp_path, monkey
     assert data["residuals"]["order_mismatches"]["max"] > 0
 
 
+def test_equiv_suite_reports_a_gramian_of_the_wrong_columns_as_fail(capsys, monkeypatch):
+    # Mutant: Z^-1 with its columns reversed in the Schur identity.  The
+    # entry point prints FAIL and exits 1.
+    real = estimate.unimodular_inverse
+    monkeypatch.setattr(estimate, "unimodular_inverse", lambda z: real(z)[:, ::-1])
+    assert main(["equiv-suite", "--instances", "20"]) == 1
+    assert "equivalence suite: FAIL" in capsys.readouterr().out
+
+
 CONFIG = {
     "n_tx": 1, "n_rx": 2, "order": 2, "snr_db": [4, 10, 16], "trials": 2,
     "frames_per_channel": 20, "seed": 3, "specs": [{"structure": "le", "criterion": "zf"}],
