@@ -17,9 +17,9 @@ are a trial's only frame-length arrays, and the rest works on one
 cache-sized frame slice at a time.  A slice detects its SNR points in
 groups that fit the same budget, each detector and the oracle running
 once over a group's stacked observations, and the group size changes no
-count.  An exact ML search serves as the performance oracle: it
-tabulates ||H s||^2 over two half-grids once per channel draw and
-evaluates per frame only the rows of that table that a projection bound,
+count.  An exact ML search serves as the performance oracle: each call
+tabulates ||H s||^2 over two half-grids for its channel and evaluates
+per frame only the rows of that table that a projection bound,
 from the reduced QR of the second half's columns, cannot rule out, each
 against every column; the bound starts from the table value of the last
 detector's decision.  Each frame's products with the half-grids are a
@@ -199,6 +199,12 @@ class SimPoint:
 
     @property
     def ci95(self) -> float:
+        """The per-symbol binomial 95% half-width of ``ser``, 1.96 sqrt(p (1 - p) / symbols).
+
+        It treats every symbol as independent, although the frames of a
+        trial share one channel, so it understates the spread of a cell;
+        ROADMAP item 3 tracks a trial-clustered interval.
+        """
         p = self.ser
         return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.symbols)
 
@@ -240,7 +246,7 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
-def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None, setup=None) -> np.ndarray:
+def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None) -> np.ndarray:
     """Exact ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
@@ -262,12 +268,10 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     hint's table value tightens the frame's bound; it changes no decision.
     Observations, hint and channel must be finite.
 
-    A, B, T, Q and the products Q^T A_i depend on H and the order alone.  A
-    caller that holds them, from ``_ml_setup`` on this H and order, passes
-    them as ``setup``, and the call does not check H; otherwise the call
-    builds them.  Memory is M^n floats for T plus buffers linear in the
-    receive rows, whatever the frame count; T and the frame-sized buffers
-    are taken from ``workspace`` when one is given.
+    A, B, T, Q and the products Q^T A_i depend on H and the order alone;
+    every call builds them with ``_ml_setup``.  Memory is M^n floats for T
+    plus buffers linear in the receive rows, whatever the frame count; T and
+    the frame-sized buffers are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -282,15 +286,10 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
         hint = np.asarray(hint, dtype=float)
         if hint.shape != (n, ys.shape[1]):
             raise ValueError(f"hint must have shape {(n, ys.shape[1])}, got {hint.shape}")
-    if not (
-        (setup is not None or np.isfinite(h).all())
-        and np.isfinite(ys).all()
-        and (hint is None or np.isfinite(hint).all())
-    ):
+    if not (np.isfinite(h).all() and np.isfinite(ys).all() and (hint is None or np.isfinite(hint).all())):
         raise ValueError("ML search needs a finite channel, finite observations and a finite hint")
     ws = Workspace() if workspace is None else workspace
-    if setup is None:
-        setup = _ml_setup(h, constellation, ws)
+    setup = _ml_setup(h, constellation, ws)
     if hint is not None:
         # Alphabet indices (the points are one apart), then each frame's
         # candidate index, split into its table row and column.
@@ -582,7 +581,7 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     detector (ML oracle last) at each SNR.  ``rng`` is the trial's stream
     past its usable channel draw ``h``, whose ``detectors``, one per spec
     holding every SNR point, come from ``_draw_and_build``; with the
-    oracle on, the draw's ML table comes from one ``_ml_setup`` call.
+    oracle on, each oracle call builds the ML tables for ``h``.
 
     The stream then gives the symbol indices and one standard-normal
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
@@ -618,7 +617,6 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
         piece = flat[a : a + _SLICE_ENTRIES]
         np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
-    ml_setup = _ml_setup(h, constellation, ws) if config.oracle else None
     groups = [(g, [det[g] for det in detectors]) for g in _snr_groups(config)]
     for start in range(0, frames, step):
         sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
@@ -639,7 +637,7 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
                 if i < len(group_detectors):
                     a_hat, _, clipped = detect_block(group_detectors[i], observations, constellation, ws)
                 else:  # the ML oracle, hinted with the last detector's decisions
-                    a_hat = _ml_detect_block(h, observations, constellation, ws, hint=a_hat, setup=ml_setup)
+                    a_hat = _ml_detect_block(h, observations, constellation, ws, hint=a_hat)
                     clipped = 0
                 np.not_equal(a_hat.reshape(wrong.shape), sent_points, out=wrong)
                 np.logical_or.reduce(wrong, axis=0, out=wrong_frame)

@@ -276,13 +276,10 @@ def test_one_call_on_a_stacked_group_equals_one_call_per_point(drawn):
     h, constellation, ys, hint, n_points = drawn
     frames = ys.shape[1] // n_points
     ws = Workspace()
-    setup = sim._ml_setup(h, constellation, ws)
-    whole = sim._ml_detect_block(h, ys, constellation, ws, hint=hint, setup=setup)
+    whole = sim._ml_detect_block(h, ys, constellation, ws, hint=hint)
     for s in range(n_points):
         point = slice(s * frames, (s + 1) * frames)
-        want = sim._ml_detect_block(
-            h, np.ascontiguousarray(ys[:, point]), constellation, ws, hint=hint[:, point], setup=setup
-        )
+        want = sim._ml_detect_block(h, np.ascontiguousarray(ys[:, point]), constellation, ws, hint=hint[:, point])
         np.testing.assert_array_equal(whole[:, point], want, err_msg=f"point {s} of {n_points}, {frames} frames")
 
 

@@ -1008,9 +1008,10 @@ class TestRedrawCauses:
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(trials=st.integers(1, 9), workers=st.integers(1, 3), cap=st.integers(1, 4), failing=st.booleans())
-def test_any_chunking_gives_the_sum_of_one_trial_chunks(trials, workers, cap, failing):
-    cfg = _config(trials=trials, specs=_specs("le-zf", "dfe-mmse-lra-aug"))
+@given(trials=st.integers(1, 9), workers=st.integers(1, 3), cap=st.integers(1, 4), failing=st.booleans(),
+       oracle=st.booleans())
+def test_any_chunking_gives_the_sum_of_one_trial_chunks(trials, workers, cap, failing, oracle):
+    cfg = _config(trials=trials, specs=_specs("le-zf", "dfe-mmse-lra-aug"), oracle=oracle)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_CHUNK_TRIALS", cap)
         if failing:
