@@ -38,16 +38,15 @@ class FactorizationError(ValueError):
 def pick_stream(metric: np.ndarray):
     """Lowest index whose metric is at most min(metric) * (1 + TIE_RTOL).
 
-    The rule applies along the last axis: an int for one metric vector, an
-    index array for a stack of them.  The metric is a diagonal of an
-    inverse Gram matrix, so a minimum that is not positive (or is NaN)
-    means the factorization broke down.
+    The rule applies along the last axis, and the result is ``argmax``'s:
+    one np.intp for one metric vector, an index array for a stack of them.
+    The metric is a diagonal of an inverse Gram matrix, so a minimum that
+    is not positive (or is NaN) means the factorization broke down.
     """
     lo = metric.min(axis=-1, keepdims=True)
     if not (lo > 0.0).all():
         raise FactorizationError("sorting metric is not positive; the inverse Gram lost definiteness")
-    picked = (metric <= lo * (1.0 + TIE_RTOL)).argmax(axis=-1)
-    return int(picked) if metric.ndim == 1 else picked
+    return (metric <= lo * (1.0 + TIE_RTOL)).argmax(axis=-1)
 
 
 @dataclass(frozen=True)

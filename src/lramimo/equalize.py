@@ -4,14 +4,14 @@ An :class:`EqualizerSpec` names one point in the design space
 (linear or decision-feedback) x (ZF or MMSE) x (lattice-reduction-aided
 or not); for reduction-aided MMSE the reduction may target the plain or
 the noise-regularized channel matrix.  :func:`build_detectors` freezes all
-filters of one channel draw, one :class:`Detector` per spec holding every
-SNR point, doing each piece of work the specs and SNRs share once;
-:func:`build_detector` is its one-spec, one-SNR case, and
-:func:`detect_block` applies a detector's filters at all of its SNR points
-in one pass over blocks of observations, in place in the buffers of a
-:class:`Workspace`, and counts the clipped decisions of each point.  A
-detector is a record of arrays: of a reduction it keeps only the integer
-Z^-1 that maps its decisions back.  The filters come from the
+filters of a stack of channel draws, per draw one :class:`Detector` per
+spec holding every SNR point, doing each piece of work the draws, specs
+and SNRs share once; :func:`build_detector` is its one-draw, one-spec,
+one-SNR case.  :func:`detect_block` applies a detector's filters at all of
+its SNR points in one pass over blocks of observations, in place in the
+buffers of a :class:`Workspace`, and counts the clipped decisions of each
+point.  A detector is a record of arrays: of a reduction it keeps only the
+integer Z^-1 that maps its decisions back.  The filters come from the
 factorizations in ``blast``; the closed-form receive matrices they are
 certified against live in ``checks``.
 """
@@ -189,14 +189,14 @@ class Detector:
 def build_detector(spec: EqualizerSpec, channel: MimoChannel) -> Detector:
     """Precompute every filter needed to run ``spec`` on ``channel``.
 
-    The one-spec, one-SNR case of :func:`build_detectors`: a detector of
-    one SNR point.
+    The one-draw, one-spec, one-SNR case of :func:`build_detectors`: a
+    detector of one SNR point.
     """
-    return build_detectors([spec], channel.matrix, [channel.inv_snr])[0]
+    return build_detectors([spec], channel.matrix[None], [channel.inv_snr])[0][0]
 
 
 def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
-    """Detectors of one channel draw, one per spec, each holding every SNR point.
+    """Detectors of a stack of channel draws: per draw, one per spec holding every SNR point.
 
     Every spec is zero-forcing processing of one basis matrix B Z^-1, with
     B = H for ZF, B = [H; sqrt(zeta) I] for MMSE and Z = I without
@@ -205,30 +205,30 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
     B Z^-1, DFE filters its sorted successive factorization; either way
     only the columns acting on the observation are kept, as a copy.
 
-    ``matrix`` is H, or a stack (draws, m, n) of channel draws, which
-    gives one such list per draw; ``inv_snrs`` holds zeta per SNR point,
-    and point s of every detector is built at inv_snrs[s].  Only B of an
-    MMSE spec depends on zeta, so a ZF detector is built once per draw and
-    repeated over the points as broadcast views, as is the Z^-1 of H's
-    reduction.  The stack of every draw's H, the stack of every
-    [H; sqrt(zeta) I] and their reductions are made at most once, on first
-    use, so a call takes at most two ``lll_reduce`` calls, however many
-    draws it holds: one on the H stack, one on the other.  Detectors keep
-    only a reduction's Z^-1 and Z offsets, not the reduction.  Each spec
-    forms its stack of B Z^-1 in one matmul and factorizes it in one
-    kernel call, slice by slice as each alone, so every point of a detector
-    equals the one-SNR detector of its draw and zeta bit for bit.  Any
-    draw that fails construction fails the whole call.
+    ``matrix`` is a stack (draws, m, n) of channel draws H, and the result
+    holds one list of detectors per draw, in the order of ``specs``;
+    ``inv_snrs`` holds zeta per SNR point, and point s of every detector
+    is built at inv_snrs[s].  Only B of an MMSE spec depends on zeta, so a
+    ZF detector is built once per draw and repeated over the points as
+    broadcast views, as is the Z^-1 of H's reduction.  The stack of every
+    draw's H, the stack of every [H; sqrt(zeta) I] and their reductions are
+    made at most once, on first use, so a call takes at most two
+    ``lll_reduce`` calls, however many draws it holds: one on the H stack,
+    one on the other.  Detectors keep only a reduction's Z^-1 and Z
+    offsets, not the reduction.  Each spec forms its stack of B Z^-1 in one
+    matmul and factorizes it in one kernel call, slice by slice as each
+    alone, so every point of a detector equals the one-draw, one-SNR
+    detector of its draw and zeta bit for bit.  Any draw that fails
+    construction fails the whole call.
     """
     inv_snrs = list(inv_snrs)
     if not inv_snrs or not all(r >= 0 for r in inv_snrs):
         raise ValueError(f"inv_snrs must be a non-empty list of values >= 0, got {inv_snrs}")
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim not in (2, 3):
-        raise ValueError(f"matrix must be one channel (m, n) or a stack (draws, m, n), got shape {h.shape}")
-    hs = h if h.ndim == 3 else h[None]
+    hs = np.asarray(matrix, dtype=float)
+    if hs.ndim != 3:
+        raise ValueError(f"matrix must be a stack (draws, m, n), got shape {hs.shape}")
     n_snrs = len(inv_snrs)
-    offset = np.full(h.shape[-1], ALPHABET_OFFSET)
+    offset = np.full(hs.shape[-1], ALPHABET_OFFSET)
 
     def basis_change(bases):
         # (Z^-1, Z offsets) of the reduction of every basis, stacked like the bases.
@@ -249,9 +249,8 @@ def build_detectors(specs, matrix: np.ndarray, inv_snrs) -> list:
         else:
             zinv, z_offsets = None, offset[None, None]
         stack = bases if zinv is None else np.matmul(bases, zinv)
-        per_spec.append(_factorize(spec, stack, z_offsets, zinv, n_snrs, h.shape[-2]))
-    per_draw = [list(detectors) for detectors in zip(*per_spec)]
-    return per_draw if h.ndim == 3 else per_draw[0]
+        per_spec.append(_factorize(spec, stack, z_offsets, zinv, n_snrs, hs.shape[-2]))
+    return [list(detectors) for detectors in zip(*per_spec)]
 
 
 def _factorize(spec, stack, z_offsets, zinv, n_snrs, n_rx) -> list:

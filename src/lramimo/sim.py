@@ -69,8 +69,7 @@ _ML_SEARCH_LIMIT = 10**6
 _ML_CHUNK_ENTRIES = 1 << 14
 _ML_PIECE_ENTRIES = 1 << 14
 _ML_PAIR_ENTRIES = 1 << 10
-# A trial walks its frames in cache-sized slices of max(1, _SLICE_ENTRIES // (2 n_rx))
-# and detects a slice's SNR points in groups of max(1, _SLICE_ENTRIES // (2 n_rx slice)).
+# The entry budget of a trial's cache-sized frame slices and SNR groups (see _passes).
 _SLICE_ENTRIES = 1 << 15
 # A chunk of trials builds its detectors in one stacked call, whose per-call
 # overhead shrinks as the stack deepens; it holds at most _CHUNK_TRIALS
@@ -587,25 +586,26 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
     of a grid holding that point alone.  Only s and N are frame-length: H s,
     the observations, every detector and the oracle work on one slice of
-    ``_slice_frames(config)`` frames at a time, in the slice-sized buffers
-    of the :class:`Workspace` ``ws`` (views of them for a shorter last slice).
-    Within a slice, each group of ``_snr_groups(config)`` is observed as
-    one (2 n_rx, S f) stack and decided in one pass per decider: a
-    ``detect_block`` call per spec, whose decisions at each point equal
-    those of a call on that point alone, then one ``_ml_detect_block`` call
-    hinted with the last detector's decisions, which clips nothing.  Every
-    pass is counted by the same lines.  A slice's feedforward product is
-    one matmul per point whose bits can depend on the slice width, so the
-    counts are those of this fixed slicing: equal to one full-length pass
-    unless a soft value lies within rounding of a decision boundary.  The
-    oracle's decisions depend on neither slicing nor grouping.
+    frames at a time, in the slice-sized buffers of the :class:`Workspace`
+    ``ws`` (views of them for a shorter last slice).  ``_passes(config)``
+    gives the slice width and the SNR groups.  Within a slice, each group
+    is observed as one (2 n_rx, S f) stack and decided in one pass per
+    decider: a ``detect_block`` call per spec, whose decisions at each
+    point equal those of a call on that point alone, then one
+    ``_ml_detect_block`` call hinted with the last detector's decisions,
+    which clips nothing.  Every pass is counted by the same lines.  A
+    slice's feedforward product is one matmul per point whose bits can
+    depend on the slice width, so the counts are those of this fixed
+    slicing: equal to one full-length pass unless a soft value lies within
+    rounding of a decision boundary.  The oracle's decisions depend on
+    neither slicing nor grouping.
     """
     constellation = make_ask_constellation(config.order)
     sv = constellation.variance
     sigmas = np.sqrt([_noise_var(config, sv, snr) for snr in config.snr_db])
     counts = np.zeros((3, len(_result_ids(config)), len(config.snr_db)), dtype=np.int64)
     part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
-    frames, step = config.frames_per_channel, _slice_frames(config)
+    frames, (step, snr_groups) = config.frames_per_channel, _passes(config)
     n_tx, n_rx = 2 * config.n_tx, 2 * config.n_rx
     sent = ws.take("sent", (n_tx, frames))
     # The symbol indices are drawn _SLICE_ENTRIES at a time in C order, which
@@ -617,7 +617,7 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
         piece = flat[a : a + _SLICE_ENTRIES]
         np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
-    groups = [(g, [det[g] for det in detectors]) for g in _snr_groups(config)]
+    groups = [(g, [det[g] for det in detectors]) for g in snr_groups]
     for start in range(0, frames, step):
         sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
         f = sent_part.shape[1]
@@ -654,28 +654,19 @@ def _inv_snrs(config: SimConfig) -> list:
     return [_noise_var(config, sv, snr) / sv for snr in config.snr_db]
 
 
-def _slice_frames(config: SimConfig) -> int:
-    """Frames per trial slice, at most ``frames_per_channel``."""
-    return min(max(1, _SLICE_ENTRIES // (2 * config.n_rx)), config.frames_per_channel)
+def _passes(config: SimConfig) -> tuple:
+    """A trial's (frames per slice, SNR groups), the passes of its detection.
 
-
-def _snr_groups(config: SimConfig) -> list:
-    """Consecutive ranges of the SNR points that a frame slice detects in one pass each.
-
-    Each holds ``_snr_group_size(config)`` points, the last one possibly fewer.
+    A slice holds min(max(1, _SLICE_ENTRIES // (2 n_rx)), frames_per_channel)
+    frames and a group max(1, _SLICE_ENTRIES // (2 n_rx slice)) consecutive
+    SNR points, the last group possibly fewer, so that a pass's observations
+    hold about as many entries as a slice of one point may.  The group size
+    changes no count.
     """
-    size, n_snrs = _snr_group_size(config), len(config.snr_db)
-    return [slice(a, min(a + size, n_snrs)) for a in range(0, n_snrs, size)]
-
-
-def _snr_group_size(config: SimConfig) -> int:
-    """SNR points per pass: max(1, _SLICE_ENTRIES // (2 n_rx slice frames)).
-
-    So a pass's stack of observations holds about as many entries as a
-    slice of one point may, and a slice that alone fills the budget is
-    detected one point at a time.  The group size changes no count.
-    """
-    return max(1, _SLICE_ENTRIES // (2 * config.n_rx * _slice_frames(config)))
+    rows, n_snrs = 2 * config.n_rx, len(config.snr_db)
+    step = min(max(1, _SLICE_ENTRIES // rows), config.frames_per_channel)
+    size = max(1, _SLICE_ENTRIES // (rows * step))
+    return step, [slice(a, min(a + size, n_snrs)) for a in range(0, n_snrs, size)]
 
 
 def _noise_var(config: SimConfig, symbol_var: float, snr_db: float) -> float:

@@ -8,8 +8,8 @@ slice gives, must equal the one-spec, one-SNR ``build_detector`` bit for
 bit, at 1 to 4 complex transmit antennas, at noiseless operation
 (inv_snr 0, +inf dB) and at inv_snr from 1e-8 to 1e4, for any ordered
 subset of the specs.  A stack of draws (draws, m, n) builds each draw's
-detectors in the same calls, and they must equal the call on that draw
-alone bit for bit.
+detectors in the same calls, and they must equal the call on a stack of
+that draw alone bit for bit.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ def draws(draw):
 @given(drawn=draws())
 def test_every_cell_equals_its_own_build(drawn):
     h, inv_snrs, specs = drawn
-    detectors = build_detectors(specs, h, inv_snrs)
+    detectors = build_detectors(specs, h[None], inv_snrs)[0]
     assert [det.spec for det in detectors] == list(specs)
     for j, zeta in enumerate(inv_snrs):
         channel = MimoChannel(h, noise_var=zeta, symbol_var=1.0)
@@ -78,7 +78,7 @@ def test_a_stack_of_draws_equals_one_call_per_draw(drawn):
     alone = []
     for h in stack:
         try:
-            alone.append(build_detectors(ALL_SPECS, h, inv_snrs))
+            alone.append(build_detectors(ALL_SPECS, h[None], inv_snrs)[0])
         except _REDRAW_CAUSES:
             alone.append(None)
     if None in alone:  # one failing draw fails the whole stacked call

@@ -331,7 +331,7 @@ class TestBuildDetectors:
         # Real form of a complex channel, so the kernel meets twin-column ties.
         rng = np.random.default_rng(21)
         h = complex_matrix_to_real(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        return h, build_detectors(ALL_SPECS, h, TestBuildDetectors.ZETAS)
+        return h, build_detectors(ALL_SPECS, h[None], TestBuildDetectors.ZETAS)[0]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.spec_id)
     def test_equals_one_build_per_channel(self, spec):
@@ -345,7 +345,15 @@ class TestBuildDetectors:
 
     def test_needs_at_least_one_snr(self):
         with pytest.raises(ValueError, match="inv_snrs"):
-            build_detectors(ALL_SPECS, np.eye(2), [])
+            build_detectors(ALL_SPECS, np.eye(2)[None], [])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 1, 4, 4)], ids=["one-matrix", "4-d"])
+    def test_needs_a_stack_of_draws(self, shape, monkeypatch):
+        # One (m, n) matrix is not a stack, nor is a 4-D array; either is
+        # rejected before any reduction is made.
+        monkeypatch.setattr(equalize, "lll_reduce", None)
+        with pytest.raises(ValueError, match=r"stack \(draws, m, n\)"):
+            build_detectors(ALL_SPECS, np.eye(4).reshape(shape), [0.1])
 
     def test_two_reductions_and_no_reduced_basis_formed(self, monkeypatch):
         # One lll_reduce call on the stack (draws, 1, m, n) of the draws' H (one

@@ -265,7 +265,7 @@ def _stacked_groups(draw):
     received = rng.normal(size=(m, frames))[:, None] * sigmas[:, None] + (h @ sent)[:, None]
     observations = received.reshape(m, -1)
     spec = draw(st.sampled_from(ALL_SPECS))
-    detector = build_detectors([spec], h, list(sigmas**2 / constellation.variance))[0]
+    detector = build_detectors([spec], h[None], list(sigmas**2 / constellation.variance))[0][0]
     decisions = detect_block(detector, observations, constellation)[0]
     return h, constellation, observations, decisions, n_points
 

@@ -391,7 +391,7 @@ class TestRunMonteCarlo:
         real_build, real_trial = sim.build_detectors, sim._run_trial
 
         def build(*args):
-            stacks.append([h.tobytes() for h in _slices(args[1])])
+            stacks.append([h.tobytes() for h in args[1]])
             return real_build(*args)
 
         def trial(*args):
@@ -600,10 +600,10 @@ class TestFrameSlices:
     )
     def test_counts_equal_one_full_length_pass(self, shape, step):
         cfg = _config(specs=ALL_SPECS, oracle=True, trials=1, snr_db=(6.0, 14.0), seed=31, **shape)
-        assert sim._slice_frames(replace(cfg, frames_per_channel=1 << 30)) == step
+        assert sim._passes(replace(cfg, frames_per_channel=1 << 30))[0] == step
         for frames in (step - 1, step, step + 1, 2 * step + 3):
             case = replace(cfg, frames_per_channel=frames)
-            assert sim._slice_frames(case) == min(step, frames)
+            assert sim._passes(case)[0] == min(step, frames)
             want = _reference_counts(case)
             assert want[0].any() and want[2].any(), "no errors or no clips; they go unchecked"
             got = sum(sim._run_chunk(case, range(trial, trial + 1))[0] for trial in range(case.trials))
@@ -613,7 +613,7 @@ class TestFrameSlices:
         # Only the symbol block and the unit-noise block are frame-length, so
         # going from 4L to 8L frames adds two (4, 4L) blocks of doubles.
         cfg = _config(order=4, specs=ALL_SPECS, trials=1, snr_db=(18.0,), frames_per_channel=1 << 30)
-        step = sim._slice_frames(cfg)
+        step = sim._passes(cfg)[0]
         peaks = []
         for frames in (4 * step, 8 * step):
             case = replace(cfg, frames_per_channel=frames)
@@ -630,7 +630,7 @@ class TestFrameSlices:
         # 2 n_rx > 2^15 real rows: the slice rule would round down to 0 frames.
         cfg = _config(n_tx=1, n_rx=16385, snr_db=(10.0,), trials=1, frames_per_channel=3,
                       specs=_specs("le-zf", "dfe-mmse-lra-aug"))
-        assert sim._slice_frames(replace(cfg, frames_per_channel=1 << 30)) == 1
+        assert sim._passes(replace(cfg, frames_per_channel=1 << 30))[0] == 1
         result = run_monte_carlo(cfg)
         assert [(p.spec_id, p.frames) for p in result.points] == [("le-zf", 3), ("dfe-mmse-lra-aug", 3)]
 
@@ -640,15 +640,19 @@ class TestSnrGroups:
     # detect_block pass per spec and group; the group size changes no count.
     def test_group_sizes_from_the_slice_budget(self):
         # 2 n_rx x slice x group stays within _SLICE_ENTRIES: the a9-build and
-        # wide-oracle shapes take every point in one pass, detect-long's
-        # 8192-frame slices one point per pass.
+        # wide-oracle shapes take every point of their one slice in one pass,
+        # detect-long's 8192-frame slices one point per pass, and the golden
+        # shape at 3000 frames two points, then one.
         ten = tuple(range(10, 30, 2))
         a9 = _config(n_tx=4, n_rx=4, snr_db=ten, frames_per_channel=400)
         long = _config(order=4, snr_db=(18.0, 26.0), frames_per_channel=40000)
         wide = _config(n_tx=8, n_rx=8, snr_db=(8.0, 12.0), frames_per_channel=200)
         golden = _config(order=4, snr_db=(4.0, 12.0, 20.0), frames_per_channel=3000)
-        assert [sim._snr_groups(cfg) for cfg in (a9, long, wide, golden)] == [
-            [slice(0, 10)], [slice(0, 1), slice(1, 2)], [slice(0, 2)], [slice(0, 2), slice(2, 3)]
+        assert [sim._passes(cfg) for cfg in (a9, long, wide, golden)] == [
+            (400, [slice(0, 10)]),
+            (8192, [slice(0, 1), slice(1, 2)]),
+            (200, [slice(0, 2)]),
+            (3000, [slice(0, 2), slice(2, 3)]),
         ]
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["no-oracle", "oracle"])
@@ -658,10 +662,16 @@ class TestSnrGroups:
         monkeypatch.setattr(sim, "_SLICE_ENTRIES", 48)
         cfg = _config(order=4, snr_db=(2.0, 6.0, 10.0, 14.0, 18.0), trials=3, frames_per_channel=frames,
                       specs=ALL_SPECS, oracle=oracle, seed=77)
-        counts = {}
+        counts, real_passes = {}, sim._passes
         for size in range(1, len(cfg.snr_db) + 1):
-            monkeypatch.setattr(sim, "_snr_group_size", lambda config, size=size: size)
-            assert [g.stop - g.start for g in sim._snr_groups(cfg)][0] == size
+
+            def passes(config, size=size):
+                # The real slice width, with groups of ``size`` points.
+                step, n_snrs = real_passes(config)[0], len(config.snr_db)
+                return step, [slice(a, min(a + size, n_snrs)) for a in range(0, n_snrs, size)]
+
+            monkeypatch.setattr(sim, "_passes", passes)
+            assert [g.stop - g.start for g in sim._passes(cfg)[1]][0] == size
             counts[size] = sum(sim._run_chunk(cfg, range(t, t + 1))[0] for t in range(cfg.trials))
         assert counts[1][0].any() and counts[1][2].any(), "no errors or no clips; they go unchecked"
         for size, got in counts.items():
@@ -739,7 +749,7 @@ class TestSharedConstruction:
 
         def build(*args):
             built = real_build(*args)
-            grids.extend(built if np.ndim(args[1]) == 3 else [built])
+            grids.extend(built)
             return built
 
         monkeypatch.setattr(sim, "build_detectors", build)
@@ -788,11 +798,6 @@ class TestSharedConstruction:
         assert calls == ["channel matrix"] * cfg.trials
 
 
-def _slices(matrix):
-    """The channel draws in a ``build_detectors`` argument: one H or a stack of them."""
-    return np.reshape(matrix, (-1,) + np.shape(matrix)[-2:])
-
-
 def _scripted_failures(monkeypatch, script):
     """Fail the k-th distinct channel draw of a run as ``script(k)`` says.
 
@@ -816,7 +821,7 @@ def _scripted_failures(monkeypatch, script):
         return real_channel(**kwargs)
 
     def build(*args):
-        if any(fates.get(h.tobytes()) == "build" for h in _slices(args[1])):
+        if any(fates.get(h.tobytes()) == "build" for h in args[1]):
             raise FactorizationError("forced")
         return real_build(*args)
 
@@ -835,7 +840,7 @@ def _fail_by_corner(monkeypatch):
     real = sim.build_detectors
 
     def flaky(specs, matrix, inv_snrs):
-        for h in _slices(matrix):
+        for h in matrix:
             if h[0, 0] > 0.5:
                 raise FactorizationError("forced")
             if h[0, 0] < -0.5:
@@ -862,7 +867,7 @@ class TestRedrawLimit:
         calls = {}  # the draws construction was tried on, by their bytes
 
         def always_fails(specs, matrix, inv_snrs):
-            calls.update((h.tobytes(), h) for h in _slices(matrix))
+            calls.update((h.tobytes(), h) for h in matrix)
             raise ReductionError("reduction did not converge within 4 sweeps")
 
         monkeypatch.setattr(sim, "build_detectors", always_fails)
@@ -948,7 +953,7 @@ class TestRedrawLimit:
         real = sim.build_detectors
 
         def fails_on_trial_1(specs, matrix, inv_snrs):
-            ours = {h.tobytes() for h in _slices(matrix)}.intersection(stream)
+            ours = {h.tobytes() for h in matrix}.intersection(stream)
             tried.update(ours)
             if ours:
                 raise FactorizationError("forced")
@@ -982,7 +987,7 @@ class TestRedrawCauses:
         fates = {}  # each draw's forced failure or None, handed out as draws are first seen
 
         def flaky(*args):
-            for h in _slices(args[1]):
+            for h in args[1]:
                 key = h.tobytes()
                 if key not in fates:
                     fates[key] = forced.pop(0) if forced else None

@@ -51,7 +51,7 @@ def test_one_pass_equals_one_call_per_point(drawn):
     h, inv_snrs, constellation, ys = drawn
     frames = ys.shape[1] // len(inv_snrs)
     ws = Workspace()
-    for det in build_detectors(ALL_SPECS, h, inv_snrs):
+    for det in build_detectors(ALL_SPECS, h[None], inv_snrs)[0]:
         a_hat, z_hat, clipped = detect_block(det, ys, constellation, ws)
         a_hat, z_hat = a_hat.copy(), None if z_hat is None else z_hat.copy()
         assert a_hat.shape == (h.shape[1], ys.shape[1])
@@ -112,7 +112,7 @@ def reference_detect(det, ys, constellation):
 def test_pass_equals_a_per_frame_reference(drawn):
     h, inv_snrs, constellation, ys = drawn
     ws = Workspace()
-    for det in build_detectors(ALL_SPECS, h, inv_snrs):
+    for det in build_detectors(ALL_SPECS, h[None], inv_snrs)[0]:
         a_hat, z_hat, clipped = detect_block(det, ys, constellation, ws)
         want = reference_detect(det, ys, constellation)
         where = f"{det.spec.spec_id} at {len(inv_snrs)} points, {ys.shape[1] // len(inv_snrs)} frames"
@@ -135,7 +135,7 @@ def test_first_feedback_row_multiply_equals_its_matmul(spec, n_snrs):
     rng = np.random.default_rng(sum(map(ord, spec.spec_id)) + n_snrs)
     inv_snrs = list(10.0 ** rng.uniform(-4.0, 0.0, size=n_snrs))
     for n in (2, 4, 8):
-        det = build_detectors([spec], rng.normal(size=(n, n)), inv_snrs)[0]
+        det = build_detectors([spec], rng.normal(size=(1, n, n)), inv_snrs)[0][0]
         for frames in (1, 37, 8192):
             rows = rng.normal(size=(n_snrs, n, frames)) * rng.uniform(0.1, 10.0)
             rows[:, :, ::5] = np.rint(rows[:, :, ::5]) + ALPHABET_OFFSET

@@ -53,7 +53,7 @@ def test_a_traced_run_records_one_oracle_span_per_trial_slice_and_snr_group():
             n_tx=2, n_rx=2, order=order, snr_db=snrs, trials=3,
             frames_per_channel=frames, seed=4, specs=ALL_SPECS[:1], oracle=True,
         )
-        assert sim._slice_frames(config) == frames  # one slice per trial
+        assert sim._passes(config)[0] == frames  # one slice per trial
         tracer = _load_spans().Tracer()
         try:
             tracer.install()
@@ -76,7 +76,7 @@ def test_traced_detect_block_frames_count_every_frame_at_every_snr_and_spec():
         n_tx=2, n_rx=2, order=4, snr_db=(4.0, 12.0, 20.0), trials=3,
         frames_per_channel=3000, seed=4, specs=ALL_SPECS[:3], oracle=False,
     )
-    assert len(sim._snr_groups(config)) == 2  # uneven groups of 2 and 1 points
+    assert len(sim._passes(config)[1]) == 2  # uneven groups of 2 and 1 points
     tracer = _load_spans().Tracer()
     try:
         tracer.install()
