@@ -5,15 +5,17 @@ of a stack (..., m, n).  ``lll_reduce`` is the textbook LLL on the
 triangular factor: one QR up front, size reduction on the columns of R,
 and one Givens rotation of two rows of R per column swap, so no loop visit
 re-orthogonalizes the basis.  A stack takes one rank check, one QR and one
-bookkeeping check for all its slices, then one loop per slice.  All
-column operations are mirrored on an integer matrix Z and its inverse,
-kept in Python integers in the loop and returned as int64 arrays; an
-entry beyond int64 raises OverflowError.  The result is Z and Z^-1 alone:
-the reduced basis is H Z^-1, which a caller forms when it needs it.
-``unimodular_inverse`` inverts, exactly and without fractions, a
-unimodular matrix that does not come from a reduction; it keeps Python
-integers, as a reference at any size.  Its one caller in the package is
-the Schur-identity check in ``estimate``, once per drawn Z.
+Z^-1 step for all its slices, then one loop per slice.  The loop mirrors
+every column operation on the integer matrix Z alone, kept in Python
+integers and returned as int64; an entry beyond int64 raises
+OverflowError.  Z^-1 is computed after the loop, for the whole stack at
+once: one float inverse, rounded, kept for each slice whose exact int64
+product with Z is I.  The result is Z and Z^-1 alone: the reduced basis is
+H Z^-1, which a caller forms when it needs it.  ``unimodular_inverse``
+inverts a unimodular matrix exactly and without fractions, in Python
+integers, at any size.  It gives Z^-1 for any slice whose float inverse
+fails that check, and the Schur-identity check in ``estimate`` calls it
+once per drawn Z.
 """
 
 import math
@@ -52,7 +54,10 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     """Reduce the columns of ``basis`` with the Lovasz condition ``delta``.
 
     Returns the exact integer matrices Z and Z^-1 of the reduction; one
-    whose entries do not fit in int64 raises OverflowError.  The reduced
+    whose entries do not fit in int64 raises OverflowError.  The loop
+    tracks Z alone; Z^-1 comes after it, for the whole stack, from one
+    float inverse checked exactly slice by slice, or from
+    ``unimodular_inverse`` for a slice that fails the check.  The reduced
     basis C = basis @ Z^-1 is size reduced (all Gram-Schmidt coefficients
     at most 1/2 in magnitude) and satisfies the Lovasz condition for
     ``delta``.  A stack (..., m, n) is reduced slice by slice in one call,
@@ -73,27 +78,25 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     n = h.shape[-1]
     r = np.swapaxes(np.linalg.qr(h, mode="r"), -1, -2).reshape(-1, n, n)
-    z, zinv_cols = zip(*(_reduce_columns(cols, delta) for cols in r.tolist()))
-    shape = h.shape[:-2] + (n, n)
-    z_arr = np.array(z, dtype=np.int64).reshape(shape)
-    zinv_arr = np.ascontiguousarray(np.swapaxes(np.array(zinv_cols, dtype=np.int64), -1, -2)).reshape(shape)
-    if not _is_identity(z_arr @ zinv_arr):
+    z = np.array([_reduce_columns(cols, delta) for cols in r.tolist()], dtype=np.int64)
+    zinv, product = _inverse(z)
+    if not _is_identity(product):
         raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
-    return ReducedBasis(z_arr, zinv_arr)
+    shape = h.shape[:-2] + (n, n)
+    return ReducedBasis(z.reshape(shape), zinv.reshape(shape))
 
 
-def _reduce_columns(r: list, delta: float):
-    """(Z rows, Z^-1 columns) of the reduction of one triangular factor.
+def _reduce_columns(r: list, delta: float) -> list:
+    """Rows of Z for the reduction of one triangular factor.
 
     ``r[i]`` holds column i of R as a list, changed in place.  Column
-    operations act on the columns of R, on the rows of z and on the
-    columns of zinv alike.  A swap breaks the triangularity of R in one
-    entry, which one Givens rotation of rows k-1 and k restores.
+    operations act on the columns of R and on the rows of z alike; Z^-1 is
+    not tracked here.  A swap breaks the triangularity of R in one entry,
+    which one Givens rotation of rows k-1 and k restores.
     mu_{i,j} = r[i][j] / r[j][j] and |c*_i| = |r[i][i]|.
     """
     n = len(r)
     z = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    zinv_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     sweeps = 0
     limit = _MAX_SWEEPS_PER_DIM * n * n
     k = 1
@@ -109,7 +112,6 @@ def _reduce_columns(r: list, delta: float):
                 q = int(round(mu))
                 rk[: j + 1] = [a - q * b for a, b in zip(rk, rj[: j + 1])]
                 z[j] = [a + q * b for a, b in zip(z[j], z[k])]
-                zinv_cols[k] = [a - q * b for a, b in zip(zinv_cols[k], zinv_cols[j])]
         r_prev = r[k - 1][k - 1]
         mu_adj = rk[k - 1] / r_prev
         if rk[k] ** 2 >= (delta - mu_adj**2) * r_prev**2:
@@ -117,7 +119,6 @@ def _reduce_columns(r: list, delta: float):
         else:
             r[k - 1], r[k] = rk, r[k - 1]
             z[k - 1], z[k] = z[k], z[k - 1]
-            zinv_cols[k - 1], zinv_cols[k] = zinv_cols[k], zinv_cols[k - 1]
             a, b = rk[k - 1], rk[k]
             rho = math.hypot(a, b)
             cs, sn = a / rho, b / rho
@@ -127,7 +128,34 @@ def _reduce_columns(r: list, delta: float):
                 col[k] = cs * y - sn * x
             rk[k] = 0.0
             k = max(k - 1, 1)
-    return z, zinv_cols
+    return z
+
+
+def _inverse(z: np.ndarray):
+    """(Z^-1, Z Z^-1) for the int64 stack ``z`` of unimodular matrices (slices, n, n).
+
+    One float inverse of the whole stack, rounded to integers, is kept for
+    each slice whose int64 product with Z is I, and that product is exact
+    because n max|Z| max|Z^-1| < 2^62 is required first.  Any other slice,
+    and every slice when the float inverse raises, gets ``unimodular_inverse``.
+    No value that is not finite or not below 2^62 is cast to int64.
+    """
+    n = z.shape[-1]
+    zf = z.astype(float)
+    try:
+        inv = np.rint(np.linalg.inv(zf))
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(zf)  # a zero Z^-1 fails the check below
+    bound = n * np.abs(zf).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
+    zinv = np.where((bound < 2.0**62)[:, None, None], inv, 0.0).astype(np.int64)
+    product = z @ zinv
+    for i in np.flatnonzero(~(product == np.eye(n, dtype=np.int64)).all(axis=(1, 2))):
+        try:
+            zinv[i] = unimodular_inverse(z[i])
+        except ValueError as exc:
+            raise RuntimeError("internal bookkeeping error: Z is not unimodular") from exc
+        product[i] = z[i] @ zinv[i]
+    return zinv, product
 
 
 def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:

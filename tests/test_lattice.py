@@ -270,6 +270,98 @@ class TestStacks:
         assert sum(a.nbytes for a in owners) == rb.unimodular.nbytes + rb.unimodular_inv.nbytes
 
 
+class _Proxy:
+    """A module as one caller sees it, with some attributes replaced."""
+
+    def __init__(self, module, **replaced):
+        self.__dict__.update(replaced)
+        self._module = module
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def patch_lattice_inv(monkeypatch, fake):
+    """Replace ``np.linalg.inv`` as ``lattice`` sees it, and nowhere else."""
+    monkeypatch.setattr(lattice, "np", _Proxy(np, linalg=_Proxy(np.linalg, inv=fake)))
+
+
+def _raises(a):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _non_finite(a):
+    out = np.linalg.inv(a)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0] = np.nan, np.inf, -np.inf
+    return out
+
+
+def _near_2_to_70(a):
+    return np.linalg.inv(a) + 2.0**70
+
+
+def _one_entry_off(a):
+    out = np.linalg.inv(a)
+    out.reshape(-1, *a.shape[-2:])[-1, 0, -1] += 1.0
+    return out
+
+
+class TestInverseAfterTheLoop:
+    """Z^-1 comes from one float inverse of the Z stack, or else from ``unimodular_inverse``."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fake, fallbacks",
+        [(_raises, "all"), (_non_finite, "all"), (_near_2_to_70, "all"), (_one_entry_off, "one")],
+    )
+    @pytest.mark.parametrize("shape", [(16, 8), (3, 4, 16, 8)])
+    def test_a_failed_float_inverse_falls_back_to_the_exact_one(self, monkeypatch, fake, fallbacks, shape):
+        stack = stacked_draws(shape, seed=41)
+        want = lll_reduce(stack)
+        calls = []
+        real = lattice.unimodular_inverse
+
+        def counting(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(lattice, "unimodular_inverse", counting)
+        patch_lattice_inv(monkeypatch, fake)
+        rb = lll_reduce(stack)
+        slices = int(np.prod(shape[:-2]))
+        assert len(calls) == (slices if fallbacks == "all" else 1)
+        for name in ("unimodular", "unimodular_inv"):
+            assert same_bits(getattr(rb, name), getattr(want, name)), name
+        z, zinv = (a.reshape(-1, 8, 8) for a in (rb.unimodular, rb.unimodular_inv))
+        for zk, zinvk in zip(z, zinv):
+            assert zinvk.tolist() == real(zk).tolist()
+
+    def test_a_non_unimodular_z_is_a_bookkeeping_error(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_reduce_columns", lambda r, delta: [[2, 0], [0, 1]])
+        with pytest.raises(RuntimeError, match="bookkeeping") as info:
+            lll_reduce(np.eye(2))
+        assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_entries_take_the_exact_route_and_overflow_beyond_int64(self, monkeypatch):
+        def reduce_to(z):
+            monkeypatch.setattr(lattice, "_reduce_columns", lambda r, delta: z)
+            return lll_reduce(np.eye(len(z)))
+
+        # n max|Z| max|Z^-1| = 2^125: past the bound, so the exact inverse.
+        assert reduce_to([[1, 2**62], [0, 1]]).unimodular_inv.tolist() == [[1, -(2**62)], [0, 1]]
+        # Z fits in int64, but its inverse holds 2^80.
+        shears = [[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]]
+        with pytest.raises(OverflowError):
+            reduce_to(shears)
+        # That inverse modulo 2^64 gives Z Z^-1 = I in wrapping int64
+        # arithmetic; the bound on n max|Z| max|Z^-1| rejects it.
+        wrapped = np.array([[1.0, -(2.0**40), 0.0], [0.0, 1.0, -(2.0**40)], [0.0, 0.0, 1.0]])
+        patch_lattice_inv(monkeypatch, lambda a: np.broadcast_to(wrapped, a.shape).copy())
+        with pytest.raises(OverflowError):
+            reduce_to(shears)
+
+
 class TestIntegerDeterminant:
     def test_against_permutation_expansion(self):
         from itertools import permutations

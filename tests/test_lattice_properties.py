@@ -1,13 +1,14 @@
 """Property-based tests of ``lll_reduce`` over dimension, shape, SNR and delta."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lramimo.checks import random_unimodular
-from lramimo.lattice import lll_reduce
+from lramimo.lattice import lll_reduce, unimodular_inverse
 from lramimo.model import MimoChannel, RankDeficientError, augment
-from test_lattice import assert_reduced, reduced_basis
+from test_lattice import assert_reduced, reduced_basis, stacked_draws
 
 
 @st.composite
@@ -52,6 +53,29 @@ def test_second_reduction_is_signed_permutation(h, delta):
     assert (z.sum(axis=0) == 1).all() and (z.sum(axis=1) == 1).all(), z
     perm = z.argmax(axis=1)
     np.testing.assert_array_equal(np.abs(reduced_basis(c, again.unimodular, delta)), np.abs(c[:, perm]))
+
+
+def assert_exact_inverses(rb):
+    """Each slice's Z^-1 is the exact inverse of its Z, as ``unimodular_inverse`` finds it."""
+    n = rb.unimodular.shape[-1]
+    assert rb.unimodular_inv.dtype == np.int64
+    for z, zinv in zip(rb.unimodular.reshape(-1, n, n), rb.unimodular_inv.reshape(-1, n, n)):
+        assert zinv.tolist() == unimodular_inverse(z).tolist(), z
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_the_inverse_after_the_loop_is_exact(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    skew = random_unimodular(rng, n, n_ops=2 * n, max_shear=1).astype(float)
+    h = rng.normal(size=(3, n, n)) @ skew
+    for basis in (h[0], augment(h[0], 10.0 ** -rng.uniform(0, 3)), h, stacked_draws((2, 3, 2 * n, n), seed)):
+        assert_exact_inverses(lll_reduce(basis))
+
+
+def test_the_inverse_after_the_loop_is_exact_on_an_a9_chunk():
+    """A9's construction shape: 8 draws of [H; sqrt(zeta) I] at 10 SNRs, 4x4 complex."""
+    assert_exact_inverses(lll_reduce(stacked_draws((8, 10, 16, 8), seed=9)))
 
 
 def near_dependent(n, rows, k, seed):

@@ -42,6 +42,7 @@ from lramimo.sim import (
     run_monte_carlo,
     trial_rng,
 )
+from test_lattice import patch_lattice_inv
 
 
 _NEEDS_FORK = pytest.mark.skipif(
@@ -783,19 +784,44 @@ class TestSharedConstruction:
                        if det.spec.reduction_target is ReductionTarget.AUGMENTED]
                 assert all(np.shares_memory(zinv, aug[0]) for zinv in aug)
 
-    def test_channel_rank_is_checked_once_per_trial(self, monkeypatch):
+    def test_rank_is_checked_once_per_trial_and_twice_per_chunk(self, monkeypatch):
+        # model checks each drawn H; lattice, through its own binding, checks
+        # a chunk's H stack and its augmented stack (ROADMAP item 5).
         calls = []
         real = model._require_full_column_rank
 
         def counting(matrix, what):
-            calls.append(what)
+            calls.append((what, np.shape(matrix)))
             real(matrix, what)
 
         monkeypatch.setattr(model, "_require_full_column_rank", counting)
+        monkeypatch.setattr(lattice, "_require_full_column_rank", counting)
+        monkeypatch.setattr(sim, "_CHUNK_TRIALS", 2)
         cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=3)
         result = run_monte_carlo(cfg)
         assert result.meta["channel_redraws"] == 0
-        assert calls == ["channel matrix"] * cfg.trials
+        m, n = 2 * cfg.n_rx, 2 * cfg.n_tx
+        want = []
+        for chunk in sim._chunks(cfg, 1):
+            want += [("channel matrix", (m, n))] * len(chunk)
+            want += [("basis", (len(chunk), 1, m, n)), ("basis", (len(chunk), 3, m + n, n))]
+        assert len(sim._chunks(cfg, 1)) == 2
+        assert sorted(calls) == sorted(want)
+
+    def test_a_failed_float_inverse_in_the_reduction_is_not_a_redraw(self, monkeypatch):
+        cfg = _config(specs=ALL_SPECS, snr_db=(5.0, 15.0, 25.0), trials=3)
+        want = run_monte_carlo(cfg)
+        calls = []
+
+        def raises(a):
+            calls.append(np.shape(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        patch_lattice_inv(monkeypatch, raises)
+        got = run_monte_carlo(cfg)
+        assert calls, "the reduction made no float inverse"
+        assert got.meta["channel_redraws"] == 0
+        assert got.points == want.points and got.clipped == want.clipped
 
 
 def _scripted_failures(monkeypatch, script):
