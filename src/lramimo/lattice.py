@@ -13,9 +13,9 @@ once: one float inverse, rounded, kept for each slice whose exact int64
 product with Z is I.  The result is Z and Z^-1 alone: the reduced basis is
 H Z^-1, which a caller forms when it needs it.  ``unimodular_inverse``
 inverts a unimodular matrix exactly and without fractions, in Python
-integers, at any size.  It gives Z^-1 for any slice whose float inverse
-fails that check, and the Schur-identity check in ``estimate`` calls it
-once per drawn Z.
+integers, at any size.  It gives Z^-1, checked the same way, for any
+slice whose float inverse fails that check, and the Schur-identity check
+in ``estimate`` calls it once per drawn Z.
 """
 
 import math
@@ -57,7 +57,8 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     whose entries do not fit in int64 raises OverflowError.  The loop
     tracks Z alone; Z^-1 comes after it, for the whole stack, from one
     float inverse checked exactly slice by slice, or from
-    ``unimodular_inverse`` for a slice that fails the check.  The reduced
+    ``unimodular_inverse`` for a slice that fails the check; a fallback
+    inverse whose product with Z is not I raises RuntimeError.  The reduced
     basis C = basis @ Z^-1 is size reduced (all Gram-Schmidt coefficients
     at most 1/2 in magnitude) and satisfies the Lovasz condition for
     ``delta``.  A stack (..., m, n) is reduced slice by slice in one call,
@@ -79,9 +80,7 @@ def lll_reduce(basis: np.ndarray, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     n = h.shape[-1]
     r = np.swapaxes(np.linalg.qr(h, mode="r"), -1, -2).reshape(-1, n, n)
     z = np.array([_reduce_columns(cols, delta) for cols in r.tolist()], dtype=np.int64)
-    zinv, product = _inverse(z)
-    if not _is_identity(product):
-        raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
+    zinv = _inverse(z)
     shape = h.shape[:-2] + (n, n)
     return ReducedBasis(z.reshape(shape), zinv.reshape(shape))
 
@@ -131,13 +130,14 @@ def _reduce_columns(r: list, delta: float) -> list:
     return z
 
 
-def _inverse(z: np.ndarray):
-    """(Z^-1, Z Z^-1) for the int64 stack ``z`` of unimodular matrices (slices, n, n).
+def _inverse(z: np.ndarray) -> np.ndarray:
+    """Z^-1 for the int64 stack ``z`` of unimodular matrices (slices, n, n).
 
     One float inverse of the whole stack, rounded to integers, is kept for
     each slice whose int64 product with Z is I, and that product is exact
     because n max|Z| max|Z^-1| < 2^62 is required first.  Any other slice,
-    and every slice when the float inverse raises, gets ``unimodular_inverse``.
+    and every slice when the float inverse raises, gets ``unimodular_inverse``,
+    whose product with Z must be I as well or RuntimeError is raised.
     No value that is not finite or not below 2^62 is cast to int64.
     """
     n = z.shape[-1]
@@ -148,14 +148,15 @@ def _inverse(z: np.ndarray):
         inv = np.zeros_like(zf)  # a zero Z^-1 fails the check below
     bound = n * np.abs(zf).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
     zinv = np.where((bound < 2.0**62)[:, None, None], inv, 0.0).astype(np.int64)
-    product = z @ zinv
-    for i in np.flatnonzero(~(product == np.eye(n, dtype=np.int64)).all(axis=(1, 2))):
+    eye = np.eye(n, dtype=np.int64)
+    for i in np.flatnonzero(~(z @ zinv == eye).all(axis=(1, 2))):
         try:
             zinv[i] = unimodular_inverse(z[i])
         except ValueError as exc:
             raise RuntimeError("internal bookkeeping error: Z is not unimodular") from exc
-        product[i] = z[i] @ zinv[i]
-    return zinv, product
+        if not (z[i] @ zinv[i] == eye).all():
+            raise RuntimeError("internal bookkeeping error: Z @ Zinv != I")
+    return zinv
 
 
 def unimodular_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -220,8 +221,3 @@ def _as_int_rows(matrix: np.ndarray):
             out.append(iv)
         rows.append(out)
     return rows
-
-
-def _is_identity(arr: np.ndarray) -> bool:
-    """True when every matrix of the stack ``arr`` is the identity."""
-    return bool((arr == np.eye(arr.shape[-1], dtype=np.int64)).all())

@@ -95,8 +95,9 @@ def _require_full_column_rank(matrix: np.ndarray, what: str) -> None:
     """ValueError unless tall and finite, RankDeficientError unless of full column rank.
 
     A stack (..., m, n) passes when every slice does, each by its own
-    singular values.  [H; sqrt(zeta) I] has singular values
-    sqrt(s_i^2 + zeta): rank deficient only where H is.
+    singular values.  [H; sqrt(zeta) I], with singular values
+    sqrt(s_i^2 + zeta), passes once sqrt(zeta) clears its threshold, which
+    grows with the row count: near zeta = 0 an H that passes can make it fail.
     """
     if matrix.ndim < 2 or matrix.shape[-2] < matrix.shape[-1]:
         raise ValueError(f"{what} needs at least as many receive as transmit dimensions, got {matrix.shape}")

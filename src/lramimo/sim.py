@@ -21,10 +21,10 @@ count.  An exact ML search serves as the performance oracle: each call
 tabulates ||H s||^2 over two half-grids for its channel and evaluates
 per frame only the rows of that table that a projection bound,
 from the reduced QR of the second half's columns, cannot rule out, each
-against every column; the bound starts from the table value of the last
-detector's decision.  Each frame's products with the half-grids are a
-matmul of their own, so an oracle decision does not depend on the frames
-beside it, nor on the detector that gave the hint.
+against every column; the bound starts from the table value of the
+required hint, the last detector's decision.  Each frame's products with
+the half-grids are a matmul of their own, so an oracle decision does not
+depend on the frames beside it, nor on the detector that gave the hint.
 """
 
 import concurrent.futures
@@ -32,7 +32,7 @@ import csv
 import math
 import numbers
 import time
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -245,7 +245,7 @@ def draw_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> MimoChannel:
     return MimoChannel(matrix=matrix, noise_var=1.0, symbol_var=1.0)
 
 
-def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=None) -> np.ndarray:
+def _ml_detect_block(matrix, observations, constellation, workspace=None, *, hint) -> np.ndarray:
     """Exact ML search over every frame (column) of ``observations``.
 
     Splits each candidate s into its leading n // 2 components s_hi and the
@@ -261,16 +261,16 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
     bound is the distance from y - A_i to range(Q), Q the reduced QR factor
     of H_lo, formed from u and the products Q^T y and Q^T A_i.  The
     decisions equal those of an argmin over the whole table bit for bit.
-    ``hint``, an (n, frames) array such as a detector's decisions, names one
-    candidate per frame: each component goes to the nearest alphabet point,
-    clipped into the alphabet, so any finite array names candidates.  The
-    hint's table value tightens the frame's bound; it changes no decision.
-    Observations, hint and channel must be finite.
+    ``hint``, a required (n, frames) array such as a detector's decisions,
+    names one candidate per frame: each component goes to the nearest
+    alphabet point, clipped into the alphabet, so any finite array names
+    candidates.  The hint's table value tightens the frame's bound; it
+    changes no decision.  Observations, hint and channel must be finite.
 
     A, B, T, Q and the products Q^T A_i depend on H and the order alone;
-    every call builds them with ``_ml_setup``.  Memory is M^n floats for T
-    plus buffers linear in the receive rows, whatever the frame count; T and
-    the frame-sized buffers are taken from ``workspace`` when one is given.
+    every call builds them.  Memory is M^n floats for T plus buffers linear
+    in the receive rows, whatever the frame count; T and the frame-sized
+    buffers are taken from ``workspace`` when one is given.
     """
     h = np.asarray(matrix, dtype=float)
     ys = np.asarray(observations, dtype=float)
@@ -281,34 +281,30 @@ def _ml_detect_block(matrix, observations, constellation, workspace=None, hint=N
         raise ValueError(
             f"ML search space {order}^{n} = {total} exceeds {_ML_SEARCH_LIMIT}"
         )
-    if hint is not None:
-        hint = np.asarray(hint, dtype=float)
-        if hint.shape != (n, ys.shape[1]):
-            raise ValueError(f"hint must have shape {(n, ys.shape[1])}, got {hint.shape}")
-    if not (np.isfinite(h).all() and np.isfinite(ys).all() and (hint is None or np.isfinite(hint).all())):
+    hint = np.asarray(hint, dtype=float)
+    if hint.shape != (n, ys.shape[1]):
+        raise ValueError(f"hint must have shape {(n, ys.shape[1])}, got {hint.shape}")
+    if not (np.isfinite(h).all() and np.isfinite(ys).all() and np.isfinite(hint).all()):
         raise ValueError("ML search needs a finite channel, finite observations and a finite hint")
+    # Alphabet indices (the points are one apart), then each frame's
+    # candidate index, split into its table row and column.
+    k = np.clip(np.rint(hint - constellation.points[0]), 0, order - 1).astype(np.intp)
+    hint = np.divmod(order ** np.arange(n - 1, -1, -1) @ k, order ** (n - n // 2))
     ws = Workspace() if workspace is None else workspace
-    setup = _ml_setup(h, constellation, ws)
-    if hint is not None:
-        # Alphabet indices (the points are one apart), then each frame's
-        # candidate index, split into its table row and column.
-        k = np.clip(np.rint(hint - constellation.points[0]), 0, order - 1).astype(np.intp)
-        hint = np.divmod(order ** np.arange(n - 1, -1, -1) @ k, setup.table.shape[1])
-    best = _bounded_minima(setup, ys, hint, ws)
+    best = _bounded_minima(h, constellation, ys, hint, ws)
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
-# The part of the ML search that depends only on H and the order.
-# ``table`` is T, ``image_scale`` 4 (max||A_i||^2 + max||B_j||^2), ``q`` the
-# reduced QR factor Q of H_lo, ``proj_a`` the products Q^T A_i, one per row,
-# and ``c`` the ||A_i||^2 - ||Q^T A_i||^2 of the row bounds.
-_MlSetup = namedtuple("_MlSetup", "a b table image_scale q proj_a c")
+def _bounded_minima(h, constellation, ys, hint, ws) -> np.ndarray:
+    """Each frame's first minimum over every column of the rows its bound keeps.
 
-
-def _ml_setup(h, constellation, ws) -> _MlSetup:
-    """The ML search's setup for H and the order, its table T in ``ws``'s storage.
-
-    T overwrites the table of the previous setup built in ``ws``.
+    Builds A, B, T (in ``ws``'s storage), Q, Q^T A_i and the row bounds'
+    c = ||A_i||^2 - ||Q^T A_i||^2 first; ``hint`` is each frame's (row,
+    column).  A chunk's (frames, rows) and (frames, columns) arrays live in
+    four buffers of ``ws``: u, v, the row bounds and a work buffer, which
+    holds c for each frame and then U's row.  Once the bounds are compared,
+    the last two serve ``_kept_minima``, so a call's peak memory stays
+    below that of a full split-table search.
     """
     n_hi = h.shape[1] // 2
     a = _grid(constellation.points, n_hi) @ h[:, :n_hi].T
@@ -324,19 +320,8 @@ def _ml_setup(h, constellation, ws) -> _MlSetup:
         table[r : r + step] += norms_a[r : r + step, None] + norms_b
     q = np.linalg.qr(h[:, n_hi:])[0]
     proj_a = a @ q
+    c = norms_a - (proj_a**2).sum(axis=1)
     image_scale = 4.0 * (norms_a.max() + norms_b.max())
-    return _MlSetup(a, b, table, image_scale, q, proj_a, norms_a - (proj_a**2).sum(axis=1))
-
-
-def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
-    """Each frame's first minimum over every column of the rows its bound keeps.
-
-    A chunk's (frames, rows) and (frames, columns) arrays live in four
-    buffers of ``ws``: u, v, the row bounds and a work buffer, which holds
-    c for each frame and then U's row.  Once the bounds are compared, the
-    last two serve ``_kept_minima``, so a call's peak memory stays below
-    that of a full split-table search.
-    """
     # Every candidate in row i lies at least ||y - A_i||^2 - ||Q^T (y - A_i)||^2
     # from y, its squared distance to range(Q) for Q the reduced QR factor of
     # H_lo, since range(Q) holds range(H_lo) and so every B_j, also when H_lo
@@ -360,7 +345,6 @@ def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
     # hint's (row, column), formed in the kept rows' float order; either lies
     # within rounding of a candidate's value, whose row therefore stays:
     # every frame keeps a row.
-    table, a, b = setup.table, setup.a, setup.b
     chunk = max(1, _ML_CHUNK_ENTRIES // len(a))
     best = np.empty(ys.shape[1], dtype=np.intp)
     for start in range(0, ys.shape[1], chunk):
@@ -370,21 +354,20 @@ def _bounded_minima(setup, ys, hint, ws) -> np.ndarray:
         idx = np.arange(f)
         u = _frame_products(yt, a, ws.take("ml_u", (f, len(a))))
         v = _frame_products(yt, b, ws.take("ml_v", (f, len(b))))
-        py = yt @ setup.q
-        rows_lb = np.matmul(py, setup.proj_a.T, out=ws.take("ml_rows_lb", u.shape))
+        py = yt @ q
+        rows_lb = np.matmul(py, proj_a.T, out=ws.take("ml_rows_lb", u.shape))
         rows_lb *= 2.0
         rows_lb += u
-        rows_lb += _spread(setup.c, ws.take("ml_work", rows_lb.shape))
+        rows_lb += _spread(c, ws.take("ml_work", rows_lb.shape))
         r0 = rows_lb.argmin(axis=1)
         along = np.take(table, r0, axis=0, out=ws.take("ml_work", v.shape), mode="clip")
         along += v
         limit = along.min(axis=1)
         limit += u[idx, r0]
-        if hint is not None:
-            hr, hc = hint[0][part], hint[1][part]
-            np.minimum(limit, (table[hr, hc] + u[idx, hr]) + v[idx, hc], out=limit)
+        hr, hc = hint[0][part], hint[1][part]
+        np.minimum(limit, (table[hr, hc] + u[idx, hr]) + v[idx, hc], out=limit)
         limit += (py**2).sum(axis=1)
-        limit += 1e-9 * ((yt**2).sum(axis=1) + setup.image_scale)
+        limit += 1e-9 * ((yt**2).sum(axis=1) + image_scale)
         keep = rows_lb <= _spread(limit[:, None], ws.take("ml_work", rows_lb.shape))
         best[part] = _kept_minima(table, u, v, keep, ws)
     return best

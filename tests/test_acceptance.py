@@ -171,7 +171,7 @@ def test_a8_detection_sanity():
         a = rng.choice(constellation.points, size=(4, 40))
         y = h @ a + rng.normal(0.0, np.sqrt(noise_var), size=(4, 40))
         a_hat, _, _ = detect_block(det, y, constellation)
-        ml = _ml_detect_block(h, y, constellation)
+        ml = _ml_detect_block(h, y, constellation, hint=np.full_like(a_hat, constellation.points[0]))
         agree += int(np.count_nonzero((a_hat == ml).all(axis=0)))
         total += y.shape[1]
     frac = agree / total

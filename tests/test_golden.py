@@ -51,3 +51,19 @@ def test_an_independent_reference_reproduces_the_golden_counts():
     ]
     clipped = {spec_id: int(counts[2, i].sum()) for i, spec_id in enumerate(ids)}
     assert {spec_id: n for spec_id, n in clipped.items() if n} == GOLDEN_CLIPPED
+
+
+def test_a_non_reduced_detector_as_the_oracle_hint_gives_golden_rows(tmp_path):
+    """The specs reversed, so that le-zf, which reduces nothing, hints the ML
+    oracle: every row of the run, the ml rows included, is a golden row."""
+    config = json.loads((DATA / "golden_config.json").read_text())
+    config["specs"] = config["specs"][::-1]
+    reversed_config = tmp_path / "reversed.json"
+    reversed_config.write_text(json.dumps(config))
+    out = tmp_path / "reversed.csv"
+    assert main(["simulate", "--config", str(reversed_config), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    golden = (DATA / "golden.csv").read_text().splitlines()
+    assert len(rows) == len(golden) == 45
+    assert sum(row.startswith(f"{ML_ORACLE_ID},") for row in rows) == 4
+    assert set(rows) <= set(golden)

@@ -89,8 +89,8 @@ class TestTrivialBases:
         assert not isinstance(info.value, (ReductionError, RankDeficientError))
 
     def test_bookkeeping_fault_is_a_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(lattice, "_is_identity", lambda arr: False)
-        with pytest.raises(RuntimeError, match="bookkeeping") as info:
+        patch_a_wrong_fallback(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"bookkeeping error: Z @ Zinv != I") as info:
             lll_reduce(np.eye(2))
         assert not isinstance(info.value, ValueError)
 
@@ -288,6 +288,14 @@ def patch_lattice_inv(monkeypatch, fake):
 
 def _raises(a):
     raise np.linalg.LinAlgError("Singular matrix")
+
+
+def patch_a_wrong_fallback(monkeypatch):
+    """The float inverse raises, and the exact fallback returns a unimodular
+    matrix that is not Z's inverse (its columns reversed)."""
+    real = lattice.unimodular_inverse
+    monkeypatch.setattr(lattice, "unimodular_inverse", lambda z: real(z)[:, ::-1])
+    patch_lattice_inv(monkeypatch, _raises)
 
 
 def _non_finite(a):

@@ -9,11 +9,12 @@ count and noise level below, also when every kept row is a piece of its
 own.  ``reference_ml_block`` is the direct search: it builds every
 candidate, its image and the K x F distance matrix, and scans candidates
 in chunks.  All must agree on exact ties, where the lexicographically
-smallest candidate wins.  A hint (any candidate, or any finite array the
-search rounds and clips onto one) only tightens the bound, so every hint
-must leave the decisions unchanged.  A simulated trial hands the oracle a
-whole SNR group's stacked observations at once, which must decide each
-point as a call on that point alone does.
+smallest candidate wins.  The search always takes a hint (any candidate,
+or any finite array the search rounds and clips onto one), which only
+tightens the bound, so every hint must leave the decisions unchanged; the
+comparisons with the references hint the alphabet's first point.  A
+simulated trial hands the oracle a whole SNR group's stacked observations
+at once, which must decide each point as a call on that point alone does.
 """
 
 import itertools
@@ -97,6 +98,17 @@ def split_table_ml_block(matrix, observations, constellation, farthest=False) ->
     return constellation.points[np.stack(np.unravel_index(best, (order,) * n))]
 
 
+def uninformed_hint(matrix, observations, constellation) -> np.ndarray:
+    """A hint that carries no information: every component at the alphabet's first point."""
+    return np.full((np.shape(matrix)[1], np.shape(observations)[1]), constellation.points[0])
+
+
+def uninformed_ml_block(matrix, observations, constellation, workspace=None) -> np.ndarray:
+    """``sim._ml_detect_block`` under ``uninformed_hint``."""
+    hint = uninformed_hint(matrix, observations, constellation)
+    return sim._ml_detect_block(matrix, observations, constellation, workspace, hint=hint)
+
+
 # The tests that straddle chunk boundaries pin the oracle's chunk at
 # _CHUNK_FRAMES frames, so that their frame counts do not grow with
 # sim._ML_CHUNK_ENTRIES.
@@ -140,7 +152,7 @@ def test_matches_reference_on_gaussian_draws(n, m, order, monkeypatch):
     _pin_chunk(monkeypatch, n, order)
     for frames in _FRAME_COUNTS:
         h, ys, constellation = _draw(n, m, order, frames, seed=1000 * n + 10 * m + order + frames)
-        got = sim._ml_detect_block(h, ys, constellation)
+        got = uninformed_ml_block(h, ys, constellation)
         want = reference_ml_block(h, ys, constellation)
         assert got.shape == (n, frames)
         np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames")
@@ -159,7 +171,7 @@ def _assert_split_table(n, m, order, monkeypatch):
         for std in (0.0, 0.1, 0.6, 3.0, 30.0):
             h, ys, constellation = _draw(n, m, order, frames, seed=100 * n + m + frames, std=std)
             want = split_table_ml_block(h, ys, constellation)
-            got = sim._ml_detect_block(h, ys, constellation)
+            got = uninformed_ml_block(h, ys, constellation)
             np.testing.assert_array_equal(got, want, err_msg=f"{frames} frames, std {std}")
 
 
@@ -190,7 +202,7 @@ def test_bit_identical_to_the_split_table_at_the_wide_oracle_shape(snr_db, one_r
     std = math.sqrt(constellation.variance * 8 / 10.0 ** (snr_db / 10.0))
     ys = h @ sent + std * rng.standard_normal((16, 200))
     want = split_table_ml_block(h, ys, constellation)
-    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
+    np.testing.assert_array_equal(uninformed_ml_block(h, ys, constellation), want)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -218,9 +230,9 @@ def test_decisions_do_not_depend_on_neighbouring_frames(n, m, order):
     frames = 37
     h, ys, constellation = _draw(n, m, order, frames, seed=10 * n + m + order, std=0.6)
     ws = Workspace()
-    whole = sim._ml_detect_block(h, ys, constellation, ws)
+    whole = uninformed_ml_block(h, ys, constellation, ws)
     for split in (1, 13, 36):
-        parts = [sim._ml_detect_block(h, y, constellation, ws) for y in (ys[:, :split], ys[:, split:])]
+        parts = [uninformed_ml_block(h, y, constellation, ws) for y in (ys[:, :split], ys[:, split:])]
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole, err_msg=f"split at {split}")
 
 
@@ -243,7 +255,7 @@ def _scaled_draws(draw):
 def test_bit_identical_on_scaled_columns_and_any_noise(drawn):
     h, ys, constellation = drawn
     want = split_table_ml_block(h, ys, constellation)
-    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
+    np.testing.assert_array_equal(uninformed_ml_block(h, ys, constellation), want)
 
 
 @st.composite
@@ -288,10 +300,10 @@ def test_rejects_non_finite_input(bad):
     h, ys, constellation = _draw(3, 3, 2, 4, seed=2)
     ys[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        sim._ml_detect_block(h, ys, constellation)
+        uninformed_ml_block(h, ys, constellation)
     h[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        sim._ml_detect_block(h, np.zeros((3, 4)), constellation)
+        uninformed_ml_block(h, np.zeros((3, 4)), constellation)
 
 
 def _exact_first_minimum(h, ys, constellation):
@@ -323,7 +335,7 @@ def _tie_draw(n, m, order, spread, seed):
 def _assert_exact_ties(n, m, order, spread, seed, monkeypatch):
     _pin_chunk(monkeypatch, n, order)
     h, sent, ys, constellation = _tie_draw(n, m, order, spread, seed)
-    got = sim._ml_detect_block(h, ys, constellation)
+    got = uninformed_ml_block(h, ys, constellation)
     want = _exact_first_minimum(h, ys, constellation)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got, reference_ml_block(h, ys, constellation))
@@ -411,11 +423,12 @@ def test_rejects_a_hint_of_another_shape_or_not_finite():
         sim._ml_detect_block(h, ys, constellation, hint=hint)
 
 
-def _traced_peak(search, h, ys, constellation):
+def _traced_peak(search, *args, **kwargs):
+    """Peak traced memory of one call; the hint, like the observations, is made outside it."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        search(h, ys, constellation)
+        search(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,7 +437,8 @@ def _traced_peak(search, h, ys, constellation):
 def test_memory_does_not_grow_with_frames():
     """One 16-stream BPSK call on 200 frames stays far below K x F floats (105 MB)."""
     h, ys, constellation = _draw(16, 16, 2, 200, seed=5)
-    peak = _traced_peak(sim._ml_detect_block, h, ys, constellation)
+    hint = uninformed_hint(h, ys, constellation)
+    peak = _traced_peak(sim._ml_detect_block, h, ys, constellation, hint=hint)
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
@@ -432,10 +446,11 @@ def test_memory_does_not_grow_with_frames():
 def test_memory_stays_within_the_split_table(std):
     """Many kept rows per frame (std 3) or few (std 0.3), 16-stream BPSK."""
     h, ys, constellation = _draw(16, 16, 2, 200, seed=5, std=std)
-    for search in (split_table_ml_block, sim._ml_detect_block):
+    for search in (split_table_ml_block, uninformed_ml_block):
         search(h, ys, constellation)  # first calls may import modules lazily
     want = _traced_peak(split_table_ml_block, h, ys, constellation)
-    got = _traced_peak(sim._ml_detect_block, h, ys, constellation)
+    hint = uninformed_hint(h, ys, constellation)
+    got = _traced_peak(sim._ml_detect_block, h, ys, constellation, hint=hint)
     assert got <= want, f"peak {got / 2**10:.0f} KB > split table {want / 2**10:.0f} KB"
 
 
@@ -444,6 +459,7 @@ def test_memory_does_not_grow_with_receive_rows():
     array, so the call peaks far below one (128 MB)."""
     h, ys, constellation = _draw(2, 4096, 4, 3, seed=11)
     want = split_table_ml_block(h, ys, constellation)
-    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation), want)
-    peak = _traced_peak(sim._ml_detect_block, h, ys, constellation)
+    hint = uninformed_hint(h, ys, constellation)
+    np.testing.assert_array_equal(sim._ml_detect_block(h, ys, constellation, hint=hint), want)
+    peak = _traced_peak(sim._ml_detect_block, h, ys, constellation, hint=hint)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -4,6 +4,7 @@ import pytest
 from lramimo.model import (
     MimoChannel,
     RankDeficientError,
+    _require_full_column_rank,
     augment,
     complex_matrix_to_real,
     make_ask_constellation,
@@ -98,6 +99,21 @@ class TestChannelAndAugmentation:
             with pytest.raises(ValueError, match="channel matrix has non-finite entries") as info:
                 MimoChannel(np.array([[1.0, 0.0], [0.0, bad]]), noise_var=0.1, symbol_var=1.0)
             assert not isinstance(info.value, RankDeficientError)
+
+    def test_an_accepted_channel_can_give_a_rank_deficient_augmented_basis(self):
+        """The rank rule's threshold grows with the row count, so near zeta = 0
+        [H; sqrt(zeta) I] is not rank deficient only where H is.  An 8x8 H of
+        condition number 8.3e8 passes as a channel; by the same rule its
+        augmented basis fails at zeta = 0 and 1e-20 and passes at 1e-17, where
+        sqrt(zeta) clears the threshold."""
+        rng = np.random.default_rng(0)
+        u, v = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+        h = u @ np.diag(np.geomspace(1.0, 1 / 8.3e8, 8)) @ v.T
+        MimoChannel(h, noise_var=1.0, symbol_var=1.0)
+        for zeta in (0.0, 1e-20):
+            with pytest.raises(RankDeficientError, match="basis is rank deficient"):
+                _require_full_column_rank(augment(h, zeta), "basis")
+        _require_full_column_rank(augment(h, 1e-17), "basis")
 
     def test_rejects_wide_matrix(self):
         with pytest.raises(ValueError):

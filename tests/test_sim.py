@@ -42,7 +42,8 @@ from lramimo.sim import (
     run_monte_carlo,
     trial_rng,
 )
-from test_lattice import patch_lattice_inv
+from test_lattice import patch_a_wrong_fallback, patch_lattice_inv
+from test_ml_oracle import uninformed_ml_block
 
 
 _NEEDS_FORK = pytest.mark.skipif(
@@ -234,7 +235,7 @@ class TestMlBruteForce:
 
     @staticmethod
     def _detect(h, y, constellation):
-        return sim._ml_detect_block(h, np.asarray(y)[:, None], constellation)[:, 0]
+        return uninformed_ml_block(h, np.asarray(y)[:, None], constellation)[:, 0]
 
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(3)
@@ -584,7 +585,7 @@ def _reference_counts(config):
             received = channel.matrix @ sent + np.sqrt(noise_var) * unit_noise
             decisions = [detect_block(det, received, constellation) for det in detectors[j]]
             if config.oracle:
-                a_ml = sim._ml_detect_block(channel.matrix, received, constellation)
+                a_ml = uninformed_ml_block(channel.matrix, received, constellation)
                 decisions.append((a_ml, None, [0]))
             for i, (a_hat, _, (nclip,)) in enumerate(decisions):
                 wrong = a_hat != sent
@@ -910,7 +911,7 @@ class TestRedrawLimit:
             return real_draw(*args)
 
         monkeypatch.setattr(sim, "draw_channel", counted)
-        monkeypatch.setattr(lattice, "_is_identity", lambda arr: False)
+        patch_a_wrong_fallback(monkeypatch)
         with pytest.raises(RuntimeError, match="bookkeeping") as info:
             run_monte_carlo(_config(trials=1, specs=_specs("le-zf-lra-orig")))
         assert not isinstance(info.value, RedrawLimitError)

@@ -17,6 +17,7 @@ import pytest
 from lramimo import sim
 from lramimo.equalize import ALL_SPECS, Workspace, build_detector, detect_block
 from lramimo.model import make_ask_constellation
+from test_ml_oracle import uninformed_ml_block
 
 # (complex antennas, order): the detect-long shape and a wider BPSK one.
 CHANNELS = [(2, 4), (4, 2)]
@@ -60,8 +61,8 @@ def test_shared_workspace_equals_fresh_calls():
             clipped_total += sum(got[2])
         for frames in (1, 255, 257, 600):
             ys = _observations(channel, constellation, rng, frames)
-            want = sim._ml_detect_block(channel.matrix, ys, constellation)
-            got = sim._ml_detect_block(channel.matrix, ys, constellation, ws)
+            want = uninformed_ml_block(channel.matrix, ys, constellation)
+            got = uninformed_ml_block(channel.matrix, ys, constellation, ws)
             assert np.array_equal(got, want), f"ML on {ys.shape}"
     assert clipped_total > 0, "no call exercised the clip count"
 
@@ -73,7 +74,7 @@ def _retained_by_workspace(calls, ys):
         base = tracemalloc.get_traced_memory()[0]
         ws = Workspace()
         for h, constellation in calls:
-            sim._ml_detect_block(h, ys, constellation, ws)
+            uninformed_ml_block(h, ys, constellation, ws)
         return tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -82,8 +83,9 @@ def _retained_by_workspace(calls, ys):
 def test_ml_setup_is_rebuilt_in_the_workspace_storage():
     """One workspace alternates H, H with one entry moved by one ulp, and H at
     another order (8 real streams, orders 4 and 2).  Every call builds the
-    setup of its own channel and order, so it equals a fresh call, and every
-    table is built into one storage (512 KB at order 4), not one per channel."""
+    table T of its own channel and order, so it equals a fresh call, and every
+    table is built into one storage (512 KB at order 4), not one per channel.
+    T is read from the workspace's ``ml_table`` storage after each call."""
     channel, order4, rng = _channel(4, 4, seed=8)
     order2 = make_ask_constellation(2)
     h = channel.matrix
@@ -94,10 +96,12 @@ def test_ml_setup_is_rebuilt_in_the_workspace_storage():
     tables, storage = {}, set()
     ws = Workspace()
     for k, (hk, constellation) in enumerate(calls):
-        got = sim._ml_detect_block(hk, ys, constellation, ws)
-        assert np.array_equal(got, sim._ml_detect_block(hk, ys, constellation)), f"call {k}"
-        table = sim._ml_setup(hk, constellation, ws).table
-        fresh = sim._ml_setup(hk, constellation, Workspace()).table
+        shape = (constellation.order**4,) * 2
+        got = uninformed_ml_block(hk, ys, constellation, ws)
+        table = ws.take("ml_table", shape)
+        fresh_ws = Workspace()
+        assert np.array_equal(got, uninformed_ml_block(hk, ys, constellation, fresh_ws)), f"call {k}"
+        fresh = fresh_ws.take("ml_table", shape)
         assert np.array_equal(table.view(np.uint64), fresh.view(np.uint64)), f"call {k}"
         tables[hk is h, constellation.order] = fresh
         storage.add(table.ctypes.data)
