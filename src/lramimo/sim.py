@@ -17,14 +17,18 @@ are a trial's only frame-length arrays, and the rest works on one
 cache-sized frame slice at a time.  A slice detects its SNR points in
 groups that fit the same budget, each detector and the oracle running
 once over a group's stacked observations, and the group size changes no
-count.  An exact ML search serves as the performance oracle: each call
-tabulates ||H s||^2 over two half-grids for its channel and evaluates
-per frame only the rows of that table that a projection bound,
-from the reduced QR of the second half's columns, cannot rule out, each
-against every column; the bound starts from the table value of the
-required hint, the last detector's decision.  Each frame's products with
-the half-grids are a matmul of their own, so an oracle decision does not
-depend on the frames beside it, nor on the detector that gave the hint.
+count.  A detector whose arrays hold the same bits as an earlier
+detector's in the group, its twin, decides alike, so it runs no pass and
+takes its twin's counts; a -orig and an -aug MMSE spec are twins where
+H and [H; sqrt(zeta) I] reduce to the same Z.  An exact ML search serves
+as the performance oracle: each call tabulates ||H s||^2 over two
+half-grids for its channel and evaluates per frame only the rows of that
+table that a projection bound, from the reduced QR of the second half's
+columns, cannot rule out, each against every column; the bound starts
+from the table value of the required hint, the decision of the last
+detector pass that ran.  Each frame's products with the half-grids are a
+matmul of their own, so an oracle decision does not depend on the frames
+beside it, nor on the detector that gave the hint.
 """
 
 import concurrent.futures
@@ -571,12 +575,15 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     the observations, every detector and the oracle work on one slice of
     frames at a time, in the slice-sized buffers of the :class:`Workspace`
     ``ws`` (views of them for a shorter last slice).  ``_passes(config)``
-    gives the slice width and the SNR groups.  Within a slice, each group
-    is observed as one (2 n_rx, S f) stack and decided in one pass per
-    decider: a ``detect_block`` call per spec, whose decisions at each
-    point equal those of a call on that point alone, then one
-    ``_ml_detect_block`` call hinted with the last detector's decisions,
-    which clips nothing.  Every pass is counted by the same lines.  A
+    gives the slice width and the SNR groups, and ``_twins`` each group's
+    twin detectors, once per trial.  Within a slice, each group is
+    observed as one (2 n_rx, S f) stack and decided in one pass per
+    decider that has no twin: a ``detect_block`` call per such spec, whose
+    decisions at each point equal those of a call on that point alone,
+    then one ``_ml_detect_block`` call hinted with the decisions of the
+    last pass that ran, which clips nothing.  Every pass is counted by the
+    same lines, and a twin copies the group's counts of the detector it
+    is a twin of, which are the counts its own pass would give.  A
     slice's feedforward product is one matmul per point whose bits can
     depend on the slice width, so the counts are those of this fixed
     slicing: equal to one full-length pass unless a soft value lies within
@@ -600,12 +607,14 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
         piece = flat[a : a + _SLICE_ENTRIES]
         np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
+    # Each group's detectors, and each decider's twin among them (None for the oracle).
     groups = [(g, [det[g] for det in detectors]) for g in snr_groups]
+    groups = [(g, dets, _twins(dets) + [None] * config.oracle) for g, dets in groups]
     for start in range(0, frames, step):
         sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
         f = sent_part.shape[1]
         clean = np.matmul(h, sent_part, out=ws.take("clean", (n_rx, f)))
-        for g, group_detectors in groups:
+        for g, group_detectors, twins in groups:
             shape = (g.stop - g.start, f)
             # sigma_j N + H s at each point j of the group, bit for bit what a
             # grid of that one point observes.
@@ -616,10 +625,13 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
             # Each point's column, its (n, f) view of wrong and its row of wrong_frame.
             cells = list(zip(range(g.start, g.stop), wrong.transpose(1, 0, 2), wrong_frame))
             sent_points = sent_part[:, None]
-            for i in range(counts.shape[1]):
+            for i, twin in enumerate(twins):
+                if twin is not None:  # no pass: it decides as its twin did
+                    part[:, i, g] = part[:, twin, g]
+                    continue
                 if i < len(group_detectors):
                     a_hat, _, clipped = detect_block(group_detectors[i], observations, constellation, ws)
-                else:  # the ML oracle, hinted with the last detector's decisions
+                else:  # the ML oracle, hinted with the decisions of the last pass that ran
                     a_hat = _ml_detect_block(h, observations, constellation, ws, hint=a_hat)
                     clipped = 0
                 np.not_equal(a_hat.reshape(wrong.shape), sent_points, out=wrong)
@@ -629,6 +641,23 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
                     part[:2, i, j] = np.count_nonzero(symbols), np.count_nonzero(vectors)
         counts += part
     return counts
+
+
+def _twins(detectors) -> list:
+    """For each detector of a group, the index of the first earlier one that is its twin, or None.
+
+    Twins hold the same bits in each of the five arrays that
+    ``detect_block`` reads of a detector, a None field matching only None,
+    so they decide every observation alike.  A field has one shape and
+    dtype in every detector of a group that holds it, so its bytes are its
+    bits.  A ``-orig`` and an ``-aug`` MMSE spec are twins where H and
+    [H; sqrt(zeta) I] reduce to the same Z at every point of the group.
+    """
+    keys = []
+    for d in detectors:
+        arrays = (d.feedforward, d.z_offset, d.feedback, d.perm, d.unimodular_inv)
+        keys.append(tuple(None if a is None else a.tobytes() for a in arrays))
+    return [next((j for j in range(i) if keys[j] == keys[i]), None) for i in range(len(keys))]
 
 
 def _inv_snrs(config: SimConfig) -> list:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lramimo import equalize, lattice, model, sim
@@ -639,7 +639,8 @@ class TestFrameSlices:
 
 class TestSnrGroups:
     # A frame slice detects its SNR points in consecutive groups, one
-    # detect_block pass per spec and group; the group size changes no count.
+    # detect_block pass per spec and group unless the spec's detector is a
+    # twin (TestTwinDetectors); the group size changes no count.
     def test_group_sizes_from_the_slice_budget(self):
         # 2 n_rx x slice x group stays within _SLICE_ENTRIES: the a9-build and
         # wide-oracle shapes take every point of their one slice in one pass,
@@ -823,6 +824,69 @@ class TestSharedConstruction:
         assert calls, "the reduction made no float inverse"
         assert got.meta["channel_redraws"] == 0
         assert got.points == want.points and got.clipped == want.clipped
+
+
+def _count_passes(monkeypatch):
+    """Wrap ``detect_block`` as ``sim`` sees it; the returned list gets the spec id of each pass."""
+    passes, real = [], sim.detect_block
+
+    def counting(detector, *args):
+        passes.append(detector.spec.spec_id)
+        return real(detector, *args)
+
+    monkeypatch.setattr(sim, "detect_block", counting)
+    return passes
+
+
+class TestTwinDetectors:
+    # A detector whose five arrays hold the same bits as an earlier one's in
+    # its SNR group runs no pass and takes that twin's counts.
+    def test_twins_skip_their_passes(self, monkeypatch):
+        # At 30 dB on 2x2 draws, H and [H; sqrt(zeta) I] reduce to the same Z
+        # on some trials, and then each -aug MMSE spec is the twin of its -orig one.
+        passes = _count_passes(monkeypatch)
+        cfg = _config(order=4, snr_db=(30.0,), trials=8, frames_per_channel=50, specs=ALL_SPECS, oracle=True)
+        result = run_monte_carlo(cfg)
+        assert result.meta["channel_redraws"] == 0
+        per_spec = cfg.trials * len(sim._passes(cfg)[1])
+        assert len(passes) < len(ALL_SPECS) * per_spec
+        skipped = Counter({spec.spec_id: per_spec for spec in ALL_SPECS}) - Counter(passes)
+        assert set(skipped) <= {"le-mmse-lra-aug", "dfe-mmse-lra-aug"}
+
+    def test_a_reduction_to_the_identity_is_no_twin_of_none(self, monkeypatch):
+        # H = I reduces to Z = I, so le-zf-lra-orig holds le-zf's filters and
+        # offsets; only its Z^-1 = I, where le-zf has None, tells them apart.
+        # It decides on the unbounded lattice and clips after mapping back,
+        # where le-zf clips as it slices.
+        passes = _count_passes(monkeypatch)
+        cfg = _config(order=4, snr_db=(0.0,), trials=1, frames_per_channel=200,
+                      specs=_specs("le-zf", "le-zf-lra-orig"))
+        h = np.eye(4)
+        detectors = equalize.build_detectors(cfg.specs, h[None], sim._inv_snrs(cfg))[0]
+        np.testing.assert_array_equal(detectors[1].unimodular_inv, np.eye(4, dtype=np.int64)[None])
+        assert sim._twins(detectors) == [None, None]
+        counts = sim._run_trial(cfg, 0, trial_rng(cfg.seed, 0), h, detectors, equalize.Workspace())
+        assert passes == ["le-zf", "le-zf-lra-orig"]
+        assert counts[2, 0].sum() == 0 and counts[2, 1].sum() > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        specs=st.permutations(ALL_SPECS).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: tuple(p[:k]))),
+        snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3, unique=True).map(sorted),
+        oracle=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_spec_counts_as_it_would_alone(self, specs, snr_db, oracle, seed):
+        cfg = _config(order=4, snr_db=tuple(snr_db), trials=3, frames_per_channel=40, specs=specs,
+                      oracle=oracle, seed=seed)
+        result = run_monte_carlo(cfg)
+        assume(result.meta["channel_redraws"] == 0)
+        for spec in specs:
+            alone = run_monte_carlo(replace(cfg, specs=(spec,)))
+            assume(alone.meta["channel_redraws"] == 0)
+            ids = {spec.spec_id, ML_ORACLE_ID}
+            assert [p for p in result.points if p.spec_id in ids] == alone.points, spec.spec_id
+            assert {k: result.clipped[k] for k in alone.clipped} == alone.clipped, spec.spec_id
 
 
 def _scripted_failures(monkeypatch, script):
