@@ -9,12 +9,14 @@ the trial's stream and builds all their detectors in one stacked call,
 and on a redraw starts each trial over from its own stream, so no draw,
 cause or count depends on the chunking.  Each trial's detection then
 runs in one workspace that the chunk's trials share.  The
-stream gives, in order, the trial's channel draw(s), one block of symbols
-and one block of unit-variance noise N; every SNR point j sees the same
-symbols under the noise sigma_j N (common random numbers), so a cell's
-counts do not depend on the other SNR points of the grid; the two blocks
-are a trial's only frame-length arrays, and the rest works on one
-cache-sized frame slice at a time.  A slice detects its SNR points in
+stream gives, in order, the trial's channel draw(s), one block of symbol
+indices and one block of unit-variance noise N; every SNR point j sees
+the same symbols under the noise sigma_j N (common random numbers), so a
+cell's counts do not depend on the other SNR points of the grid.  The two
+blocks are a trial's only frame-length arrays, the indices at one byte
+per symbol up to 256-ary, so N is its only frame-length float array; the
+rest, the symbols included, works on one cache-sized frame slice at a
+time.  A slice detects its SNR points in
 groups that fit the same budget, each detector and the oracle running
 once over a group's stacked observations, and the group size changes no
 count.  A detector whose arrays hold the same bits as an earlier
@@ -571,7 +573,9 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
 
     The stream then gives the symbol indices and one standard-normal
     block N.  SNR point j observes H s + sigma_j N, so its counts are those
-    of a grid holding that point alone.  Only s and N are frame-length: H s,
+    of a grid holding that point alone.  Only the indices, in the smallest
+    unsigned dtype that holds order - 1, and N are frame-length,
+    2 n_tx + 8 (2 n_rx) bytes per frame up to 256-ary: the symbols s, H s,
     the observations, every detector and the oracle work on one slice of
     frames at a time, in the slice-sized buffers of the :class:`Workspace`
     ``ws`` (views of them for a shorter last slice).  ``_passes(config)``
@@ -597,22 +601,24 @@ def _run_trial(config: SimConfig, trial: int, rng, h, detectors, ws) -> np.ndarr
     part = np.empty_like(counts)  # one slice's counts; assigning is cheaper than +=
     frames, (step, snr_groups) = config.frames_per_channel, _passes(config)
     n_tx, n_rx = 2 * config.n_tx, 2 * config.n_rx
-    sent = ws.take("sent", (n_tx, frames))
     # The symbol indices are drawn _SLICE_ENTRIES at a time in C order, which
-    # takes the same stream as one draw of the whole block, so no
-    # frame-length int64 array joins the workspace's buffers.  They are in
-    # range; mode="raise" would copy through a temporary.
-    flat = sent.reshape(-1)
+    # takes the same stream as one draw of the whole block, and kept in the
+    # smallest unsigned dtype that holds them (one byte up to 256-ary).
+    indices = ws.take("indices", (n_tx, frames), np.min_scalar_type(config.order - 1))
+    flat = indices.reshape(-1)
     for a in range(0, flat.size, _SLICE_ENTRIES):
         piece = flat[a : a + _SLICE_ENTRIES]
-        np.take(constellation.points, rng.integers(0, config.order, size=piece.size), out=piece, mode="clip")
+        piece[...] = rng.integers(0, config.order, size=piece.size)
     unit_noise = rng.standard_normal(out=ws.take("unit_noise", (n_rx, frames)))
     # Each group's detectors, and each decider's twin among them (None for the oracle).
     groups = [(g, [det[g] for det in detectors]) for g in snr_groups]
     groups = [(g, dets, _twins(dets) + [None] * config.oracle) for g, dets in groups]
     for start in range(0, frames, step):
-        sent_part, noise_part = sent[:, start : start + step], unit_noise[:, start : start + step]
-        f = sent_part.shape[1]
+        index_part, noise_part = indices[:, start : start + step], unit_noise[:, start : start + step]
+        f = index_part.shape[1]
+        # points[k] = points[0] + k exactly (half-integers), so this is the
+        # table lookup s = points[indices] bit for bit.
+        sent_part = np.add(index_part, constellation.points[0], out=ws.take("sent", (n_tx, f)))
         clean = np.matmul(h, sent_part, out=ws.take("clean", (n_rx, f)))
         for g, group_detectors, twins in groups:
             shape = (g.stop - g.start, f)

@@ -184,18 +184,50 @@ def test_noise_drawn_into_a_buffer_equals_normal(noise_var):
     assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
 
 
-@pytest.mark.parametrize("order", [2, 4, 6, 16])
+@pytest.mark.parametrize("order", [2, 4, 6, 10, 16])
 def test_indices_drawn_in_pieces_equal_one_draw(order):
     """Symbol indices drawn a piece at a time, in C order, take the stream of one draw.
 
-    A trial draws its symbol block sim._SLICE_ENTRIES indices at a time, so
-    that no frame-length int64 array is made; its counts rest on this.
+    A trial draws its symbol block sim._SLICE_ENTRIES indices at a time into
+    an array of the smallest unsigned dtype that holds them, then its noise
+    block; its counts rest on both equalling one whole-block draw.  The
+    block has an odd frame count and spans two sim._SLICE_ENTRIES pieces,
+    the second short.
     """
-    shape = (4, 3 * sim._SLICE_ENTRIES // 4 + 7)
-    for piece in (777, sim._SLICE_ENTRIES):
-        ours, theirs = sim.trial_rng(11, order), sim.trial_rng(11, order)
-        flat = np.empty(math.prod(shape), dtype=np.int64)
+    shape = (4, sim._SLICE_ENTRIES // 4 + 7)
+    dtype = np.min_scalar_type(order - 1)
+    for piece in (1, 3, 4096, sim._SLICE_ENTRIES, math.prod(shape)):
+        ours, theirs = sim.trial_rng(13, order), sim.trial_rng(13, order)
+        flat = np.empty(math.prod(shape), dtype=dtype)
         for a in range(0, flat.size, piece):
             flat[a : a + piece] = ours.integers(0, order, size=len(flat[a : a + piece]))
         assert np.array_equal(flat.reshape(shape), theirs.integers(0, order, size=shape)), piece
-        assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9)), piece
+        noise = ours.standard_normal(shape)
+        assert np.array_equal(noise.view(np.int64), theirs.standard_normal(shape).view(np.int64)), piece
+
+
+def _traced_peak(config):
+    """Bytes that ``run_monte_carlo(config)`` holds at its traced peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sim.run_monte_carlo(config)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_trial_holds_one_byte_per_symbol_beside_its_noise():
+    """The traced peak grows by at most 8 (2 n_rx) + 2 n_tx + 4 bytes per frame.
+
+    That is a float64 noise entry per receive row and a one-byte symbol
+    index per transmit stream, plus slack; a float64 symbol block would add
+    8 bytes per stream.  Both frame counts take several 8192-frame slices,
+    so the slice-sized buffers are equal and only frame-length arrays differ.
+    """
+    config = sim.SimConfig(n_tx=2, n_rx=2, order=4, snr_db=(12.0,), trials=1, frames_per_channel=20_000,
+                           seed=5, specs=ALL_SPECS[1:2])
+    peaks = [_traced_peak(config), _traced_peak(replace(config, frames_per_channel=60_000))]
+    per_frame = (peaks[1] - peaks[0]) / 40_000
+    assert per_frame <= 8 * 2 * config.n_rx + 2 * config.n_tx + 4, f"{per_frame:.1f} B per frame ({peaks} B)"
